@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .cdm import CdmController, CdmGains, closed_loop, controller_to_statespace, synthesize
 from .plant import AreaParams, DesignPlant, NonlinearityConfig, TieLine, derive_design_plant, frequency_bias
 from .poly import Polynomial, is_hurwitz, lipatov_sufficient, stability_indices, target_poly
-from .scenarios import Metrics, indices, run_case, sensitivity_sweep, transient_measures, tuning_objective
+from .scenarios import Metrics, TuningObjective, indices, run_case, sensitivity_sweep, transient_measures
 from .sim import CdmSpec, IntegralSpec, PidSpec, SystemModel, Trajectory, simulate
 from .wca import Candidate, WcaConfig, minimize
 
@@ -25,6 +25,7 @@ __all__ = [
     "SystemModel",
     "TieLine",
     "Trajectory",
+    "TuningObjective",
     "WcaConfig",
     "closed_loop",
     "controller_to_statespace",
@@ -41,5 +42,4 @@ __all__ = [
     "synthesize",
     "target_poly",
     "transient_measures",
-    "tuning_objective",
 ]

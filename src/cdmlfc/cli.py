@@ -19,23 +19,23 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, defaults
-from .cdm import CdmController, synthesize
+from .cdm import synthesize
 from .config import RunConfig, load_config
-from .errors import ConfigError, NonFiniteState, SingularSystem
-from .plant import NonlinearityConfig, derive_design_plant
-from .poly import Polynomial
+from .errors import ConfigError, NonFiniteState, ObjectiveFailure, SingularSystem
+from .plant import derive_design_plant
 from .scenarios import (
     CaseReport,
     SweepReport,
-    evaluate,
+    TuningObjective,
+    model_snapshot,
     profile_from_json,
+    rank_controllers,
     realize,
     run_case,
+    run_controllers,
     sensitivity_sweep,
     table6_specs,
-    tuning_objective,
 )
-from .sim import CdmSpec, SystemModel, simulate
 from .wca import minimize, random_search
 
 
@@ -73,24 +73,26 @@ def _write_manifest(outdir: Path, command: str, cfg: RunConfig, overrides: dict)
     )
 
 
-def _controller_pair_from_config(cfg: RunConfig, name: str):
-    plants = tuple(derive_design_plant(a, cfg.tie) for a in cfg.areas)
-    if name == "cdm_opt":
-        return tuple(CdmSpec(synthesize(plants[i], cfg.cdm_gains[i])) for i in range(2))
-    if name == "cdm":
-        return tuple(
-            CdmSpec(
-                CdmController.from_polynomials(
-                    Polynomial(cfg.classic_ac[i]), Polynomial(cfg.classic_bc[i]), plants[i]
-                )
-            )
-            for i in range(2)
-        )
-    if name == "pid":
-        return cfg.pid
-    if name == "pi":
-        return cfg.integral
-    raise ConfigError("controllers", f"unknown controller set {name!r}")
+def _controller_names(args) -> list[str]:
+    names = [c.strip() for c in getattr(args, "controllers", "").split(",") if c.strip()]
+    for name in names:
+        if name not in defaults.CONTROLLER_SET_NAMES:
+            expected = ", ".join(defaults.CONTROLLER_SET_NAMES)
+            raise ConfigError("--controllers", f"unknown controller set {name!r}; expected one of {expected}")
+    return names
+
+
+def _tuning_objective(cfg: RunConfig) -> TuningObjective:
+    settings = cfg.objective_settings
+    return TuningObjective(
+        areas=cfg.areas,
+        tie=cfg.tie,
+        nonlin=cfg.objective_nonlin,
+        perturb=float(settings["perturb"]),
+        dt=float(settings["dt"]),
+        horizon=float(settings["horizon"]),
+        bounds=cfg.opt_bounds,
+    )
 
 
 def _report_csv(path: Path, report: CaseReport) -> None:
@@ -155,20 +157,7 @@ def cmd_design(cfg: RunConfig, outdir: Path, allow_unstable: bool) -> int:
 
 
 def cmd_optimize(cfg: RunConfig, outdir: Path, repeats: int, algorithm: str) -> int:
-    settings = cfg.objective_settings
-    objective = tuning_objective(
-        areas=cfg.areas,
-        tie=cfg.tie,
-        nonlin=NonlinearityConfig(
-            grc_rate=float(settings["grc_rate"]),
-            gdb_width=float(settings["gdb_width"]),
-            gdb_mode=str(settings["gdb_mode"]),
-        ),
-        perturb=float(settings["perturb"]),
-        dt=float(settings["dt"]),
-        horizon=float(settings["horizon"]),
-        bounds=cfg.opt_bounds,
-    )
+    objective = _tuning_objective(cfg)
     runner = {"wca": minimize, "random-search": random_search}[algorithm]
 
     finals = []
@@ -218,27 +207,66 @@ def cmd_optimize(cfg: RunConfig, outdir: Path, repeats: int, algorithm: str) -> 
     return 0
 
 
-def _scenario_loads(cfg: RunConfig, horizon: float):
+def _scenario_report(cfg: RunConfig, controllers: list[str]) -> CaseReport:
+    """Run the configured scenario (`scenario.*`, the model, the solver) for each controller set."""
+    horizon = cfg.horizon if cfg.horizon is not None else float(cfg.scenario["horizon"])
+    t0 = float(cfg.scenario["disturbance_time"])
     raw = cfg.scenario["loads"]
     if not (isinstance(raw, list) and len(raw) == 2):
         raise ConfigError("scenario.loads", "expected a two-element list of load profiles")
-    profiles = [profile_from_json(node) for node in raw]
-    return tuple(realize(p, horizon) for p in profiles)
+    try:
+        profiles = [profile_from_json(node) for node in raw]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError("scenario.loads", f"bad load profile: {exc}") from None
+    pairs = (
+        (name, defaults.build_controller_pair(name, cfg.areas, cfg.tie, cfg.cdm_gains, cfg.classic, cfg.pid, cfg.integral))
+        for name in controllers
+    )
+    results = run_controllers(
+        cfg.areas,
+        cfg.tie,
+        cfg.nonlin,
+        pairs,
+        tuple(realize(p, horizon) for p in profiles),
+        dt=cfg.dt,
+        controller_dt=cfg.controller_dt,
+        horizon=horizon,
+        t0=t0,
+    )
+    return CaseReport(
+        case_id=0,
+        description="custom scenario comparison",
+        controllers=list(controllers),
+        results=results,
+        ranking=rank_controllers(results),
+        model_snapshot=model_snapshot(cfg.areas, cfg.tie, cfg.nonlin),
+        run_params={
+            "dt": cfg.dt,
+            "controller_dt": cfg.controller_dt,
+            "horizon": horizon,
+            "seed": cfg.cases_seed,
+            "disturbance_time": t0,
+            "loads": cfg.scenario["loads"],
+        },
+    )
+
+
+def _write_trajectories(outdir: Path, report: CaseReport) -> None:
+    for res in report.results:
+        res.trajectory.to_csv(outdir / f"trajectory_{res.name}.csv")
+
+
+def _write_report(outdir: Path, report: CaseReport) -> None:
+    _write_trajectories(outdir, report)
+    _report_csv(outdir / "report.csv", report)
+    _write_json(outdir / "report.json", report.to_json())
 
 
 def cmd_simulate(cfg: RunConfig, outdir: Path, controllers: list[str]) -> int:
-    horizon = cfg.horizon if cfg.horizon is not None else float(cfg.scenario["horizon"])
-    t0 = float(cfg.scenario["disturbance_time"])
-    loads = _scenario_loads(cfg, horizon)
-    payload = {}
-    for name in controllers:
-        pair = _controller_pair_from_config(cfg, name)
-        model = SystemModel(cfg.areas, cfg.tie, cfg.nonlin, pair)
-        traj = simulate(model, loads, dt=cfg.dt, horizon=horizon, controller_dt=cfg.controller_dt)
-        traj.to_csv(outdir / f"trajectory_{name}.csv")
-        payload[name] = evaluate(traj, t0=t0).to_json()
-    _write_json(outdir / "metrics.json", payload)
-    print(f"simulated {len(controllers)} controller set(s) over {horizon:g} s")
+    report = _scenario_report(cfg, controllers)
+    _write_trajectories(outdir, report)
+    _write_json(outdir / "metrics.json", {res.name: res.metrics.to_json() for res in report.results})
+    print(f"simulated {len(controllers)} controller set(s) over {report.run_params['horizon']:g} s")
     return 0
 
 
@@ -256,10 +284,7 @@ def cmd_case(cfg: RunConfig, outdir: Path, case_id: int, controllers: list[str])
         seed=cfg.cases_seed,
         nonlin=cfg.cases_nonlin,
     )
-    for res in report.results:
-        res.trajectory.to_csv(outdir / f"trajectory_{res.name}.csv")
-    _report_csv(outdir / "report.csv", report)
-    _write_json(outdir / "report.json", report.to_json())
+    _write_report(outdir, report)
     print(f"case {case_id}: ranking by (IAE, ISE): {' < '.join(report.ranking)}")
     return 0
 
@@ -272,20 +297,7 @@ def _cmd_case1(cfg: RunConfig, outdir: Path) -> int:
     (outdir / "convergence_wca.csv").write_bytes(
         (outdir / f"convergence_seed{cfg.wca.seed}.csv").read_bytes()
     )
-    settings = cfg.objective_settings
-    objective = tuning_objective(
-        areas=cfg.areas,
-        tie=cfg.tie,
-        nonlin=NonlinearityConfig(
-            grc_rate=float(settings["grc_rate"]),
-            gdb_width=float(settings["gdb_width"]),
-            gdb_mode=str(settings["gdb_mode"]),
-        ),
-        perturb=float(settings["perturb"]),
-        dt=float(settings["dt"]),
-        horizon=float(settings["horizon"]),
-        bounds=cfg.opt_bounds,
-    )
+    objective = _tuning_objective(cfg)
     cand, history = random_search(
         objective, objective.bounds, cfg.wca, batch_objective=objective.batch
     )
@@ -310,37 +322,8 @@ def cmd_sweep(cfg: RunConfig, outdir: Path, controllers: list[str]) -> int:
 
 
 def cmd_compare(cfg: RunConfig, outdir: Path, controllers: list[str]) -> int:
-    horizon = cfg.horizon if cfg.horizon is not None else float(cfg.scenario["horizon"])
-    t0 = float(cfg.scenario["disturbance_time"])
-    loads = _scenario_loads(cfg, horizon)
-    results = []
-    for name in controllers:
-        pair = _controller_pair_from_config(cfg, name)
-        model = SystemModel(cfg.areas, cfg.tie, cfg.nonlin, pair)
-        traj = simulate(model, loads, dt=cfg.dt, horizon=horizon, controller_dt=cfg.controller_dt)
-        traj.to_csv(outdir / f"trajectory_{name}.csv")
-        results.append((name, evaluate(traj, t0=t0), traj))
-
-    from .scenarios import ControllerResult
-
-    report = CaseReport(
-        case_id=0,
-        description="custom scenario comparison",
-        controllers=list(controllers),
-        results=[ControllerResult(n, m, tr) for n, m, tr in results],
-        ranking=[n for n, m, _ in sorted(results, key=lambda r: (r[1].iae, r[1].ise))],
-        model_snapshot={"grc_rate": cfg.nonlin.grc_rate, "gdb_width": cfg.nonlin.gdb_width},
-        run_params={
-            "dt": cfg.dt,
-            "controller_dt": cfg.controller_dt,
-            "horizon": horizon,
-            "seed": cfg.cases_seed,
-            "disturbance_time": t0,
-            "loads": cfg.scenario["loads"],
-        },
-    )
-    _report_csv(outdir / "report.csv", report)
-    _write_json(outdir / "report.json", report.to_json())
+    report = _scenario_report(cfg, controllers)
+    _write_report(outdir, report)
     print(f"compare: ranking by (IAE, ISE): {' < '.join(report.ranking)}")
     return 0
 
@@ -411,6 +394,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, overrides)
+        controllers = _controller_names(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -418,7 +402,6 @@ def main(argv=None) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    controllers = [c.strip() for c in getattr(args, "controllers", "").split(",") if c.strip()]
     try:
         if args.command == "design":
             rc = cmd_design(cfg, outdir, args.allow_unstable)
@@ -440,6 +423,9 @@ def main(argv=None) -> int:
     except SingularSystem as exc:
         print(f"synthesis error: {exc}", file=sys.stderr)
         return 3
+    except ObjectiveFailure as exc:
+        print(f"optimization failed: {exc}", file=sys.stderr)
+        return 4
     except NonFiniteState as exc:
         print(f"simulation diverged: {exc}", file=sys.stderr)
         return 5

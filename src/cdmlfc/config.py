@@ -10,28 +10,28 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Optional
 
 from . import defaults
 from .cdm import CdmGains
 from .errors import ConfigError
 from .plant import AreaParams, NonlinearityConfig, TieLine
-from .sim import IntegralSpec, PidSpec
+from .poly import Polynomial
+from .scenarios import case_definition, profile_to_json
+from .sim import IntegralSpec, PidSpec, horizon_steps, sample_steps
 from .wca import WcaConfig
 
 
 def default_config() -> dict:
+    """The bundled values of `defaults`, WcaConfig() and case 2, as a config tree."""
+    scenario = case_definition(2)
     return {
         "model": {
-            "area1": {"D": 0.015, "M": 0.1667, "R": 3.0, "Tg": 0.08, "Tt": 0.4},
-            "area2": {"D": 0.016, "M": 0.2017, "R": 2.73, "Tg": 0.06, "Tt": 0.44},
-            "tie": {"T12": 0.2},
-            "nonlinear": {
-                "grc_rate": defaults.GRC_STATED,
-                "gdb_width": 0.05,
-                "gdb_mode": "deadzone",
-            },
+            "area1": asdict(defaults.AREA1),
+            "area2": asdict(defaults.AREA2),
+            "tie": asdict(defaults.TIE),
+            "nonlinear": asdict(defaults.NONLIN_DEFAULT),
         },
         "controllers": {
             "cdm_opt": {
@@ -56,35 +56,27 @@ def default_config() -> dict:
         },
         "cases": {
             "seed": defaults.CASE_SEED,
-            "nonlinear": {
-                "grc_rate": defaults.GRC_NONBINDING,
-                "gdb_width": 0.05,
-                "gdb_mode": "deadzone",
-            },
+            "nonlinear": asdict(defaults.NONLIN_CASES),
         },
         "optimizer": {
-            "n_pop": 50,
-            "max_it": 50,
-            "n_sr": 4,
-            "d_max0": 1e-16,
-            "c": 2.0,
-            "seed": 0,
-            "fitness_inverted": False,
-            "evap_prob": 0.1,
-            "bounds": {"gamma": [0.01, 40.0], "tau": [0.1, 5.0], "k_b0": [1.0, 100.0]},
+            **asdict(WcaConfig()),
+            # one range per block of [gamma_1..5, tau, k_b0 area1, k_b0 area2]
+            "bounds": {
+                "gamma": list(defaults.OPT_BOUNDS[0]),
+                "tau": list(defaults.OPT_BOUNDS[5]),
+                "k_b0": list(defaults.OPT_BOUNDS[6]),
+            },
             "objective": {
                 "dt": defaults.OBJECTIVE_DT,
                 "horizon": defaults.OBJECTIVE_HORIZON,
-                "perturb": 1.5,
-                "grc_rate": defaults.NONLIN_OBJECTIVE.grc_rate,
-                "gdb_width": defaults.NONLIN_OBJECTIVE.gdb_width,
-                "gdb_mode": defaults.NONLIN_OBJECTIVE.gdb_mode,
+                "perturb": defaults.OBJECTIVE_PERTURB,
+                **asdict(defaults.NONLIN_OBJECTIVE),
             },
         },
         "scenario": {
-            "loads": [{"kind": "step", "magnitude": 0.01, "time": 1.0}, None],
-            "horizon": 60.0,
-            "disturbance_time": 1.0,
+            "loads": [profile_to_json(p) for p in scenario.loads],
+            "horizon": scenario.horizon,
+            "disturbance_time": scenario.disturbance_time,
         },
     }
 
@@ -102,18 +94,15 @@ _RECORD_PATHS = {
     "optimizer.bounds",
 }
 
+_AREA_KEYS = {f.name for f in fields(AreaParams)}
 _REQUIRED_RECORD_KEYS = {
-    "model.area1": {"D", "M", "R", "Tg", "Tt"},
-    "model.area2": {"D", "M", "R", "Tg", "Tt"},
+    "model.area1": _AREA_KEYS,
+    "model.area2": _AREA_KEYS,
     "model.tie": {"T12"},
     "controllers.cdm_opt": {"gamma", "tau", "k_b0"},
     "controllers.cdm_classic": {"ac", "bc"},
     "optimizer.bounds": {"gamma", "tau", "k_b0"},
 }
-
-
-def _allowed_keys(defaults_node: dict) -> set:
-    return set(defaults_node.keys())
 
 
 def _merge(base: Any, user: Any, path: str) -> Any:
@@ -132,7 +121,7 @@ def _merge(base: Any, user: Any, path: str) -> Any:
     if isinstance(base, dict):
         if not isinstance(user, dict):
             raise ConfigError(path, "expected an object")
-        unknown = set(user.keys()) - _allowed_keys(base)
+        unknown = set(user.keys()) - set(base.keys())
         if unknown:
             raise ConfigError(f"{path}.{sorted(unknown)[0]}" if path else sorted(unknown)[0], "unknown key")
         merged = {}
@@ -152,8 +141,7 @@ class RunConfig:
     cases_nonlin: NonlinearityConfig
     cases_seed: int
     cdm_gains: tuple[CdmGains, CdmGains]
-    classic_ac: list
-    classic_bc: list
+    classic: tuple  # (Ac per area, Bc per area) of the classic CDM baseline
     pid: tuple[PidSpec, PidSpec]
     integral: tuple[IntegralSpec, IntegralSpec]
     dt: float
@@ -162,26 +150,20 @@ class RunConfig:
     wca: WcaConfig
     opt_bounds: list
     objective_settings: dict
+    objective_nonlin: NonlinearityConfig
     scenario: dict
 
     def canonical_json(self) -> str:
         return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
 
 
-def _nonlin_from(node: dict, path: str) -> NonlinearityConfig:
-    try:
-        return NonlinearityConfig(
-            grc_rate=float(node["grc_rate"]),
-            gdb_width=float(node["gdb_width"]),
-            gdb_mode=str(node["gdb_mode"]),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(path, str(exc)) from None
+_CASTS = {"int": int, "float": float, "bool": bool, "str": str}
 
 
-def _area_from(node: dict, path: str) -> AreaParams:
+def _record(cls, node: dict, path: str):
+    """The dataclass cls built from node's values, each cast to its field's annotated type."""
     try:
-        return AreaParams(**{k: float(node[k]) for k in ("D", "M", "R", "Tg", "Tt")})
+        return cls(**{f.name: _CASTS[f.type](node[f.name]) for f in fields(cls)})
     except (ValueError, TypeError) as exc:
         raise ConfigError(path, str(exc)) from None
 
@@ -214,21 +196,15 @@ def build_config(user: Optional[dict] = None, overrides: Optional[dict] = None) 
     if not (isinstance(pid_nodes, list) and len(pid_nodes) == 2):
         raise ConfigError("controllers.pid", "expected a two-element list")
     pid = []
+    keys = {f.name for f in fields(PidSpec)}
     for i, node in enumerate(pid_nodes):
-        keys = {"kp", "ki", "kd", "tf"}
+        path = f"controllers.pid[{i}]"
         if not isinstance(node, dict) or set(node.keys()) - keys:
-            raise ConfigError(f"controllers.pid[{i}]", f"expected keys {sorted(keys)}")
-        missing = {"kp", "ki", "kd"} - set(node.keys())
+            raise ConfigError(path, f"expected keys {sorted(keys)}")
+        missing = keys - {"tf"} - set(node.keys())
         if missing:
-            raise ConfigError(f"controllers.pid[{i}].{sorted(missing)[0]}", "missing required field")
-        pid.append(
-            PidSpec(
-                kp=float(node["kp"]),
-                ki=float(node["ki"]),
-                kd=float(node["kd"]),
-                tf=float(node.get("tf", defaults.PID_FILTER_TF)),
-            )
-        )
+            raise ConfigError(f"{path}.{sorted(missing)[0]}", "missing required field")
+        pid.append(_record(PidSpec, {"tf": defaults.PID_FILTER_TF, **node}, path))
 
     integral = merged["controllers"]["integral"]
     if not (isinstance(integral, list) and len(integral) == 2):
@@ -244,43 +220,36 @@ def build_config(user: Optional[dict] = None, overrides: Optional[dict] = None) 
         + [tuple(bounds_node["k_b0"])] * 2
     )
 
-    try:
-        wca = WcaConfig(
-            n_pop=int(opt["n_pop"]),
-            max_it=int(opt["max_it"]),
-            n_sr=int(opt["n_sr"]),
-            d_max0=float(opt["d_max0"]),
-            c=float(opt["c"]),
-            seed=int(opt["seed"]),
-            fitness_inverted=bool(opt["fitness_inverted"]),
-            evap_prob=float(opt["evap_prob"]),
-        )
-    except ValueError as exc:
-        raise ConfigError("optimizer", str(exc)) from None
-
     solver = merged["solver"]
     dt = float(solver["dt"])
     if not (0.0 < dt <= 0.05):
         raise ConfigError("solver.dt", "must be in (0, 0.05]")
+    controller_dt = float(solver["controller_dt"])
+    # a controller sample finer than dt is left to simulate() to refuse
+    if not (controller_dt > 0.0 and (controller_dt < dt or sample_steps(controller_dt, dt))):
+        raise ConfigError("solver.controller_dt", "must be a positive whole multiple of solver.dt")
+    horizon = None if solver["horizon"] is None else float(solver["horizon"])
+    if horizon is not None and not horizon_steps(horizon, dt):
+        raise ConfigError("solver.horizon", "must be a positive whole multiple of solver.dt")
 
     return RunConfig(
         raw=merged,
-        areas=(_area_from(model["area1"], "model.area1"), _area_from(model["area2"], "model.area2")),
-        tie=TieLine(T12=float(model["tie"]["T12"])),
-        nonlin=_nonlin_from(model["nonlinear"], "model.nonlinear"),
-        cases_nonlin=_nonlin_from(merged["cases"]["nonlinear"], "cases.nonlinear"),
+        areas=(_record(AreaParams, model["area1"], "model.area1"), _record(AreaParams, model["area2"], "model.area2")),
+        tie=_record(TieLine, model["tie"], "model.tie"),
+        nonlin=_record(NonlinearityConfig, model["nonlinear"], "model.nonlinear"),
+        cases_nonlin=_record(NonlinearityConfig, merged["cases"]["nonlinear"], "cases.nonlinear"),
         cases_seed=int(merged["cases"]["seed"]),
         cdm_gains=cdm_gains,
-        classic_ac=controllers["cdm_classic"]["ac"],
-        classic_bc=controllers["cdm_classic"]["bc"],
+        classic=tuple(tuple(Polynomial(c) for c in controllers["cdm_classic"][k]) for k in ("ac", "bc")),
         pid=tuple(pid),
         integral=tuple(IntegralSpec(float(k)) for k in integral),
         dt=dt,
-        controller_dt=float(solver["controller_dt"]),
-        horizon=None if solver["horizon"] is None else float(solver["horizon"]),
-        wca=wca,
+        controller_dt=controller_dt,
+        horizon=horizon,
+        wca=_record(WcaConfig, opt, "optimizer"),
         opt_bounds=opt_bounds,
         objective_settings=dict(opt["objective"]),
+        objective_nonlin=_record(NonlinearityConfig, opt["objective"], "optimizer.objective"),
         scenario=merged["scenario"],
     )
 

@@ -11,7 +11,9 @@ anything those benchmarks show).
 
 from __future__ import annotations
 
-from .cdm import CdmController, CdmGains
+from typing import Sequence
+
+from .cdm import CdmController, CdmGains, synthesize
 from .plant import AreaParams, NonlinearityConfig, TieLine, derive_design_plant
 from .poly import Polynomial
 from .sim import CdmSpec, ControllerSpec, IntegralSpec, PidSpec
@@ -51,6 +53,7 @@ DT_DEFAULT = 0.01
 CONTROLLER_DT_DEFAULT = 0.01
 OBJECTIVE_DT = 0.02
 OBJECTIVE_HORIZON = 60.0
+OBJECTIVE_PERTURB = 1.5  # governor/turbine time constant factor of the tuning model
 CASE_HORIZONS = {1: 60.0, 2: 60.0, 3: 60.0, 4: 100.0, 5: 100.0, 6: 30.0}
 CASE_SEED = 2016
 
@@ -59,37 +62,42 @@ def opt_gains(area_index: int) -> CdmGains:
     return CdmGains(OPT_GAMMA, OPT_TAU, OPT_KB0[area_index])
 
 
-def cdm_opt_controllers() -> tuple[CdmController, CdmController]:
-    from .cdm import synthesize
-
-    out = []
-    for i, area in enumerate((AREA1, AREA2)):
-        plant = derive_design_plant(area, TIE)
-        out.append(synthesize(plant, opt_gains(i)))
-    return tuple(out)
-
-
-def classic_cdm_controllers() -> tuple[CdmController, CdmController]:
-    out = []
-    for i, area in enumerate((AREA1, AREA2)):
-        plant = derive_design_plant(area, TIE)
-        out.append(CdmController.from_polynomials(CLASSIC_AC[i], CLASSIC_BC[i], plant))
-    return tuple(out)
-
-
 CONTROLLER_SET_NAMES = ("cdm_opt", "cdm", "pid", "pi")
+
+
+def build_controller_pair(
+    name: str,
+    areas: Sequence[AreaParams],
+    tie: TieLine,
+    cdm_gains: Sequence[CdmGains],
+    classic: tuple[Sequence[Polynomial], Sequence[Polynomial]],
+    pid: Sequence[PidSpec],
+    integral: Sequence[IntegralSpec],
+) -> tuple[ControllerSpec, ControllerSpec]:
+    """Controller pair `name` from the given values; the CDM sets are designed
+    on the areas' design plants (classic = (Ac per area, Bc per area))."""
+    if name == "pid":
+        return tuple(pid)
+    if name == "pi":
+        return tuple(integral)
+    plants = [derive_design_plant(area, tie) for area in areas]
+    if name == "cdm_opt":
+        return tuple(CdmSpec(synthesize(plant, gains)) for plant, gains in zip(plants, cdm_gains))
+    if name == "cdm":
+        return tuple(
+            CdmSpec(CdmController.from_polynomials(ac, bc, plant)) for ac, bc, plant in zip(*classic, plants)
+        )
+    raise KeyError(f"unknown controller set {name!r}; expected one of {CONTROLLER_SET_NAMES}")
 
 
 def controller_pair(name: str) -> tuple[ControllerSpec, ControllerSpec]:
     """Bundled controller pair by report name."""
-    if name == "cdm_opt":
-        c1, c2 = cdm_opt_controllers()
-        return (CdmSpec(c1), CdmSpec(c2))
-    if name == "cdm":
-        c1, c2 = classic_cdm_controllers()
-        return (CdmSpec(c1), CdmSpec(c2))
-    if name == "pid":
-        return tuple(PidSpec(*g, tf=PID_FILTER_TF) for g in PID_GAINS)
-    if name == "pi":
-        return tuple(IntegralSpec(k) for k in INTEGRAL_GAINS)
-    raise KeyError(f"unknown controller set {name!r}; expected one of {CONTROLLER_SET_NAMES}")
+    return build_controller_pair(
+        name,
+        (AREA1, AREA2),
+        TIE,
+        (opt_gains(0), opt_gains(1)),
+        (CLASSIC_AC, CLASSIC_BC),
+        [PidSpec(*g, tf=PID_FILTER_TF) for g in PID_GAINS],
+        [IntegralSpec(k) for k in INTEGRAL_GAINS],
+    )

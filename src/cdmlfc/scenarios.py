@@ -11,16 +11,16 @@ the case definitions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import defaults
 from .cdm import CdmGains, synthesize
-from .errors import NonFiniteState
+from .errors import CdmlfcError, NonFiniteState
 from .plant import AreaParams, NonlinearityConfig, TieLine, derive_design_plant
-from .sim import BatchCdmSimulator, SystemModel, Trajectory, simulate
+from .sim import BatchCdmSimulator, ControllerSpec, SystemModel, Trajectory, simulate
 
 LoadFn = Callable[[float], float]
 
@@ -84,43 +84,31 @@ def realize(profile: Optional[LoadProfile], horizon: float) -> LoadFn:
     raise TypeError(f"unknown load profile {type(profile).__name__}")
 
 
+# JSON form: {"kind": <key>, <field>: <value>, ...}; a composite's parts nest
+_PROFILE_KINDS = {"step": Step, "sine": Sine, "uniform_random": UniformRandom, "composite": Composite}
+_KIND_OF = {cls: kind for kind, cls in _PROFILE_KINDS.items()}
+
+
 def profile_to_json(profile: Optional[LoadProfile]) -> Optional[dict]:
     if profile is None:
         return None
-    if isinstance(profile, Step):
-        return {"kind": "step", "magnitude": profile.magnitude, "time": profile.time}
-    if isinstance(profile, Sine):
-        return {
-            "kind": "sine",
-            "amplitude": profile.amplitude,
-            "frequency": profile.frequency,
-            "start": profile.start,
-        }
-    if isinstance(profile, UniformRandom):
-        return {
-            "kind": "uniform_random",
-            "amplitude": profile.amplitude,
-            "hold": profile.hold,
-            "seed": profile.seed,
-        }
-    if isinstance(profile, Composite):
-        return {"kind": "composite", "parts": [profile_to_json(p) for p in profile.parts]}
-    raise TypeError(type(profile).__name__)
+    kind = _KIND_OF.get(type(profile))
+    if kind is None:
+        raise TypeError(type(profile).__name__)
+    if kind == "composite":
+        return {"kind": kind, "parts": [profile_to_json(p) for p in profile.parts]}
+    return {"kind": kind, **asdict(profile)}
 
 
 def profile_from_json(data: Optional[dict]) -> Optional[LoadProfile]:
     if data is None:
         return None
     kind = data["kind"]
-    if kind == "step":
-        return Step(data["magnitude"], data["time"])
-    if kind == "sine":
-        return Sine(data["amplitude"], data["frequency"], data.get("start", 0.0))
-    if kind == "uniform_random":
-        return UniformRandom(data["amplitude"], data["hold"], data["seed"])
+    if kind not in _PROFILE_KINDS:
+        raise ValueError(f"unknown load profile kind {kind!r}")
     if kind == "composite":
         return Composite(tuple(profile_from_json(p) for p in data["parts"]))
-    raise ValueError(f"unknown load profile kind {kind!r}")
+    return _PROFILE_KINDS[kind](**{k: v for k, v in data.items() if k != "kind"})
 
 
 # ---------------------------------------------------------------------------
@@ -145,22 +133,7 @@ class Metrics:
     signals: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "iae": self.iae,
-            "ise": self.ise,
-            "itse": self.itse,
-            "itae": self.itae,
-            "signals": {
-                name: {
-                    "iae": s.iae,
-                    "t_s": s.t_s,
-                    "overshoot": s.overshoot,
-                    "undershoot": s.undershoot,
-                    "settled": s.settled,
-                }
-                for name, s in self.signals.items()
-            },
-        }
+        return asdict(self)
 
 
 def indices(traj: Trajectory) -> Metrics:
@@ -242,33 +215,27 @@ class TuningObjective:
     """IAE objective over the 8-vector [gamma_1..5, tau, k_b0_1, k_b0_2].
 
     Controllers are synthesized on the nominal design plants; the
-    evaluation model carries the 50% governor/turbine drift. Any synthesis
-    failure, unstable design, or divergent run maps to the penalty
-    1e6 + residual, never an exception.
+    evaluation model carries the 50% governor/turbine drift. A synthesis
+    error (CdmlfcError or ValueError), unstable design, or divergent run
+    maps to the penalty 1e6 + residual; any other exception is a bug and
+    propagates.
     """
 
     areas: tuple[AreaParams, AreaParams] = (defaults.AREA1, defaults.AREA2)
     tie: TieLine = defaults.TIE
     nonlin: NonlinearityConfig = defaults.NONLIN_OBJECTIVE
-    perturb: float = 1.5  # governor/turbine time constant factor
+    perturb: float = defaults.OBJECTIVE_PERTURB
     dt: float = defaults.OBJECTIVE_DT
     horizon: float = defaults.OBJECTIVE_HORIZON
     bounds: Sequence[tuple[float, float]] = tuple(defaults.OPT_BOUNDS)
 
     def __post_init__(self):
         self._plants = tuple(derive_design_plant(a, self.tie) for a in self.areas)
-        perturbed = tuple(
-            AreaParams(D=a.D, M=a.M, R=a.R, Tg=a.Tg * self.perturb, Tt=a.Tt * self.perturb)
-            for a in self.areas
-        )
+        perturbed = tuple(replace(a, Tg=a.Tg * self.perturb, Tt=a.Tt * self.perturb) for a in self.areas)
         load = realize(case1_load(), self.horizon)
         self._sim = BatchCdmSimulator(
             perturbed, self.tie, self.nonlin, (load, load), self.dt, self.horizon
         )
-
-    @property
-    def n_var(self) -> int:
-        return 8
 
     def decode(self, x: Sequence[float]) -> tuple[CdmGains, CdmGains]:
         gamma = tuple(float(v) for v in x[:5])
@@ -290,7 +257,7 @@ class TuningObjective:
                 g1, g2 = self.decode(x)
                 c1 = synthesize(self._plants[0], g1)
                 c2 = synthesize(self._plants[1], g2)
-            except Exception:
+            except (CdmlfcError, ValueError):
                 costs[i] = 1e6
                 continue
             if not (c1.stable and c2.stable):
@@ -311,17 +278,12 @@ class TuningObjective:
         return float(self.batch(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
-def tuning_objective(**overrides) -> TuningObjective:
-    return TuningObjective(**overrides)
-
-
 # ---------------------------------------------------------------------------
 # cases
 
 
 @dataclass
 class CaseDefinition:
-    case_id: int
     description: str
     loads: tuple[Optional[LoadProfile], Optional[LoadProfile]]
     horizon: float
@@ -332,7 +294,6 @@ class CaseDefinition:
 def case_definition(case_id: int, seed: int = defaults.CASE_SEED) -> CaseDefinition:
     if case_id == 2:
         return CaseDefinition(
-            2,
             "1% step increase in area-1 load demand at t = 1 s",
             (Step(0.01, 1.0), None),
             defaults.CASE_HORIZONS[2],
@@ -341,21 +302,18 @@ def case_definition(case_id: int, seed: int = defaults.CASE_SEED) -> CaseDefinit
     if case_id == 3:
         # nominal sine parameters: 0.01 pu amplitude, 20 s period
         return CaseDefinition(
-            3,
             "sinusoidal load disturbance in area 1",
             (Sine(0.01, 0.05, 0.0), None),
             defaults.CASE_HORIZONS[3],
         )
     if case_id == 4:
         return CaseDefinition(
-            4,
             "uniformly distributed random load in both areas",
             (UniformRandom(0.01, 10.0, seed), UniformRandom(0.01, 10.0, seed + 1)),
             defaults.CASE_HORIZONS[4],
         )
     if case_id == 5:
         return CaseDefinition(
-            5,
             "random loads in both areas with drifted governor/turbine constants",
             (UniformRandom(0.01, 10.0, seed), UniformRandom(0.01, 10.0, seed + 1)),
             defaults.CASE_HORIZONS[5],
@@ -365,12 +323,10 @@ def case_definition(case_id: int, seed: int = defaults.CASE_SEED) -> CaseDefinit
 
 
 def apply_area_overrides(area: AreaParams, overrides: dict) -> AreaParams:
-    fields = {"D": area.D, "M": area.M, "R": area.R, "Tg": area.Tg, "Tt": area.Tt}
-    for key, value in overrides.items():
-        if key not in fields:
-            raise KeyError(f"unknown area parameter {key!r}")
-        fields[key] = float(value)
-    return AreaParams(**fields)
+    unknown = set(overrides) - {f.name for f in fields(area)}
+    if unknown:
+        raise KeyError(f"unknown area parameter {sorted(unknown)[0]!r}")
+    return replace(area, **{key: float(value) for key, value in overrides.items()})
 
 
 @dataclass
@@ -402,8 +358,35 @@ class CaseReport:
         }
 
 
-def _area_snapshot(area: AreaParams) -> dict:
-    return {"D": area.D, "M": area.M, "R": area.R, "Tg": area.Tg, "Tt": area.Tt}
+def model_snapshot(areas: tuple[AreaParams, AreaParams], tie: TieLine, nonlin: NonlinearityConfig) -> dict:
+    return {"area1": asdict(areas[0]), "area2": asdict(areas[1]), "T12": tie.T12, **asdict(nonlin)}
+
+
+def run_controllers(
+    areas: tuple[AreaParams, AreaParams],
+    tie: TieLine,
+    nonlin: NonlinearityConfig,
+    pairs: Iterable[tuple[str, tuple[ControllerSpec, ControllerSpec]]],
+    loads: tuple[LoadFn, LoadFn],
+    *,
+    dt: float,
+    controller_dt: Optional[float],
+    horizon: float,
+    t0: float,
+    bands: Optional[dict] = None,
+) -> list[ControllerResult]:
+    """Simulate and score each (name, controller pair) on one model and load."""
+    results = []
+    for name, pair in pairs:
+        model = SystemModel(areas, tie, nonlin, pair)
+        traj = simulate(model, loads, dt=dt, horizon=horizon, controller_dt=controller_dt)
+        results.append(ControllerResult(name, evaluate(traj, t0=t0, bands=bands), traj))
+    return results
+
+
+def rank_controllers(results: Sequence[ControllerResult]) -> list[str]:
+    """Controller names, best first, lexicographic by (IAE, ISE)."""
+    return [r.name for r in sorted(results, key=lambda r: (r.metrics.iae, r.metrics.ise))]
 
 
 def run_case(
@@ -426,30 +409,25 @@ def run_case(
         apply_area_overrides(defaults.AREA2, cd.area_overrides[1]),
     )
     loads = (realize(cd.loads[0], horizon), realize(cd.loads[1], horizon))
-
-    results = []
-    for name in controllers:
-        pair = defaults.controller_pair(name)
-        model = SystemModel(areas, defaults.TIE, nonlin, pair)
-        traj = simulate(model, loads, dt=dt, horizon=horizon, controller_dt=controller_dt)
-        metrics = evaluate(traj, t0=cd.disturbance_time, bands=bands)
-        results.append(ControllerResult(name=name, metrics=metrics, trajectory=traj))
-
-    ranking = [r.name for r in sorted(results, key=lambda r: (r.metrics.iae, r.metrics.ise))]
+    results = run_controllers(
+        areas,
+        defaults.TIE,
+        nonlin,
+        ((name, defaults.controller_pair(name)) for name in controllers),
+        loads,
+        dt=dt,
+        controller_dt=controller_dt,
+        horizon=horizon,
+        t0=cd.disturbance_time,
+        bands=bands,
+    )
     return CaseReport(
         case_id=case_id,
         description=cd.description,
         controllers=list(controllers),
         results=results,
-        ranking=ranking,
-        model_snapshot={
-            "area1": _area_snapshot(areas[0]),
-            "area2": _area_snapshot(areas[1]),
-            "T12": defaults.TIE.T12,
-            "grc_rate": nonlin.grc_rate,
-            "gdb_width": nonlin.gdb_width,
-            "gdb_mode": nonlin.gdb_mode,
-        },
+        ranking=rank_controllers(results),
+        model_snapshot=model_snapshot(areas, defaults.TIE, nonlin),
         run_params={
             "dt": dt,
             "controller_dt": controller_dt,
@@ -472,7 +450,7 @@ class SweepSpec:
 
     def __post_init__(self):
         area, _, field_name = self.parameter.partition(".")
-        if area not in ("area1", "area2") or field_name not in ("Tg", "Tt", "D", "M", "R"):
+        if area not in ("area1", "area2") or field_name not in {f.name for f in fields(AreaParams)}:
             raise ValueError(f"unsupported parameter path {self.parameter!r}")
         if any(d <= -1.0 for d in self.deltas):
             raise ValueError("relative deltas must be > -100%")
@@ -493,21 +471,7 @@ class SweepReport:
     run_params: dict
 
     def to_json(self) -> dict:
-        return {
-            "controllers": self.controllers,
-            "run_params": self.run_params,
-            "rows": [
-                {
-                    "parameter": r.parameter,
-                    "delta": r.delta,
-                    "value": r.value,
-                    "metrics": {
-                        name: (None if m is None else m.to_json()) for name, m in r.metrics.items()
-                    },
-                }
-                for r in self.rows
-            ],
-        }
+        return asdict(self)
 
 
 def table6_specs() -> list[SweepSpec]:
@@ -533,8 +497,8 @@ def sensitivity_sweep(
     if isinstance(specs, SweepSpec):
         specs = [specs]
     nonlin = defaults.NONLIN_CASES if nonlin is None else nonlin
-    load1 = realize(Step(0.01, 1.0), horizon)
-    load2 = realize(None, horizon)
+    case2 = case_definition(2)
+    loads = tuple(realize(p, horizon) for p in case2.loads)
     pairs = {name: defaults.controller_pair(name) for name in controllers}
 
     def run_cell(areas: tuple[AreaParams, AreaParams]) -> dict:
@@ -542,45 +506,26 @@ def sensitivity_sweep(
         for name, pair in pairs.items():
             model = SystemModel(areas, defaults.TIE, nonlin, pair)
             try:
-                traj = simulate(
-                    model, (load1, load2), dt=dt, horizon=horizon, controller_dt=controller_dt
-                )
+                traj = simulate(model, loads, dt=dt, horizon=horizon, controller_dt=controller_dt)
             except NonFiniteState:
                 out[name] = None
                 continue
-            out[name] = evaluate(traj, t0=1.0, bands=bands)
+            out[name] = evaluate(traj, t0=case2.disturbance_time, bands=bands)
         return out
 
-    rows = [
-        SweepRow(
-            parameter="nominal",
-            delta=0.0,
-            value=math.nan,
-            metrics=run_cell((defaults.AREA1, defaults.AREA2)),
-        )
-    ]
+    nominal = (defaults.AREA1, defaults.AREA2)
+    rows = [SweepRow(parameter="nominal", delta=0.0, value=math.nan, metrics=run_cell(nominal))]
     for spec in specs:
         area_key, _, field_name = spec.parameter.partition(".")
+        i = ("area1", "area2").index(area_key)
         for delta in spec.deltas:
-            base = defaults.AREA1 if area_key == "area1" else defaults.AREA2
-            value = getattr(base, field_name) * (1.0 + delta)
-            overridden = apply_area_overrides(base, {field_name: value})
-            areas = (
-                (overridden, defaults.AREA2) if area_key == "area1" else (defaults.AREA1, overridden)
-            )
-            rows.append(
-                SweepRow(parameter=spec.parameter, delta=delta, value=value, metrics=run_cell(areas))
-            )
+            value = getattr(nominal[i], field_name) * (1.0 + delta)
+            areas = list(nominal)
+            areas[i] = apply_area_overrides(nominal[i], {field_name: value})
+            rows.append(SweepRow(parameter=spec.parameter, delta=delta, value=value, metrics=run_cell(tuple(areas))))
 
     return SweepReport(
         rows=rows,
         controllers=list(controllers),
-        run_params={
-            "dt": dt,
-            "controller_dt": controller_dt,
-            "horizon": horizon,
-            "grc_rate": nonlin.grc_rate,
-            "gdb_width": nonlin.gdb_width,
-            "gdb_mode": nonlin.gdb_mode,
-        },
+        run_params={"dt": dt, "controller_dt": controller_dt, "horizon": horizon, **asdict(nonlin)},
     )

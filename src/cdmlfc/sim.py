@@ -101,15 +101,14 @@ def tustin_discretize(
 
 
 class DiscreteController:
-    """Per-sample stepper: u_k = output(y_k); advance(y_k) moves the state."""
+    """Trapezoidal per-sample stepper for any controller kind: u_k = output(y_k);
+    advance(y_k) moves the state. Raises ImproperController for an improper CDM
+    controller."""
 
     def __init__(self, spec: ControllerSpec, dt: float):
         a, b, c, d = _continuous_realization(spec)
         self.ad, self.bd, self.cd, self.dd = tustin_discretize(a, b, c, d, dt)
         self.x = np.zeros(a.shape[0])
-
-    def reset(self) -> None:
-        self.x[:] = 0.0
 
     def output(self, y: float) -> float:
         return -(float(self.cd @ self.x) + self.dd * y)
@@ -121,11 +120,6 @@ class DiscreteController:
         u = self.output(y)
         self.advance(y)
         return u
-
-
-def discretize_controller(spec: ControllerSpec, dt: float) -> DiscreteController:
-    """Build the trapezoidal stepper for any controller kind (propagates ImproperController)."""
-    return DiscreteController(spec, dt)
 
 
 def _gdb(x: float, half_width: float, mode: str, xdot: float) -> float:
@@ -213,6 +207,27 @@ class Trajectory:
                 fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
 
 
+def horizon_steps(horizon: float, dt: float) -> int:
+    """Steps of dt in horizon; 0 unless horizon is a positive whole multiple of dt."""
+    n = round(horizon / dt)
+    return n if n >= 1 and abs(n * dt - horizon) <= 1e-9 * max(1.0, horizon) else 0
+
+
+def sample_steps(controller_dt: float, dt: float) -> int:
+    """Steps of dt per controller sample; 0 unless controller_dt is a positive whole multiple of dt."""
+    n = round(controller_dt / dt)
+    return n if n >= 1 and abs(n * dt - controller_dt) <= 1e-9 * controller_dt else 0
+
+
+def _n_steps(horizon: float, dt: float) -> int:
+    if not (0.0 < dt <= 0.05):
+        raise ValueError("dt must be in (0, 0.05]")
+    n_steps = horizon_steps(horizon, dt)
+    if not n_steps:
+        raise ValueError("horizon must be a positive multiple of dt")
+    return n_steps
+
+
 def simulate(
     model: SystemModel,
     loads: tuple[LoadFn, LoadFn],
@@ -227,21 +242,17 @@ def simulate(
     equal to dt). Refining dt with controller_dt held therefore tests pure
     integrator convergence, with the control sequence unchanged.
     """
-    if not (0.0 < dt <= 0.05):
-        raise ValueError("dt must be in (0, 0.05]")
-    n_steps = round(horizon / dt)
-    if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9 * max(1.0, horizon):
-        raise ValueError("horizon must be a positive multiple of dt")
+    n_steps = _n_steps(horizon, dt)
     if controller_dt is None:
         controller_dt = dt
-    decim = round(controller_dt / dt)
-    if decim < 1 or abs(decim * dt - controller_dt) > 1e-9 * controller_dt:
+    decim = sample_steps(controller_dt, dt)
+    if not decim:
         raise ValueError("controller_dt must be a positive integer multiple of dt")
 
     a1, a2 = model.areas
     b1, b2 = frequency_bias(a1), frequency_bias(a2)
-    ctrl1 = discretize_controller(model.controllers[0], controller_dt)
-    ctrl2 = discretize_controller(model.controllers[1], controller_dt)
+    ctrl1 = DiscreteController(model.controllers[0], controller_dt)
+    ctrl2 = DiscreteController(model.controllers[1], controller_dt)
     load1, load2 = loads
 
     n_samp = n_steps + 1
@@ -313,11 +324,7 @@ class BatchCdmSimulator:
         dt: float,
         horizon: float,
     ):
-        if not (0.0 < dt <= 0.05):
-            raise ValueError("dt must be in (0, 0.05]")
-        self.n_steps = round(horizon / dt)
-        if self.n_steps < 1 or abs(self.n_steps * dt - horizon) > 1e-9 * max(1.0, horizon):
-            raise ValueError("horizon must be a positive multiple of dt")
+        self.n_steps = _n_steps(horizon, dt)
         self.areas = areas
         self.tie = tie
         self.nonlin = nonlin

@@ -68,24 +68,20 @@ class Candidate:
     position: np.ndarray
     cost: float
 
-    def copy(self) -> "Candidate":
-        return Candidate(self.position.copy(), self.cost)
-
 
 @dataclass
 class WcaState:
-    sea: Candidate
-    rivers: list[Candidate]
-    streams: list[Candidate]
-    assignments: list[int]  # per stream: 0 = sea, i >= 1 = rivers[i-1]
+    """The population as arrays: row 0 is the sea, rows 1..n_sr-1 the
+    rivers, the rest the streams; parents[i] is the row stream i flows to."""
+
+    positions: np.ndarray  # n_pop x d
+    costs: np.ndarray  # n_pop
+    parents: np.ndarray  # n_pop - n_sr, each in [0, n_sr)
+    rng: np.random.Generator
     d_max: float
     iteration: int
     history: list[float] = field(default_factory=list)
     rain_events: int = 0
-
-    @property
-    def population_costs(self) -> list[float]:
-        return [self.sea.cost] + [r.cost for r in self.rivers] + [s.cost for s in self.streams]
 
 
 def _as_bounds(bounds: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray]:
@@ -103,8 +99,6 @@ def _evaluate(
     positions: np.ndarray,
     batch_objective: Optional[BatchObjective],
 ) -> np.ndarray:
-    if positions.shape[0] == 0:
-        return np.zeros(0)
     if batch_objective is not None:
         costs = np.asarray(batch_objective(positions), dtype=float)
     else:
@@ -177,37 +171,26 @@ def initialize(
             retries += 1
 
     order = np.argsort(costs, kind="stable")
-    ranked = [Candidate(positions[j].copy(), float(costs[j])) for j in order]
-    sea = ranked[0]
-    rivers = ranked[1 : config.n_sr]
-    streams = ranked[config.n_sr :]
-
+    positions, costs = positions[order], costs[order]
     counts = assign_streams(
-        [sea.cost] + [r.cost for r in rivers],
-        len(streams),
+        costs[: config.n_sr],
+        config.n_pop - config.n_sr,
         fitness_inverted=config.fitness_inverted,
     )
-    assignments: list[int] = []
-    for parent, k in enumerate(counts):
-        assignments.extend([parent] * k)
-
-    state = WcaState(
-        sea=sea,
-        rivers=rivers,
-        streams=streams,
-        assignments=assignments,
+    return WcaState(
+        positions=positions,
+        costs=costs,
+        parents=np.repeat(np.arange(config.n_sr), counts),
+        rng=rng,
         d_max=config.d_max0,
         iteration=0,
-        history=[sea.cost],
+        history=[float(costs[0])],
     )
-    # step() continues this generator; stash it on the state
-    state._rng = rng  # type: ignore[attr-defined]
-    return state
 
 
-def _parent_of(state: WcaState, idx: int) -> Candidate:
-    a = state.assignments[idx]
-    return state.sea if a == 0 else state.rivers[a - 1]
+def _swap(positions: np.ndarray, costs: np.ndarray, i: int, j: int) -> None:
+    positions[[i, j]] = positions[[j, i]]
+    costs[[i, j]] = costs[[j, i]]
 
 
 def step(
@@ -220,84 +203,59 @@ def step(
     """Advance one iteration: evaporate/rain or flow, promote, decay d_max.
 
     Draw order: one chance draw per river (only when evap_prob > 0), then
-    one rng.random(d) per stream and per river, whether it flows or rains.
-    The whole population is scored in a single objective call.
+    one rng.random((n_pop - 1, d)) whose rows go to the streams and then the
+    rivers, whether they flow or rain. The moved rows, streams first, are
+    scored in a single objective call.
     """
     lb, ub = _as_bounds(bounds)
-    rng = getattr(state, "_rng", None)
-    if rng is None:
-        rng = np.random.default_rng(config.seed + state.iteration + 1)
-
-    sea = state.sea.copy()
-    rivers = [r.copy() for r in state.rivers]
-    streams = [s.copy() for s in state.streams]
-    assignments = list(state.assignments)
+    n_sr = config.n_sr
+    positions = state.positions.copy()
+    costs = state.costs.copy()
+    parents = state.parents
 
     # evaporation: rivers near the sea, or picked by chance, rain afresh
-    raining = np.array([np.linalg.norm(sea.position - r.position) < state.d_max for r in rivers])
+    raining = np.array([np.linalg.norm(positions[0] - positions[j]) < state.d_max for j in range(1, n_sr)])
     if config.evap_prob > 0.0:
-        raining |= rng.random(len(rivers)) < config.evap_prob
-    rain_events = state.rain_events + int(raining.sum())
+        raining |= state.rng.random(n_sr - 1) < config.evap_prob
 
-    def rain() -> np.ndarray:
-        return lb + rng.random(lb.size) * (ub - lb)
+    # streams flow to their parent, rivers to the sea, all toward positions
+    # from before the move (fresh rand per component, then clamped); a
+    # raining group (river and its streams) reuses the draw to rain instead
+    rows = np.concatenate((np.arange(n_sr, len(costs)), np.arange(1, n_sr)))
+    targets = np.concatenate((parents, np.zeros(n_sr - 1, dtype=int)))
+    groups = np.concatenate((parents, np.arange(1, n_sr)))
+    rains = np.concatenate(([False], raining))[groups]
+    old = positions[rows]
+    r = state.rng.random(old.shape)
+    flowed = np.clip(old + r * config.c * (positions[targets] - old), lb, ub)
+    moved = np.where(rains[:, None], lb + r * (ub - lb), flowed)
 
-    # rain, or flow toward parents (fresh rand per component) and clamp
-    moved = []
-    for i, s in enumerate(streams):
-        a = assignments[i]
-        if a > 0 and raining[a - 1]:
-            s.position = rain()
-        else:
-            target = sea.position if a == 0 else rivers[a - 1].position
-            s.position = s.position + rng.random(lb.size) * config.c * (target - s.position)
-            np.clip(s.position, lb, ub, out=s.position)
-        moved.append(s.position)
-    for j, r in enumerate(rivers):
-        if raining[j]:
-            r.position = rain()
-        else:
-            r.position = r.position + rng.random(lb.size) * config.c * (sea.position - r.position)
-            np.clip(r.position, lb, ub, out=r.position)
-        moved.append(r.position)
-
-    costs = _evaluate(objective, np.asarray(moved), batch_objective)
-    if not np.all(np.isfinite(costs)):
+    moved_costs = _evaluate(objective, moved, batch_objective)
+    if not np.all(np.isfinite(moved_costs)):
         raise ObjectiveFailure(f"non-finite cost at iteration {state.iteration + 1}")
-    for i, s in enumerate(streams):
-        s.cost = float(costs[i])
-    for j, r in enumerate(rivers):
-        r.cost = float(costs[len(streams) + j])
+    positions[rows] = moved
+    costs[rows] = moved_costs
 
-    # promotions: stream <-> parent, then rivers <-> sea; the sea ends as
-    # the population best
-    for i, s in enumerate(streams):
-        a = assignments[i]
-        parent = sea if a == 0 else rivers[a - 1]
-        if s.cost < parent.cost:
-            s.position, parent.position = parent.position, s.position
-            s.cost, parent.cost = parent.cost, s.cost
-    for r in rivers:
-        if r.cost < sea.cost:
-            r.position, sea.position = sea.position, r.position
-            r.cost, sea.cost = sea.cost, r.cost
+    # promotions: stream <-> parent, then rivers <-> sea; sequential, since
+    # two streams of one parent can both beat it. The sea ends as the
+    # population best.
+    for row, parent in zip(range(n_sr, len(costs)), parents):
+        if costs[row] < costs[parent]:
+            _swap(positions, costs, row, parent)
+    for row in range(1, n_sr):
+        if costs[row] < costs[0]:
+            _swap(positions, costs, row, 0)
 
-    d_max = state.d_max - state.d_max / config.max_it
-    if d_max < 0.0:
-        d_max = 0.0
-
-    new_state = WcaState(
-        sea=sea,
-        rivers=rivers,
-        streams=streams,
-        assignments=assignments,
-        d_max=d_max,
+    return WcaState(
+        positions=positions,
+        costs=costs,
+        parents=parents,
+        rng=state.rng,
+        d_max=max(state.d_max - state.d_max / config.max_it, 0.0),
         iteration=state.iteration + 1,
-        history=state.history + [sea.cost],
-        rain_events=rain_events,
+        history=state.history + [float(costs[0])],
+        rain_events=state.rain_events + int(raining.sum()),
     )
-    new_state._rng = rng  # type: ignore[attr-defined]
-    return new_state
 
 
 def minimize(
@@ -314,7 +272,7 @@ def minimize(
     state = initialize(objective, bounds, config, batch_objective)
     for _ in range(config.max_it):
         state = step(state, objective, bounds, config, batch_objective)
-    return state.sea.copy(), list(state.history)
+    return Candidate(state.positions[0], float(state.costs[0])), state.history
 
 
 def random_search(
@@ -327,16 +285,19 @@ def random_search(
 
     Sanity baseline standing in for the out-of-scope GA/PSO comparisons:
     (max_it + 1) blocks of n_pop draws, history tracking the best-so-far
-    after each block so profiles are comparable with minimize()'s.
+    after each block so profiles are comparable with minimize()'s. A
+    non-finite cost raises ObjectiveFailure, as in step().
     """
     lb, ub = _as_bounds(bounds)
     rng = np.random.default_rng(config.seed)
     best_pos: Optional[np.ndarray] = None
     best_cost = math.inf
     history: list[float] = []
-    for _ in range(config.max_it + 1):
+    for block in range(config.max_it + 1):
         positions = lb + rng.random((config.n_pop, lb.size)) * (ub - lb)
         costs = _evaluate(objective, positions, batch_objective)
+        if not np.all(np.isfinite(costs)):
+            raise ObjectiveFailure(f"non-finite cost in random-search block {block}")
         i = int(np.argmin(costs))
         if costs[i] < best_cost:
             best_cost = float(costs[i])

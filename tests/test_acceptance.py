@@ -145,18 +145,19 @@ def test_criterion_4_wca_invariants_and_benchmarks():
         state = initialize(sphere, box, cfg)
         for _ in range(cfg.max_it):
             state = step(state, sphere, box, cfg)
-            costs = state.population_costs
-            if len(state.streams) != 46:
-                violations.append(f"seed {seed}: stream count {len(state.streams)}")
-            if state.sea.cost != min(costs):
+            costs = state.costs
+            n_streams = len(state.positions) - cfg.n_sr
+            if n_streams != 46:
+                violations.append(f"seed {seed}: stream count {n_streams}")
+            if state.costs[0] != min(costs):
                 violations.append(f"seed {seed}: sea not best")
-            for cand in [state.sea] + state.rivers + state.streams:
-                if np.any(cand.position < -5.12) or np.any(cand.position > 5.12):
+            for position in state.positions:
+                if np.any(position < -5.12) or np.any(position > 5.12):
                     violations.append(f"seed {seed}: bounds violated")
         hist = state.history
         if any(hist[i + 1] > hist[i] for i in range(len(hist) - 1)):
             violations.append(f"seed {seed}: history not monotone")
-        sphere_finals.append(state.sea.cost)
+        sphere_finals.append(state.costs[0])
         best, _ = minimize(rosenbrock, [(-2.048, 2.048)] * 2, cfg)
         rosen_finals.append(best.cost)
     elapsed = time.perf_counter() - t0

@@ -2,11 +2,11 @@ import json
 
 import pytest
 
-from cdmlfc import cli
+from cdmlfc import cli, defaults
 from cdmlfc.cli import main
 from cdmlfc.config import build_config
 from cdmlfc.errors import ConfigError
-from cdmlfc.wca import Candidate
+from cdmlfc.wca import Candidate, WcaConfig
 
 
 class TestConfig:
@@ -49,6 +49,25 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             build_config({"optimizer": {"evap_prob": 1.5}})
         assert "optimizer" in str(err.value)
+
+    def test_defaults_come_from_the_defaults_module(self):
+        cfg = build_config()
+        assert cfg.areas == (defaults.AREA1, defaults.AREA2)
+        assert cfg.tie == defaults.TIE
+        assert cfg.nonlin == defaults.NONLIN_DEFAULT
+        assert cfg.cases_nonlin == defaults.NONLIN_CASES
+        assert cfg.wca == WcaConfig()
+        assert cfg.opt_bounds == defaults.OPT_BOUNDS
+
+    def test_solver_times_off_the_dt_grid_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            build_config({"solver": {"horizon": 0.015}})
+        assert "solver.horizon" in str(err.value)
+        with pytest.raises(ConfigError) as err:
+            build_config({"solver": {"controller_dt": 0.015}})
+        assert "solver.controller_dt" in str(err.value)
+        cfg = build_config({"solver": {"dt": 0.005, "controller_dt": 0.015, "horizon": 0.015}})
+        assert (cfg.controller_dt, cfg.horizon) == (0.015, 0.015)
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ConfigError):
@@ -154,6 +173,40 @@ class TestCliCommands:
         assert rc == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["model_snapshot"]["grc_rate"] == pytest.approx(0.1 / 60.0)
+
+    def test_horizon_off_the_dt_grid_exits_2(self, tmp_path, capsys):
+        rc = main(["case", "2", "--horizon", "0.015", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "solver.horizon" in capsys.readouterr().err
+
+    def test_controller_dt_off_the_dt_grid_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"solver": {"controller_dt": 0.015}}))
+        rc = main(["case", "2", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "solver.controller_dt" in capsys.readouterr().err
+
+    def test_unknown_controller_set_exits_2(self, tmp_path, capsys):
+        for argv in (["case", "2"], ["sweep"], ["compare"]):
+            rc = main(argv + ["--controllers", "cdm_opt,foo", "--out", str(tmp_path / "out")])
+            assert rc == 2
+            assert "'foo'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_incomplete_load_profile_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": {"loads": [{"kind": "step", "magnitude": 0.01}, None]}}))
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "scenario.loads" in capsys.readouterr().err
+
+    def test_compare_snapshot_is_the_full_model(self, tmp_path):
+        rc = main(["compare", "--out", str(tmp_path), "--controllers", "pi", "--horizon", "5"])
+        assert rc == 0
+        snapshot = json.loads((tmp_path / "report.json").read_text())["model_snapshot"]
+        assert snapshot["area2"]["Tt"] == defaults.AREA2.Tt
+        assert snapshot["T12"] == defaults.TIE.T12
+        assert snapshot["gdb_mode"] == defaults.NONLIN_DEFAULT.gdb_mode
 
     def test_unstable_design_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from cdmlfc import scenarios
 
 from cdmlfc.scenarios import (
     Composite,
+    TuningObjective,
     Metrics,
     Sine,
     Step,
@@ -21,7 +23,6 @@ from cdmlfc.scenarios import (
     sensitivity_sweep,
     table6_specs,
     transient_measures,
-    tuning_objective,
 )
 from cdmlfc.sim import Trajectory
 
@@ -142,13 +143,13 @@ class TestTransientMeasures:
 
 class TestTuningObjective:
     def test_reference_gains_finite_and_stable(self):
-        obj = tuning_objective()
+        obj = TuningObjective()
         j = obj(obj.reference_vector())
         assert math.isfinite(j)
         assert j < 1.0
 
     def test_totality_at_bounds(self):
-        obj = tuning_objective()
+        obj = TuningObjective()
         lows = np.array([b[0] for b in obj.bounds])
         highs = np.array([b[1] for b in obj.bounds])
         for x in (lows, highs):
@@ -156,7 +157,7 @@ class TestTuningObjective:
             assert math.isfinite(j)
 
     def test_penalty_for_hopeless_vectors(self):
-        obj = tuning_objective()
+        obj = TuningObjective()
         # gamma all at the tiny lower bound: unstable target
         x = np.array([0.01, 0.01, 0.01, 0.01, 0.01, 0.1, 1.0, 1.0])
         assert obj(x) >= 1e6
@@ -164,15 +165,25 @@ class TestTuningObjective:
     def test_kb0_invariance(self):
         # the closed loop is invariant to K_B0 (it only scales Ac and Bc
         # together), so J must not depend on the last two coordinates
-        obj = tuning_objective()
+        obj = TuningObjective()
         ref = obj.reference_vector()
         alt = ref.copy()
         alt[6] *= 3.0
         alt[7] *= 0.25
         assert obj(alt) == pytest.approx(obj(ref), rel=1e-9)
 
+    def test_synthesis_bug_propagates(self, monkeypatch):
+        # only synthesis errors (CdmlfcError, ValueError) become penalties
+        def broken(plant, gains):
+            raise TypeError("bug in synthesis")
+
+        obj = TuningObjective()
+        monkeypatch.setattr(scenarios, "synthesize", broken)
+        with pytest.raises(TypeError):
+            obj(obj.reference_vector())
+
     def test_batch_matches_pointwise(self):
-        obj = tuning_objective()
+        obj = TuningObjective()
         rng = np.random.default_rng(5)
         lb = np.array([b[0] for b in obj.bounds])
         ub = np.array([b[1] for b in obj.bounds])

@@ -11,12 +11,12 @@ from cdmlfc.poly import Polynomial
 from cdmlfc.sim import (
     BatchCdmSimulator,
     CdmSpec,
+    DiscreteController,
     IntegralSpec,
     PidSpec,
     SystemModel,
     Trajectory,
     derivatives,
-    discretize_controller,
     simulate,
 )
 
@@ -74,15 +74,15 @@ class TestDerivatives:
 
 class TestDiscretizeController:
     def test_integral_ramp(self):
-        ctrl = discretize_controller(IntegralSpec(1.0), dt=0.01)
+        ctrl = DiscreteController(IntegralSpec(1.0), dt=0.01)
         us = [ctrl.step(1.0) for _ in range(501)]
         # trapezoidal integration of y=1: u(t_k) = -(t_k + dt/2) after the first sample
         assert us[0] == pytest.approx(-0.005)
         assert us[500] == pytest.approx(-(5.0 + 0.005), rel=1e-12)
 
     def test_pid_with_zero_kd_is_pi(self):
-        pid = discretize_controller(PidSpec(2.0, 3.0, 0.0, tf=0.07), dt=0.01)
-        pi = discretize_controller(PidSpec(2.0, 3.0, 0.0, tf=0.5), dt=0.01)
+        pid = DiscreteController(PidSpec(2.0, 3.0, 0.0, tf=0.07), dt=0.01)
+        pi = DiscreteController(PidSpec(2.0, 3.0, 0.0, tf=0.5), dt=0.01)
         y = np.sin(np.linspace(0, 3, 300))
         for yk in y:
             assert pid.step(float(yk)) == pytest.approx(pi.step(float(yk)), abs=1e-12)
@@ -97,14 +97,14 @@ class TestDiscretizeController:
             realized=Polynomial([1.0]),
             stable=True,
         )
-        a = discretize_controller(CdmSpec(ctrl), dt=0.01)
-        b = discretize_controller(IntegralSpec(0.7), dt=0.01)
+        a = DiscreteController(CdmSpec(ctrl), dt=0.01)
+        b = DiscreteController(IntegralSpec(0.7), dt=0.01)
         rng = np.random.default_rng(1)
         for yk in rng.normal(size=200):
             assert a.step(float(yk)) == b.step(float(yk))
 
     def test_integral_action_unbounded(self):
-        ctrl = discretize_controller(IntegralSpec(0.5), dt=0.01)
+        ctrl = DiscreteController(IntegralSpec(0.5), dt=0.01)
         us = [abs(ctrl.step(1.0)) for _ in range(2000)]
         assert us[-1] > us[100] > us[10]
 
@@ -119,7 +119,7 @@ class TestDiscretizeController:
             stable=True,
         )
         with pytest.raises(ImproperController):
-            discretize_controller(CdmSpec(bad), dt=0.01)
+            DiscreteController(CdmSpec(bad), dt=0.01)
 
 
 class TestSimulate:
@@ -194,7 +194,7 @@ class TestGrcRate:
         grc = 0.1 / 60.0
         m = model(nonlin=NonlinearityConfig(grc_rate=grc, gdb_width=0.05))
         # reimplement the recurrence with the public pieces to expose dPm
-        from cdmlfc.sim import discretize_controller as dc
+        from cdmlfc.sim import DiscreteController as dc
         from cdmlfc.plant import frequency_bias
 
         dt, horizon = 0.01, 20.0

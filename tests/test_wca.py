@@ -3,9 +3,11 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdmlfc.errors import ObjectiveFailure
-from cdmlfc.wca import WcaConfig, assign_streams, initialize, minimize, step
+from cdmlfc.wca import WcaConfig, assign_streams, initialize, minimize, random_search, step
 
 BOX2 = [(-5.12, 5.12), (-5.12, 5.12)]
 ROSEN_BOX2 = [(-2.048, 2.048), (-2.048, 2.048)]
@@ -100,25 +102,25 @@ class TestAssignStreams:
 class TestInitialize:
     def test_stream_count(self):
         state = initialize(sphere, BOX2, WcaConfig(seed=1))
-        assert len(state.streams) == 46
-        assert len(state.rivers) == 3
-        assert len(state.assignments) == 46
+        assert len(state.positions) - WcaConfig().n_sr == 46  # stream rows
+        assert len(state.positions) - 1 - len(state.parents) == 3  # river rows
+        assert len(state.parents) == 46
 
     def test_bounds_respected(self):
         state = initialize(sphere, [(0.0, 1.0)], WcaConfig(seed=9))
-        for cand in [state.sea] + state.rivers + state.streams:
-            assert 0.0 <= cand.position[0] <= 1.0
+        for position in state.positions:
+            assert 0.0 <= position[0] <= 1.0
 
     def test_identical_seeds_identical_states(self):
         s1 = initialize(sphere, BOX2, WcaConfig(seed=4))
         s2 = initialize(sphere, BOX2, WcaConfig(seed=4))
-        assert np.array_equal(s1.sea.position, s2.sea.position)
-        assert s1.population_costs == s2.population_costs
-        assert s1.assignments == s2.assignments
+        assert np.array_equal(s1.positions[0], s2.positions[0])
+        assert s1.costs.tolist() == s2.costs.tolist()
+        assert s1.parents.tolist() == s2.parents.tolist()
 
     def test_sea_is_best(self):
         state = initialize(sphere, BOX2, WcaConfig(seed=5))
-        assert state.sea.cost == min(state.population_costs)
+        assert state.costs[0] == min(state.costs)
 
     def test_objective_failure_after_retries(self):
         def bad(x):
@@ -135,22 +137,23 @@ class TestStep:
             state = initialize(sphere, BOX2, cfg)
             for _ in range(cfg.max_it):
                 state = step(state, sphere, BOX2, cfg)
-                costs = state.population_costs
-                assert state.sea.cost == min(costs)
-                assert len(state.streams) == cfg.n_pop - cfg.n_sr
-                for cand in [state.sea] + state.rivers + state.streams:
-                    assert np.all(cand.position >= -5.12) and np.all(cand.position <= 5.12)
+                costs = state.costs
+                assert state.costs[0] == min(costs)
+                assert len(state.positions) - cfg.n_sr == cfg.n_pop - cfg.n_sr
+                for position in state.positions:
+                    assert np.all(position >= -5.12) and np.all(position <= 5.12)
             hist = state.history
             assert all(hist[i + 1] <= hist[i] for i in range(len(hist) - 1))
 
     def test_stationary_stream_at_parent(self):
         cfg = WcaConfig(seed=2)
         state = initialize(sphere, BOX2, cfg)
-        state.streams[0].position = state.sea.position.copy()
-        state.assignments[0] = 0
+        stream = cfg.n_sr  # the first stream's row
+        state.positions[stream] = state.positions[0].copy()
+        state.parents[0] = 0
         nxt = step(state, sphere, BOX2, cfg)
         # zero displacement vector: the move leaves the position fixed
-        assert np.allclose(nxt.streams[0].position, state.sea.position) or nxt.streams[0].cost <= state.sea.cost
+        assert np.allclose(nxt.positions[stream], state.positions[0]) or nxt.costs[stream] <= state.costs[0]
 
     def test_full_evaporation_rains_every_river_in_one_call(self):
         calls = []
@@ -167,12 +170,12 @@ class TestStep:
             state = step(state, sphere, BOX2, cfg, batch_objective=batch)
             assert calls == [cfg.n_pop - 1]
             assert state.rain_events - prev.rain_events == cfg.n_sr - 1
-            assert state.sea.cost == min(state.population_costs)
-            assert state.sea.cost <= prev.sea.cost
-            assert len(state.streams) == cfg.n_pop - cfg.n_sr
-            assert state.assignments == prev.assignments
-            for cand in [state.sea] + state.rivers + state.streams:
-                assert np.all(cand.position >= -5.12) and np.all(cand.position <= 5.12)
+            assert state.costs[0] == min(state.costs)
+            assert state.costs[0] <= prev.costs[0]
+            assert len(state.positions) - cfg.n_sr == cfg.n_pop - cfg.n_sr
+            assert state.parents.tolist() == prev.parents.tolist()
+            for position in state.positions:
+                assert np.all(position >= -5.12) and np.all(position <= 5.12)
 
     def test_dmax_decays_to_floor(self):
         cfg = WcaConfig(seed=0, max_it=3)
@@ -183,6 +186,46 @@ class TestStep:
         for _ in range(10):
             state = step(state, sphere, BOX2, cfg)
         assert state.d_max >= 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_sr=st.integers(2, 6),
+        extra=st.integers(0, 12),
+        c=st.floats(1.0, 2.0, exclude_min=True),
+        d_max0=st.sampled_from([1e-16, 0.5, 3.0]),
+        evap_prob=st.floats(0.0, 1.0),
+        fitness_inverted=st.booleans(),
+        seed=st.integers(0, 2**16),
+        dim=st.integers(1, 4),
+    )
+    def test_invariants_hold_for_any_config(self, n_sr, extra, c, d_max0, evap_prob, fitness_inverted, seed, dim):
+        cfg = WcaConfig(
+            n_pop=2 * n_sr + extra,
+            n_sr=n_sr,
+            max_it=6,
+            c=c,
+            d_max0=d_max0,
+            evap_prob=evap_prob,
+            fitness_inverted=fitness_inverted,
+            seed=seed,
+        )
+        box = [(-3.0, 1.0)] * dim
+        calls = []
+
+        def batch(X):
+            calls.append(X.shape[0])
+            return np.sum(X * X - 10.0 * np.cos(2.0 * np.pi * X), axis=1)
+
+        state = initialize(sphere, box, cfg, batch_objective=batch)
+        parents = state.parents.copy()
+        for _ in range(cfg.max_it):
+            calls.clear()
+            state = step(state, sphere, box, cfg, batch_objective=batch)
+            assert calls == [cfg.n_pop - 1]
+            assert state.costs[0] == min(state.costs)
+            assert np.all(state.positions >= -3.0) and np.all(state.positions <= 1.0)
+            assert np.array_equal(state.parents, parents)
+        assert all(b <= a for a, b in zip(state.history, state.history[1:]))
 
 
 class TestMinimize:
@@ -243,3 +286,24 @@ class TestMinimize:
         assert rec["rosenbrock_2d"]["threshold"] == 1e-1
         assert rec["sphere_2d"]["median_final_cost"] < 1e-3
         assert rec["rosenbrock_2d"]["median_final_cost"] < 1e-1
+        for name, fn in (("sphere_2d", sphere), ("rosenbrock_2d", rosenbrock)):
+            box = rec[name]["bounds"]
+            finals = [minimize(fn, [box, box], WcaConfig(seed=k))[0].cost for k in rec[name]["seeds"]]
+            assert finals == rec[name]["final_costs"]
+
+
+class TestRandomSearch:
+    def test_non_finite_cost_raises(self):
+        # NaN on half the box: argmin would pick the NaN and drop the block's minimum
+        def half_nan(X):
+            return np.where(X[:, 0] > 0.0, np.nan, np.sum(X * X, axis=1))
+
+        with pytest.raises(ObjectiveFailure):
+            random_search(sphere, BOX2, WcaConfig(seed=0, max_it=3), batch_objective=half_nan)
+
+    def test_history_tracks_block_minima(self):
+        cfg = WcaConfig(seed=1, n_pop=10, max_it=4)
+        best, hist = random_search(sphere, BOX2, cfg)
+        assert len(hist) == cfg.max_it + 1
+        assert all(b <= a for a, b in zip(hist, hist[1:]))
+        assert best.cost == hist[-1] == sphere(best.position)
