@@ -1,0 +1,57 @@
+"""Regenerate the recorded simulator reference (tests/data/engine_reference.json).
+
+The record pins the plant physics and both simulators: IAE and ISE
+of cases 2-5 for the cdm_opt, cdm, pid and pi controller sets (the one-lane
+`simulate` path), and the `TuningObjective().batch` costs of one seeded
+50-candidate generation drawn uniformly in `OPT_BOUNDS` (the lane-batched
+`BatchCdmSimulator.run_iae` path). `tests/test_sim.py` recomputes every
+value and requires agreement at rel 1e-12. Run it again only when a change
+is meant to alter the simulated physics, and say so where the change is
+described.
+
+    PYTHONPATH=src python3 scripts/engine_reference.py
+"""
+
+import json
+import pathlib
+
+import numpy as np
+
+from cdmlfc import defaults
+from cdmlfc.scenarios import TuningObjective, run_case
+
+CASES = (2, 3, 4, 5)
+CONTROLLERS = ("cdm_opt", "cdm", "pid", "pi")
+OBJECTIVE_SEED = 2024
+OBJECTIVE_CANDIDATES = 50
+
+
+def objective_candidates() -> np.ndarray:
+    bounds = np.array(defaults.OPT_BOUNDS)
+    rng = np.random.default_rng(OBJECTIVE_SEED)
+    return bounds[:, 0] + rng.random((OBJECTIVE_CANDIDATES, len(bounds))) * (bounds[:, 1] - bounds[:, 0])
+
+
+def main():
+    cases = {}
+    for case_id in CASES:
+        report = run_case(case_id, CONTROLLERS)
+        cases[str(case_id)] = {r.name: {"iae": r.metrics.iae, "ise": r.metrics.ise} for r in report.results}
+    xs = objective_candidates()
+    costs = TuningObjective().batch(xs)
+    record = {
+        "cases": cases,
+        "objective": {
+            "seed": OBJECTIVE_SEED,
+            "candidates": xs.tolist(),
+            "costs": costs.tolist(),
+        },
+    }
+    out = pathlib.Path(__file__).resolve().parents[1] / "tests" / "data" / "engine_reference.json"
+    out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    live = int(np.sum(costs < 1e6))
+    print(f"wrote {out}: {len(CASES) * len(CONTROLLERS)} case runs, {live}/{len(costs)} live candidates")
+
+
+if __name__ == "__main__":
+    main()

@@ -36,6 +36,7 @@ from .scenarios import (
     sensitivity_sweep,
     table6_specs,
 )
+from .sim import horizon_steps, sample_steps
 from .wca import minimize, random_search
 
 
@@ -93,6 +94,21 @@ def _tuning_objective(cfg: RunConfig) -> TuningObjective:
         horizon=float(settings["horizon"]),
         bounds=cfg.opt_bounds,
     )
+
+
+def _run_horizon(cfg: RunConfig, default: float, what: str) -> float:
+    """The horizon of a case, sweep or scenario run: solver.horizon, else the
+    default horizon of `what`. Refuses, before anything runs, a controller
+    sample or a default horizon off the solver.dt grid."""
+    if not sample_steps(cfg.controller_dt, cfg.dt):
+        raise ConfigError(
+            "solver.controller_dt", f"{cfg.controller_dt:g} is not a positive whole multiple of solver.dt = {cfg.dt:g}"
+        )
+    if cfg.horizon is not None:
+        return cfg.horizon
+    if not horizon_steps(default, cfg.dt):
+        raise ConfigError("solver.dt", f"{cfg.dt:g} does not divide the {default:g} s horizon of {what}")
+    return default
 
 
 def _report_csv(path: Path, report: CaseReport) -> None:
@@ -209,7 +225,7 @@ def cmd_optimize(cfg: RunConfig, outdir: Path, repeats: int, algorithm: str) -> 
 
 def _scenario_report(cfg: RunConfig, controllers: list[str]) -> CaseReport:
     """Run the configured scenario (`scenario.*`, the model, the solver) for each controller set."""
-    horizon = cfg.horizon if cfg.horizon is not None else float(cfg.scenario["horizon"])
+    horizon = _run_horizon(cfg, float(cfg.scenario["horizon"]), "the scenario (scenario.horizon)")
     t0 = float(cfg.scenario["disturbance_time"])
     raw = cfg.scenario["loads"]
     if not (isinstance(raw, list) and len(raw) == 2):
@@ -280,7 +296,7 @@ def cmd_case(cfg: RunConfig, outdir: Path, case_id: int, controllers: list[str])
         controllers,
         dt=cfg.dt,
         controller_dt=cfg.controller_dt,
-        horizon=cfg.horizon,
+        horizon=_run_horizon(cfg, defaults.CASE_HORIZONS[case_id], f"case {case_id}"),
         seed=cfg.cases_seed,
         nonlin=cfg.cases_nonlin,
     )
@@ -312,7 +328,7 @@ def cmd_sweep(cfg: RunConfig, outdir: Path, controllers: list[str]) -> int:
         controllers,
         dt=cfg.dt,
         controller_dt=cfg.controller_dt,
-        horizon=cfg.horizon if cfg.horizon is not None else defaults.CASE_HORIZONS[6],
+        horizon=_run_horizon(cfg, defaults.CASE_HORIZONS[6], "the sweep"),
         nonlin=cfg.cases_nonlin,
     )
     _sweep_csv(outdir / "sweep.csv", report)

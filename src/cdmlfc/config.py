@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Optional
 
@@ -168,6 +169,32 @@ def _record(cls, node: dict, path: str):
         raise ConfigError(path, str(exc)) from None
 
 
+def _number(value, path: str) -> float:
+    """value as a finite float, else a config error naming path."""
+    try:
+        number = float(value)
+        if math.isfinite(number):
+            return number
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(path, "expected a finite number")
+
+
+def _step(node: dict, path: str) -> float:
+    """node["dt"], an integrator step in (0, 0.05] as the simulator requires."""
+    dt = _number(node["dt"], f"{path}.dt")
+    if not (0.0 < dt <= 0.05):
+        raise ConfigError(f"{path}.dt", "must be in (0, 0.05]")
+    return dt
+
+
+def _horizon(node: dict, path: str, dt: float, dt_path: str) -> float:
+    horizon = _number(node["horizon"], f"{path}.horizon")
+    if not horizon_steps(horizon, dt):
+        raise ConfigError(f"{path}.horizon", f"must be a positive whole multiple of {dt_path}")
+    return horizon
+
+
 def build_config(user: Optional[dict] = None, overrides: Optional[dict] = None) -> RunConfig:
     """Merge user config over defaults, apply flag overrides, validate."""
     merged = _merge(default_config(), user or {}, "")
@@ -221,16 +248,18 @@ def build_config(user: Optional[dict] = None, overrides: Optional[dict] = None) 
     )
 
     solver = merged["solver"]
-    dt = float(solver["dt"])
-    if not (0.0 < dt <= 0.05):
-        raise ConfigError("solver.dt", "must be in (0, 0.05]")
-    controller_dt = float(solver["controller_dt"])
-    # a controller sample finer than dt is left to simulate() to refuse
+    dt = _step(solver, "solver")
+    controller_dt = _number(solver["controller_dt"], "solver.controller_dt")
+    # a controller sample finer than dt is refused by the commands that run the solver
     if not (controller_dt > 0.0 and (controller_dt < dt or sample_steps(controller_dt, dt))):
         raise ConfigError("solver.controller_dt", "must be a positive whole multiple of solver.dt")
-    horizon = None if solver["horizon"] is None else float(solver["horizon"])
-    if horizon is not None and not horizon_steps(horizon, dt):
-        raise ConfigError("solver.horizon", "must be a positive whole multiple of solver.dt")
+    horizon = None if solver["horizon"] is None else _horizon(solver, "solver", dt, "solver.dt")
+    objective_dt = _step(opt["objective"], "optimizer.objective")
+    _horizon(opt["objective"], "optimizer.objective", objective_dt, "optimizer.objective.dt")
+    # its solver.dt grid is checked by the commands that run the scenario, so
+    # that a --dt off its grid still serves the commands that do not
+    if not _number(merged["scenario"]["horizon"], "scenario.horizon") > 0.0:
+        raise ConfigError("scenario.horizon", "must be > 0")
 
     return RunConfig(
         raw=merged,

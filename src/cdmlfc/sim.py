@@ -28,7 +28,9 @@ from .plant import AreaParams, NonlinearityConfig, TieLine, frequency_bias
 
 LoadFn = Callable[[float], float]
 
-_DIVERGENCE_CAP = 1e6  # pu; anything beyond this is treated as divergence
+# Both simulators' divergence rule: any state non-finite, or |df1| or |df2| above
+# this cap (pu); simulate then raises NonFiniteState, run_iae NaNs the lane.
+_DIVERGENCE_CAP = 1e6
 
 
 @dataclass(frozen=True)
@@ -122,58 +124,92 @@ class DiscreteController:
         return u
 
 
-def _gdb(x: float, half_width: float, mode: str, xdot: float) -> float:
-    if half_width == 0.0:
-        return x
-    if mode == "backlash":
-        # describing-function approximation of the governor dead band
-        return 0.8 * x - (0.2 / math.pi) * xdot
-    if x > half_width:
-        return x - half_width
-    if x < -half_width:
-        return x + half_width
-    return 0.0
+def plant_rhs(
+    areas: tuple[AreaParams, AreaParams],
+    tie: TieLine,
+    nonlin: NonlinearityConfig,
+    lanes: bool = False,
+) -> Callable:
+    """The plant state derivative f(state, loads, u) under held control inputs.
+
+    state = (df1, dpm1, dpg1, df2, dpm2, dpg2, dptie), each a float or, with
+    lanes=True, an array with one entry per lane; loads = (dPL1, dPL2) and
+    u = (u1, u2) likewise. The tie-line term enters area 1 with +1 and area 2
+    with -1, and the rate clamp is applied to the turbine derivative so GRC
+    holds inside every integrator stage. Only the GRC clamp and the dead zone
+    differ by lane kind, and that choice is made here, once per run.
+    """
+    a1, a2 = areas
+    grc = nonlin.grc_rate
+    half = 0.5 * nonlin.gdb_width
+    t12 = 2.0 * math.pi * tie.T12
+
+    if lanes:
+        def clamp(x):
+            return np.clip(x, -grc, grc)
+
+        def dead_zone(x, xdot):
+            return np.sign(x) * np.maximum(np.abs(x) - half, 0.0)
+    else:
+        def clamp(x):
+            if x > grc:
+                return grc
+            if x < -grc:
+                return -grc
+            return x
+
+        def dead_zone(x, xdot):
+            if x > half:
+                return x - half
+            if x < -half:
+                return x + half
+            return 0.0
+
+    if half == 0.0:
+        def governor(x, xdot):
+            return x
+    elif nonlin.gdb_mode == "backlash":
+        def governor(x, xdot):
+            # describing-function approximation of the governor dead band
+            return 0.8 * x - (0.2 / math.pi) * xdot
+
+    else:
+        governor = dead_zone
+
+    def rhs(state, loads, u):
+        df1, dpm1, dpg1, df2, dpm2, dpg2, dptie = state
+        ddf1 = (dpm1 - loads[0] - a1.D * df1 - dptie) / a1.M
+        ddf2 = (dpm2 - loads[1] - a2.D * df2 + dptie) / a2.M
+        ddpm1 = clamp((dpg1 - dpm1) / a1.Tt)
+        ddpm2 = clamp((dpg2 - dpm2) / a2.Tt)
+        ddpg1 = (u[0] - governor(df1 / a1.R, ddf1 / a1.R) - dpg1) / a1.Tg
+        ddpg2 = (u[1] - governor(df2 / a2.R, ddf2 / a2.R) - dpg2) / a2.Tg
+        return (ddf1, ddpm1, ddpg1, ddf2, ddpm2, ddpg2, t12 * (df1 - df2))
+
+    return rhs
 
 
 def derivatives(
-    state: Sequence[float],
-    model: SystemModel,
-    loads: tuple[float, float],
-    u: tuple[float, float],
+    state: Sequence[float], model: SystemModel, loads: tuple[float, float], u: tuple[float, float]
 ) -> tuple[float, ...]:
-    """Plant state derivative under held control inputs.
+    """One-lane plant state derivative of `model` (see `plant_rhs`)."""
+    return plant_rhs(model.areas, model.tie, model.nonlin)(state, loads, u)
 
-    state = (df1, dpm1, dpg1, df2, dpm2, dpg2, dptie); the tie-line term
-    enters area 1 with +1 and area 2 with -1, and the rate clamp is applied
-    to the turbine derivative so GRC holds inside every integrator stage.
-    """
-    df1, dpm1, dpg1, df2, dpm2, dpg2, dptie = state
-    a1, a2 = model.areas
-    nl = model.nonlin
-    grc = nl.grc_rate
-    half = 0.5 * nl.gdb_width
 
-    ddf1 = (dpm1 - loads[0] - a1.D * df1 - dptie) / a1.M
-    ddf2 = (dpm2 - loads[1] - a2.D * df2 + dptie) / a2.M
-
-    ddpm1 = (dpg1 - dpm1) / a1.Tt
-    if ddpm1 > grc:
-        ddpm1 = grc
-    elif ddpm1 < -grc:
-        ddpm1 = -grc
-    ddpm2 = (dpg2 - dpm2) / a2.Tt
-    if ddpm2 > grc:
-        ddpm2 = grc
-    elif ddpm2 < -grc:
-        ddpm2 = -grc
-
-    g1 = _gdb(df1 / a1.R, half, nl.gdb_mode, ddf1 / a1.R)
-    g2 = _gdb(df2 / a2.R, half, nl.gdb_mode, ddf2 / a2.R)
-    ddpg1 = (u[0] - g1 - dpg1) / a1.Tg
-    ddpg2 = (u[1] - g2 - dpg2) / a2.Tg
-
-    ddptie = 2.0 * math.pi * model.tie.T12 * (df1 - df2)
-    return (ddf1, ddpm1, ddpg1, ddf2, ddpm2, ddpg2, ddptie)
+def rk4_step(rhs: Callable, state: tuple, loads: tuple[LoadFn, LoadFn], u: tuple, t: float, h: float) -> tuple:
+    """One classic RK4 step of rhs from t to t + h under held control u; the
+    loads are sampled at t, t + h/2 and t + h."""
+    load1, load2 = loads
+    l0 = (load1(t), load2(t))
+    lm = (load1(t + 0.5 * h), load2(t + 0.5 * h))
+    le = (load1(t + h), load2(t + h))
+    k1 = rhs(state, l0, u)
+    k2 = rhs(tuple(x + 0.5 * h * d for x, d in zip(state, k1)), lm, u)
+    k3 = rhs(tuple(x + 0.5 * h * d for x, d in zip(state, k2)), lm, u)
+    k4 = rhs(tuple(x + h * d for x, d in zip(state, k3)), le, u)
+    return tuple(
+        x + h / 6.0 * (d1 + 2.0 * d2 + 2.0 * d3 + d4) for x, d1, d2, d3, d4 in zip(state, k1, k2, k3, k4)
+    )
 
 
 @dataclass
@@ -253,55 +289,29 @@ def simulate(
     b1, b2 = frequency_bias(a1), frequency_bias(a2)
     ctrl1 = DiscreteController(model.controllers[0], controller_dt)
     ctrl2 = DiscreteController(model.controllers[1], controller_dt)
+    rhs = plant_rhs(model.areas, model.tie, model.nonlin)
     load1, load2 = loads
 
-    n_samp = n_steps + 1
-    out = {name: np.empty(n_samp) for name in Trajectory.CHANNELS}
-    out["dpm1"] = np.empty(n_samp)
-    out["dpm2"] = np.empty(n_samp)
-
+    names = Trajectory.CHANNELS + ("dpm1", "dpm2")
+    out = {name: np.empty(n_steps + 1) for name in names}
     state = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     u1 = u2 = 0.0
-    for k in range(n_samp):
+    for k in range(n_steps + 1):
         t = k * dt
         df1, dpm1, dpg1, df2, dpm2, dpg2, dptie = state
         ace1 = b1 * df1 + dptie
         ace2 = b2 * df2 - dptie
         if k % decim == 0:
-            u1 = ctrl1.output(ace1)
-            u2 = ctrl2.output(ace2)
-        row = (t, df1, df2, dptie, ace1, ace2, u1, u2, load1(t), load2(t))
-        for name, val in zip(Trajectory.CHANNELS, row):
+            u1 = ctrl1.step(ace1)
+            u2 = ctrl2.step(ace2)
+        row = (t, df1, df2, dptie, ace1, ace2, u1, u2, load1(t), load2(t), dpm1, dpm2)
+        for name, val in zip(names, row):
             out[name][k] = val
-        out["dpm1"][k] = dpm1
-        out["dpm2"][k] = dpm2
         if k == n_steps:
             break
-        if k % decim == 0:
-            ctrl1.advance(ace1)
-            ctrl2.advance(ace2)
-
-        u = (u1, u2)
-        h = dt
-        t_mid = t + 0.5 * h
-        t_end = t + h
-        l0 = (load1(t), load2(t))
-        lm = (load1(t_mid), load2(t_mid))
-        le = (load1(t_end), load2(t_end))
-        k1 = derivatives(state, model, l0, u)
-        s2 = tuple(x + 0.5 * h * d for x, d in zip(state, k1))
-        k2 = derivatives(s2, model, lm, u)
-        s3 = tuple(x + 0.5 * h * d for x, d in zip(state, k2))
-        k3 = derivatives(s3, model, lm, u)
-        s4 = tuple(x + h * d for x, d in zip(state, k3))
-        k4 = derivatives(s4, model, le, u)
-        state = tuple(
-            x + h / 6.0 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-            for x, d1, d2, d3, d4 in zip(state, k1, k2, k3, k4)
-        )
-        probe = sum(state)
-        if not math.isfinite(probe) or abs(state[0]) > _DIVERGENCE_CAP or abs(state[3]) > _DIVERGENCE_CAP:
-            raise NonFiniteState(t_end, f"state={state}")
+        state = rk4_step(rhs, state, loads, (u1, u2), t, dt)
+        if not math.isfinite(sum(state)) or abs(state[0]) > _DIVERGENCE_CAP or abs(state[3]) > _DIVERGENCE_CAP:
+            raise NonFiniteState(t + dt, f"state={state}")
 
     return Trajectory(**out)
 
@@ -325,114 +335,42 @@ class BatchCdmSimulator:
         horizon: float,
     ):
         self.n_steps = _n_steps(horizon, dt)
-        self.areas = areas
-        self.tie = tie
-        self.nonlin = nonlin
-        self.loads = loads
         self.dt = dt
+        self.loads = loads
+        self.bias = (frequency_bias(areas[0]), frequency_bias(areas[1]))
+        self.rhs = plant_rhs(areas, tie, nonlin, lanes=True)
 
     def run_iae(self, controller_pairs: Sequence[tuple[CdmController, CdmController]]) -> np.ndarray:
-        nb = len(controller_pairs)
         dt = self.dt
-        a1, a2 = self.areas
-        b1, b2 = frequency_bias(a1), frequency_bias(a2)
-        nl = self.nonlin
-        grc = nl.grc_rate
-        half = 0.5 * nl.gdb_width
-        mode = nl.gdb_mode
-        t12 = 2.0 * math.pi * self.tie.T12
-        load1, load2 = self.loads
+        b1, b2 = self.bias
 
-        # per-candidate trapezoidal controller blocks (order 2)
-        def pack(side: int):
-            ad = np.empty((nb, 2, 2))
-            bd = np.empty((nb, 2))
-            c = np.empty((nb, 2))
-            d = np.empty(nb)
-            for i, pair in enumerate(controller_pairs):
-                spec = CdmSpec(pair[side])
-                a_m, b_v, c_v, d_s = _continuous_realization(spec)
-                if a_m.shape[0] != 2:
-                    raise ValueError("batch path expects order-2 controller realizations")
-                ad[i], bd[i], c[i], d[i] = tustin_discretize(a_m, b_v, c_v, d_s, dt)
-            return ad, bd, c, d
-
-        ad1, bd1, c1, d1 = pack(0)
-        ad2, bd2, c2, d2 = pack(1)
-
-        z = np.zeros(nb)
-        df1, dpm1, dpg1 = z.copy(), z.copy(), z.copy()
-        df2, dpm2, dpg2 = z.copy(), z.copy(), z.copy()
-        dptie = z.copy()
-        x1 = np.zeros((nb, 2))
-        x2 = np.zeros((nb, 2))
-        iae = np.zeros(nb)
-
-        def deriv(df1, dpm1, dpg1, df2, dpm2, dpg2, dptie, l1, l2, u1, u2):
-            ddf1 = (dpm1 - l1 - a1.D * df1 - dptie) / a1.M
-            ddf2 = (dpm2 - l2 - a2.D * df2 + dptie) / a2.M
-            ddpm1 = np.clip((dpg1 - dpm1) / a1.Tt, -grc, grc)
-            ddpm2 = np.clip((dpg2 - dpm2) / a2.Tt, -grc, grc)
-            if half == 0.0:
-                g1 = df1 / a1.R
-                g2 = df2 / a2.R
-            elif mode == "backlash":
-                g1 = 0.8 * (df1 / a1.R) - (0.2 / math.pi) * (ddf1 / a1.R)
-                g2 = 0.8 * (df2 / a2.R) - (0.2 / math.pi) * (ddf2 / a2.R)
-            else:
-                s1 = df1 / a1.R
-                s2 = df2 / a2.R
-                g1 = np.sign(s1) * np.maximum(np.abs(s1) - half, 0.0)
-                g2 = np.sign(s2) * np.maximum(np.abs(s2) - half, 0.0)
-            ddpg1 = (u1 - g1 - dpg1) / a1.Tg
-            ddpg2 = (u2 - g2 - dpg2) / a2.Tg
-            ddptie = t12 * (df1 - df2)
-            return ddf1, ddpm1, ddpg1, ddf2, ddpm2, ddpg2, ddptie
-
+        # per-candidate trapezoidal controller blocks, stacked across lanes
+        blocks = []
+        for side in (0, 1):
+            ctrls = [DiscreteController(CdmSpec(pair[side]), dt) for pair in controller_pairs]
+            blocks.append([np.array([getattr(c, name) for c in ctrls]) for name in ("ad", "bd", "cd", "dd")])
+        (ad1, bd1, c1, d1), (ad2, bd2, c2, d2) = blocks
+        x1, x2 = np.zeros_like(bd1), np.zeros_like(bd2)
+        state = (np.zeros(len(controller_pairs)),) * 7
+        iae = np.zeros(len(controller_pairs))
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(self.n_steps + 1):
-                t = k * dt
+                df1, _, _, df2, _, _, dptie = state
                 w = dt if 0 < k < self.n_steps else 0.5 * dt
                 iae += w * (np.abs(df1) + np.abs(df2))
                 if k == self.n_steps:
                     break
                 ace1 = b1 * df1 + dptie
                 ace2 = b2 * df2 - dptie
-                u1 = -(c1[:, 0] * x1[:, 0] + c1[:, 1] * x1[:, 1] + d1 * ace1)
-                u2 = -(c2[:, 0] * x2[:, 0] + c2[:, 1] * x2[:, 1] + d2 * ace2)
-                x1 = np.stack(
-                    (
-                        ad1[:, 0, 0] * x1[:, 0] + ad1[:, 0, 1] * x1[:, 1] + bd1[:, 0] * ace1,
-                        ad1[:, 1, 0] * x1[:, 0] + ad1[:, 1, 1] * x1[:, 1] + bd1[:, 1] * ace1,
-                    ),
-                    axis=1,
-                )
-                x2 = np.stack(
-                    (
-                        ad2[:, 0, 0] * x2[:, 0] + ad2[:, 0, 1] * x2[:, 1] + bd2[:, 0] * ace2,
-                        ad2[:, 1, 0] * x2[:, 0] + ad2[:, 1, 1] * x2[:, 1] + bd2[:, 1] * ace2,
-                    ),
-                    axis=1,
-                )
+                u1 = -((c1 * x1).sum(1) + d1 * ace1)
+                u2 = -((c2 * x2).sum(1) + d2 * ace2)
+                x1 = (ad1 * x1[:, None, :]).sum(2) + bd1 * ace1[:, None]
+                x2 = (ad2 * x2[:, None, :]).sum(2) + bd2 * ace2[:, None]
 
-                l0 = (load1(t), load2(t))
-                lm = (load1(t + 0.5 * dt), load2(t + 0.5 * dt))
-                le = (load1(t + dt), load2(t + dt))
-                s0 = (df1, dpm1, dpg1, df2, dpm2, dpg2, dptie)
-                k1 = deriv(*s0, *l0, u1, u2)
-                s1_ = tuple(x + 0.5 * dt * d for x, d in zip(s0, k1))
-                k2 = deriv(*s1_, *lm, u1, u2)
-                s2_ = tuple(x + 0.5 * dt * d for x, d in zip(s0, k2))
-                k3 = deriv(*s2_, *lm, u1, u2)
-                s3_ = tuple(x + dt * d for x, d in zip(s0, k3))
-                k4 = deriv(*s3_, *le, u1, u2)
-                df1, dpm1, dpg1, df2, dpm2, dpg2, dptie = tuple(
-                    x + dt / 6.0 * (d1_ + 2.0 * d2_ + 2.0 * d3_ + d4_)
-                    for x, d1_, d2_, d3_, d4_ in zip(s0, k1, k2, k3, k4)
-                )
-                # divergent candidates poison their own lane with NaN
-                bad = np.abs(df1) > _DIVERGENCE_CAP
+                state = rk4_step(self.rhs, state, self.loads, (u1, u2), k * dt, dt)
+                bad = ~np.isfinite(sum(state))
+                bad |= (np.abs(state[0]) > _DIVERGENCE_CAP) | (np.abs(state[3]) > _DIVERGENCE_CAP)
                 if bad.any():
-                    df1 = np.where(bad, np.nan, df1)
+                    state = (np.where(bad, np.nan, state[0]),) + state[1:]
 
         return iae

@@ -69,6 +69,27 @@ class TestConfig:
         cfg = build_config({"solver": {"dt": 0.005, "controller_dt": 0.015, "horizon": 0.015}})
         assert (cfg.controller_dt, cfg.horizon) == (0.015, 0.015)
 
+    def test_objective_times_checked(self):
+        with pytest.raises(ConfigError) as err:
+            build_config({"optimizer": {"objective": {"horizon": 1.01}}})
+        assert "optimizer.objective.horizon" in str(err.value)
+        with pytest.raises(ConfigError) as err:
+            build_config({"optimizer": {"objective": {"dt": 0.06}}})
+        assert "optimizer.objective.dt" in str(err.value)
+        cfg = build_config({"optimizer": {"objective": {"dt": 0.005, "horizon": 1.005}}})
+        assert (cfg.objective_settings["dt"], cfg.objective_settings["horizon"]) == (0.005, 1.005)
+
+    def test_times_must_be_finite_numbers(self):
+        for user, key in (
+            ({"solver": {"horizon": float("nan")}}, "solver.horizon"),
+            ({"solver": {"dt": "fast"}}, "solver.dt"),
+            ({"solver": {"controller_dt": float("inf")}}, "solver.controller_dt"),
+            ({"scenario": {"horizon": -1.0}}, "scenario.horizon"),
+        ):
+            with pytest.raises(ConfigError) as err:
+                build_config(user)
+            assert key in str(err.value)
+
     def test_bad_bounds_rejected(self):
         with pytest.raises(ConfigError):
             build_config({"optimizer": {"bounds": {"gamma": [5, 1], "tau": [0.1, 5], "k_b0": [1, 100]}}})
@@ -185,6 +206,42 @@ class TestCliCommands:
         rc = main(["case", "2", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "solver.controller_dt" in capsys.readouterr().err
+
+    def test_case2_dt_coarser_than_controller_dt_exits_2(self, tmp_path, capsys):
+        rc = main(["case", "2", "--dt", "0.02", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "solver.controller_dt" in capsys.readouterr().err
+
+    def test_sweep_dt_coarser_than_controller_dt_exits_2(self, tmp_path, capsys):
+        rc = main(["sweep", "--dt", "0.02", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "solver.controller_dt" in capsys.readouterr().err
+
+    def test_case4_horizon_off_the_dt_grid_exits_2(self, tmp_path, capsys):
+        rc = main(["case", "4", "--dt", "0.03", "--out", str(tmp_path / "a")])
+        assert rc == 2
+        assert "solver.controller_dt" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"solver": {"controller_dt": 0.03}}))
+        rc = main(["case", "4", "--dt", "0.03", "--config", str(cfg), "--out", str(tmp_path / "b")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "solver.dt" in err and "case 4" in err
+
+    def test_scenario_horizon_off_the_dt_grid_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": {"horizon": 1.005}}))
+        for command in ("simulate", "compare"):
+            rc = main([command, "--config", str(cfg), "--out", str(tmp_path / command)])
+            assert rc == 2
+            assert "scenario.horizon" in capsys.readouterr().err
+
+    def test_objective_horizon_off_its_dt_grid_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"optimizer": {"objective": {"horizon": 1.01}}}))
+        rc = main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "optimizer.objective.horizon" in capsys.readouterr().err
 
     def test_unknown_controller_set_exits_2(self, tmp_path, capsys):
         for argv in (["case", "2"], ["sweep"], ["compare"]):

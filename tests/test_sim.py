@@ -1,13 +1,19 @@
+import json
 import math
+import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cdmlfc import defaults
-from cdmlfc.cdm import CdmController, synthesize
+from cdmlfc.cdm import CdmController, CdmGains, synthesize
 from cdmlfc.errors import ImproperController, NonFiniteState
 from cdmlfc.plant import NonlinearityConfig, derive_design_plant
 from cdmlfc.poly import Polynomial
+from cdmlfc.scenarios import TuningObjective, run_case
 from cdmlfc.sim import (
     BatchCdmSimulator,
     CdmSpec,
@@ -17,12 +23,18 @@ from cdmlfc.sim import (
     SystemModel,
     Trajectory,
     derivatives,
+    plant_rhs,
     simulate,
 )
 
 ZERO = lambda t: 0.0
 STEP1 = lambda t: 0.01 if t >= 1.0 else 0.0
 LINEAR = NonlinearityConfig(grc_rate=math.inf, gdb_width=0.0)
+NONLINEARITIES = [
+    NonlinearityConfig(grc_rate=grc, gdb_width=0.05, gdb_mode=mode)
+    for grc in (0.1, 0.1 / 60.0)
+    for mode in ("deadzone", "backlash")
+] + [LINEAR]
 
 
 def cdm_pair():
@@ -262,3 +274,100 @@ class TestBatchSimulator:
         out = batch.run_iae([(bad1, bad2), (good[0].controller, good[1].controller)])
         assert not math.isfinite(out[0])
         assert math.isfinite(out[1])
+
+    def test_area2_divergence_alone_poisons_the_lane(self):
+        # a fast unstable pole in the area-2 controller only: df2 leaves the
+        # divergence cap a few steps before df1 does
+        plant2 = derive_design_plant(defaults.AREA2, defaults.TIE)
+        bad2 = CdmController.from_polynomials(Polynomial([0.0, -1.0, 1.0 / 90.0]), Polynomial([1.0, 1.0, 0.1]), plant2)
+        good = cdm_pair()
+        loads = (STEP1, STEP1)
+        with pytest.raises(NonFiniteState):
+            simulate(model(nonlin=LINEAR, controllers=(good[0], CdmSpec(bad2))), loads, dt=0.02, horizon=1.24)
+        batch = BatchCdmSimulator((defaults.AREA1, defaults.AREA2), defaults.TIE, LINEAR, loads, dt=0.02, horizon=1.24)
+        out = batch.run_iae([(good[0].controller, bad2), (good[0].controller, good[1].controller)])
+        assert math.isnan(out[0])
+        assert math.isfinite(out[1])
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        nonlin=st.sampled_from(NONLINEARITIES),
+        spreads=st.lists(st.lists(st.floats(-0.25, 0.25), min_size=8, max_size=8), min_size=1, max_size=4),
+    )
+    def test_lanes_equal_one_lane_runs(self, nonlin, spreads):
+        # Candidates within 25% of the reference gains: most draws across the
+        # whole box are unstable in the two-area loop, and where the GRC clamp
+        # bounds them the limit cycle amplifies the last-bit difference between
+        # DiscreteController.output's dot product and run_iae's stacked sum.
+        bounds = np.array(defaults.OPT_BOUNDS)
+        reference = TuningObjective().reference_vector()
+        plants = [derive_design_plant(area, defaults.TIE) for area in (defaults.AREA1, defaults.AREA2)]
+        pairs = []
+        for spread in spreads:
+            x = np.clip(reference * (1.0 + np.array(spread)), bounds[:, 0], bounds[:, 1])
+            pair = tuple(synthesize(plant, CdmGains(tuple(x[:5]), x[5], k)) for plant, k in zip(plants, x[6:]))
+            assume(all(c.stable for c in pair))
+            pairs.append(pair)
+        loads = (STEP1, ZERO)
+        batch = BatchCdmSimulator((defaults.AREA1, defaults.AREA2), defaults.TIE, nonlin, loads, dt=0.02, horizon=10.0)
+        for iae_b, pair in zip(batch.run_iae(pairs), pairs):
+            m = model(nonlin=nonlin, controllers=tuple(CdmSpec(c) for c in pair))
+            try:
+                traj = simulate(m, loads, dt=0.02, horizon=10.0)
+            except NonFiniteState:
+                assert math.isnan(iae_b)
+                continue
+            iae_s = np.trapezoid(np.abs(traj.df1), traj.t) + np.trapezoid(np.abs(traj.df2), traj.t)
+            assert iae_b == pytest.approx(iae_s, rel=1e-12)
+
+
+def _on_band_edge(area, half):
+    """area with R nudged so that some df gives df / R == half exactly, and that df."""
+    r = area.R
+    while (half * r) / r != half:
+        r = float(np.nextafter(r, np.inf))
+    return replace(area, R=r), half * r
+
+
+class TestPlantRhs:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), nonlin=st.sampled_from(NONLINEARITIES), n=st.integers(1, 6))
+    def test_lanes_equal_the_one_lane_rhs(self, data, nonlin, n):
+        half = 0.025  # the dead band half width of NONLINEARITIES
+        (a1, edge1), (a2, edge2) = (_on_band_edge(a, half) for a in (defaults.AREA1, defaults.AREA2))
+        freq = [
+            st.one_of(st.floats(-0.3, 0.3), st.sampled_from([edge, -edge, 0.0, 0.5 * edge, -2.0 * edge]))
+            for edge in (edge1, edge2)
+        ]
+        power = st.floats(-0.2, 0.2)  # |dPg - dPm| / Tt mostly beyond both GRC rates
+        lane = st.tuples(freq[0], power, power, freq[1], power, power, st.floats(-0.1, 0.1))
+        states = data.draw(st.lists(lane, min_size=n, max_size=n))
+        loads = data.draw(st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)))
+        us = data.draw(st.lists(st.tuples(power, power), min_size=n, max_size=n))
+        areas = (a1, a2)
+        one = plant_rhs(areas, defaults.TIE, nonlin)
+        many = plant_rhs(areas, defaults.TIE, nonlin, lanes=True)
+        stacked = many(tuple(np.array(col) for col in zip(*states)), loads, tuple(np.array(c) for c in zip(*us)))
+        for i, (state, u) in enumerate(zip(states, us)):
+            assert tuple(float(d[i]) for d in stacked) == one(state, loads, u)
+
+
+REFERENCE = json.loads((pathlib.Path(__file__).parent / "data" / "engine_reference.json").read_text())
+
+
+class TestEngineReference:
+    """Outputs recorded by scripts/engine_reference.py before the one-lane and
+    lane-batched simulators shared one plant model and one RK4 step."""
+
+    @pytest.mark.parametrize("case_id", sorted(REFERENCE["cases"]))
+    def test_case_indices(self, case_id):
+        recorded = REFERENCE["cases"][case_id]
+        report = run_case(int(case_id), tuple(recorded))
+        for res in report.results:
+            assert res.metrics.iae == pytest.approx(recorded[res.name]["iae"], rel=1e-12)
+            assert res.metrics.ise == pytest.approx(recorded[res.name]["ise"], rel=1e-12)
+
+    def test_objective_costs(self):
+        rec = REFERENCE["objective"]
+        costs = TuningObjective().batch(np.array(rec["candidates"]))
+        assert costs == pytest.approx(rec["costs"], rel=1e-12)
