@@ -4,21 +4,29 @@ The record pins the plant physics and both simulators: IAE and ISE
 of cases 2-5 for the cdm_opt, cdm, pid and pi controller sets (the one-lane
 `simulate` path), and the `TuningObjective().batch` costs of one seeded
 50-candidate generation drawn uniformly in `OPT_BOUNDS` (the lane-batched
-`BatchCdmSimulator.run_iae` path). `tests/test_sim.py` recomputes every
-value and requires agreement at rel 1e-12. Run it again only when a change
-is meant to alter the simulated physics, and say so where the change is
-described.
+`BatchCdmSimulator.run_iae` path). Before writing, every live objective
+cost is checked against the IAE of a one-lane `simulate` run of the
+objective's own model, and the script refuses to write if any differs by
+more than rel 1e-12. `tests/test_sim.py` recomputes every value and requires
+agreement at rel 1e-12. Run it again only when a change is meant to alter
+the simulated physics, and say so where the change is described.
 
     PYTHONPATH=src python3 scripts/engine_reference.py
 """
 
 import json
+import math
 import pathlib
+import sys
+from dataclasses import replace
 
 import numpy as np
 
 from cdmlfc import defaults
-from cdmlfc.scenarios import TuningObjective, run_case
+from cdmlfc.cdm import synthesize
+from cdmlfc.plant import derive_design_plant
+from cdmlfc.scenarios import TuningObjective, case1_load, indices, realize, run_case
+from cdmlfc.sim import SystemModel, simulate
 
 CASES = (2, 3, 4, 5)
 CONTROLLERS = ("cdm_opt", "cdm", "pid", "pi")
@@ -32,13 +40,30 @@ def objective_candidates() -> np.ndarray:
     return bounds[:, 0] + rng.random((OBJECTIVE_CANDIDATES, len(bounds))) * (bounds[:, 1] - bounds[:, 0])
 
 
+def one_lane_iae(objective: TuningObjective, x: np.ndarray) -> float:
+    """IAE of a one-lane `simulate` run of candidate x on the objective's model."""
+    areas = tuple(replace(a, Tg=a.Tg * objective.perturb, Tt=a.Tt * objective.perturb) for a in objective.areas)
+    plants = [derive_design_plant(area, objective.tie) for area in objective.areas]
+    pair = tuple(synthesize(plant, gains) for plant, gains in zip(plants, objective.decode(x)))
+    load = realize(case1_load(), objective.horizon)
+    model = SystemModel(areas, objective.tie, objective.nonlin, pair)
+    return indices(simulate(model, (load, load), dt=objective.dt, horizon=objective.horizon)).iae
+
+
 def main():
     cases = {}
     for case_id in CASES:
         report = run_case(case_id, CONTROLLERS)
         cases[str(case_id)] = {r.name: {"iae": r.metrics.iae, "ise": r.metrics.ise} for r in report.results}
     xs = objective_candidates()
-    costs = TuningObjective().batch(xs)
+    objective = TuningObjective()
+    costs = objective.batch(xs)
+    for i, (x, cost) in enumerate(zip(xs, costs)):
+        if cost >= 1e6:
+            continue
+        iae = one_lane_iae(objective, x)
+        if not math.isclose(cost, iae, rel_tol=1e-12):
+            sys.exit(f"not written: objective cost {i} is {float(cost)!r}, its one-lane simulate IAE {iae!r}")
     record = {
         "cases": cases,
         "objective": {

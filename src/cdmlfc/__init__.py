@@ -6,7 +6,7 @@ from .cdm import CdmController, CdmGains, closed_loop, controller_to_statespace,
 from .plant import AreaParams, DesignPlant, NonlinearityConfig, TieLine, derive_design_plant, frequency_bias
 from .poly import Polynomial, is_hurwitz, lipatov_sufficient, stability_indices, target_poly
 from .scenarios import Metrics, TuningObjective, indices, run_case, sensitivity_sweep, transient_measures
-from .sim import CdmSpec, IntegralSpec, PidSpec, SystemModel, Trajectory, simulate
+from .sim import IntegralSpec, PidSpec, SystemModel, Trajectory, simulate
 from .wca import Candidate, WcaConfig, minimize
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "Candidate",
     "CdmController",
     "CdmGains",
-    "CdmSpec",
     "DesignPlant",
     "IntegralSpec",
     "Metrics",

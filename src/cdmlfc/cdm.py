@@ -179,30 +179,15 @@ def closed_loop(plant: DesignPlant, ctrl: CdmController) -> Polynomial:
     return closed_loop_poly(plant, ctrl.Ac, ctrl.Bc)
 
 
-@dataclass(frozen=True)
-class StateSpace:
-    """Controller realization: xdot = A x + B y, v = C x + D y.
+def controller_to_statespace(ctrl: CdmController) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Controllable-canonical realization (A, B, C, D) of Bc(s)/Ac(s):
+    xdot = A x + B y, v = C x + D y.
 
     v is the raw transfer-function output Bc/Ac * y; the loop applies
-    u = -v (regulation sign convention).
-    """
-
-    A: tuple[tuple[float, ...], ...]
-    B: tuple[float, ...]
-    C: tuple[float, ...]
-    D: float
-
-    @property
-    def order(self) -> int:
-        return len(self.B)
-
-
-def controller_to_statespace(ctrl: CdmController) -> StateSpace:
-    """Controllable-canonical realization of Bc(s)/Ac(s).
-
-    The ratio may be biproper; the direct feedthrough is split off and the
-    strictly proper remainder realized in companion form. Raises
-    ImproperController when degree(Bc) > degree(Ac).
+    u = -v (regulation sign convention). The ratio may be biproper; the
+    direct feedthrough is split off and the strictly proper remainder
+    realized in companion form. Raises ImproperController when
+    degree(Bc) > degree(Ac).
     """
     ac, bc = ctrl.Ac, ctrl.Bc
     q = ac.degree
@@ -212,20 +197,10 @@ def controller_to_statespace(ctrl: CdmController) -> StateSpace:
         raise ValueError("Ac must have degree >= 1")
     lead = ac.coeff(q)
     d = bc.coeff(q) / lead
+    a = np.eye(q, k=1)
+    a[q - 1] = [-(ac.coeff(i) / lead) for i in range(q)]  # the monic denominator, negated
+    b = np.zeros(q)
+    b[q - 1] = 1.0
     # remainder Bc - d*Ac has degree <= q-1
-    rem = [bc.coeff(i) - d * ac.coeff(i) for i in range(q)]
-    alpha = [ac.coeff(i) / lead for i in range(q)]  # monic denominator
-    a_mat = [[0.0] * q for _ in range(q)]
-    for i in range(q - 1):
-        a_mat[i][i + 1] = 1.0
-    for i in range(q):
-        a_mat[q - 1][i] = -alpha[i]
-    b_vec = [0.0] * q
-    b_vec[q - 1] = 1.0
-    c_vec = [rem[i] / lead for i in range(q)]
-    return StateSpace(
-        A=tuple(tuple(row) for row in a_mat),
-        B=tuple(b_vec),
-        C=tuple(c_vec),
-        D=d,
-    )
+    c = np.array([(bc.coeff(i) - d * ac.coeff(i)) / lead for i in range(q)])
+    return a, b, c, d

@@ -16,7 +16,7 @@ from typing import Sequence
 from .cdm import CdmController, CdmGains, synthesize
 from .plant import AreaParams, NonlinearityConfig, TieLine, derive_design_plant
 from .poly import Polynomial
-from .sim import CdmSpec, ControllerSpec, IntegralSpec, PidSpec
+from .sim import ControllerSpec, IntegralSpec, PidSpec
 
 AREA1 = AreaParams(D=0.015, M=0.1667, R=3.0, Tg=0.08, Tt=0.4)
 AREA2 = AreaParams(D=0.016, M=0.2017, R=2.73, Tg=0.06, Tt=0.44)
@@ -82,11 +82,9 @@ def build_controller_pair(
         return tuple(integral)
     plants = [derive_design_plant(area, tie) for area in areas]
     if name == "cdm_opt":
-        return tuple(CdmSpec(synthesize(plant, gains)) for plant, gains in zip(plants, cdm_gains))
+        return tuple(synthesize(plant, gains) for plant, gains in zip(plants, cdm_gains))
     if name == "cdm":
-        return tuple(
-            CdmSpec(CdmController.from_polynomials(ac, bc, plant)) for ac, bc, plant in zip(*classic, plants)
-        )
+        return tuple(CdmController.from_polynomials(ac, bc, plant) for ac, bc, plant in zip(*classic, plants))
     raise KeyError(f"unknown controller set {name!r}; expected one of {CONTROLLER_SET_NAMES}")
 
 

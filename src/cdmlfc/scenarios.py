@@ -180,17 +180,13 @@ def transient_measures(
     return max(0.0, t_cross - t0), overshoot, undershoot, True
 
 
-def evaluate(
-    traj: Trajectory,
-    t0: float = 0.0,
-    bands: Optional[dict] = None,
-) -> Metrics:
-    """Indices plus per-signal transient statistics for df1, df2, dptie."""
-    bands = dict(defaults.SETTLE_BANDS if bands is None else bands)
+def evaluate(traj: Trajectory, t0: float = 0.0) -> Metrics:
+    """Indices plus per-signal transient statistics for df1, df2, dptie,
+    settling into the `defaults.SETTLE_BANDS` tubes."""
     m = indices(traj)
     for name in ("df1", "df2", "dptie"):
         sig = getattr(traj, name)
-        t_s, os_, us, settled = transient_measures(sig, traj.t, bands[name], t0)
+        t_s, os_, us, settled = transient_measures(sig, traj.t, defaults.SETTLE_BANDS[name], t0)
         m.signals[name] = SignalStats(
             iae=float(np.trapezoid(np.abs(sig), traj.t)),
             t_s=t_s,
@@ -373,14 +369,13 @@ def run_controllers(
     controller_dt: Optional[float],
     horizon: float,
     t0: float,
-    bands: Optional[dict] = None,
 ) -> list[ControllerResult]:
     """Simulate and score each (name, controller pair) on one model and load."""
     results = []
     for name, pair in pairs:
         model = SystemModel(areas, tie, nonlin, pair)
         traj = simulate(model, loads, dt=dt, horizon=horizon, controller_dt=controller_dt)
-        results.append(ControllerResult(name, evaluate(traj, t0=t0, bands=bands), traj))
+        results.append(ControllerResult(name, evaluate(traj, t0=t0), traj))
     return results
 
 
@@ -398,7 +393,6 @@ def run_case(
     horizon: Optional[float] = None,
     seed: int = defaults.CASE_SEED,
     nonlin: Optional[NonlinearityConfig] = None,
-    bands: Optional[dict] = None,
 ) -> CaseReport:
     """Simulate one bundled case for each requested controller set."""
     cd = case_definition(case_id, seed=seed)
@@ -419,7 +413,6 @@ def run_case(
         controller_dt=controller_dt,
         horizon=horizon,
         t0=cd.disturbance_time,
-        bands=bands,
     )
     return CaseReport(
         case_id=case_id,
@@ -486,7 +479,6 @@ def sensitivity_sweep(
     controller_dt: Optional[float] = defaults.CONTROLLER_DT_DEFAULT,
     horizon: float = defaults.CASE_HORIZONS[6],
     nonlin: Optional[NonlinearityConfig] = None,
-    bands: Optional[dict] = None,
 ) -> SweepReport:
     """Robustness sweep: nominal controllers against perturbed plants.
 
@@ -510,7 +502,7 @@ def sensitivity_sweep(
             except NonFiniteState:
                 out[name] = None
                 continue
-            out[name] = evaluate(traj, t0=case2.disturbance_time, bands=bands)
+            out[name] = evaluate(traj, t0=case2.disturbance_time)
         return out
 
     nominal = (defaults.AREA1, defaults.AREA2)

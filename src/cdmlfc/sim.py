@@ -56,12 +56,7 @@ class PidSpec:
             raise ValueError("derivative filter time constant must be > 0")
 
 
-@dataclass(frozen=True)
-class CdmSpec:
-    controller: CdmController
-
-
-ControllerSpec = Union[IntegralSpec, PidSpec, CdmSpec]
+ControllerSpec = Union[IntegralSpec, PidSpec, CdmController]
 
 
 @dataclass(frozen=True)
@@ -86,9 +81,8 @@ def _continuous_realization(spec: ControllerSpec) -> tuple[np.ndarray, np.ndarra
         c = np.array([spec.ki, -spec.kd / spec.tf])
         d = spec.kp + spec.kd / spec.tf
         return a, b, c, d
-    if isinstance(spec, CdmSpec):
-        ss = controller_to_statespace(spec.controller)
-        return np.array(ss.A), np.array(ss.B), np.array(ss.C), ss.D
+    if isinstance(spec, CdmController):
+        return controller_to_statespace(spec)
     raise TypeError(f"unknown controller spec {type(spec).__name__}")
 
 
@@ -103,8 +97,8 @@ def tustin_discretize(
 
 
 class DiscreteController:
-    """Trapezoidal per-sample stepper for any controller kind: u_k = output(y_k);
-    advance(y_k) moves the state. Raises ImproperController for an improper CDM
+    """Trapezoidal per-sample stepper for any controller kind: step(y_k) returns
+    u_k and moves the state. Raises ImproperController for an improper CDM
     controller."""
 
     def __init__(self, spec: ControllerSpec, dt: float):
@@ -112,15 +106,9 @@ class DiscreteController:
         self.ad, self.bd, self.cd, self.dd = tustin_discretize(a, b, c, d, dt)
         self.x = np.zeros(a.shape[0])
 
-    def output(self, y: float) -> float:
-        return -(float(self.cd @ self.x) + self.dd * y)
-
-    def advance(self, y: float) -> None:
-        self.x = self.ad @ self.x + self.bd * y
-
     def step(self, y: float) -> float:
-        u = self.output(y)
-        self.advance(y)
+        u = -(float(self.cd @ self.x) + self.dd * y)
+        self.x = self.ad @ self.x + self.bd * y
         return u
 
 
@@ -236,11 +224,8 @@ class Trajectory:
     CHANNELS = ("t", "df1", "df2", "dptie", "ace1", "ace2", "u1", "u2", "dpl1", "dpl2")
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(self.CHANNELS) + "\n")
-            cols = [getattr(self, name) for name in self.CHANNELS]
-            for row in zip(*cols):
-                fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
+        cols = [getattr(self, name) for name in self.CHANNELS]
+        np.savetxt(path, np.column_stack(cols), fmt="%.9g", delimiter=",", header=",".join(self.CHANNELS), comments="")
 
 
 def horizon_steps(horizon: float, dt: float) -> int:
@@ -344,11 +329,13 @@ class BatchCdmSimulator:
         dt = self.dt
         b1, b2 = self.bias
 
-        # per-candidate trapezoidal controller blocks, stacked across lanes
+        # per-candidate trapezoidal controller blocks, stacked across lanes in
+        # column form so that each lane takes DiscreteController.step's products
         blocks = []
         for side in (0, 1):
-            ctrls = [DiscreteController(CdmSpec(pair[side]), dt) for pair in controller_pairs]
-            blocks.append([np.array([getattr(c, name) for c in ctrls]) for name in ("ad", "bd", "cd", "dd")])
+            ctrls = [DiscreteController(pair[side], dt) for pair in controller_pairs]
+            ad, bd, cd, dd = (np.array([getattr(c, name) for c in ctrls]) for name in ("ad", "bd", "cd", "dd"))
+            blocks.append((ad, bd[:, :, None], cd[:, None, :], dd))
         (ad1, bd1, c1, d1), (ad2, bd2, c2, d2) = blocks
         x1, x2 = np.zeros_like(bd1), np.zeros_like(bd2)
         state = (np.zeros(len(controller_pairs)),) * 7
@@ -362,10 +349,10 @@ class BatchCdmSimulator:
                     break
                 ace1 = b1 * df1 + dptie
                 ace2 = b2 * df2 - dptie
-                u1 = -((c1 * x1).sum(1) + d1 * ace1)
-                u2 = -((c2 * x2).sum(1) + d2 * ace2)
-                x1 = (ad1 * x1[:, None, :]).sum(2) + bd1 * ace1[:, None]
-                x2 = (ad2 * x2[:, None, :]).sum(2) + bd2 * ace2[:, None]
+                u1 = -((c1 @ x1)[:, 0, 0] + d1 * ace1)
+                u2 = -((c2 @ x2)[:, 0, 0] + d2 * ace2)
+                x1 = ad1 @ x1 + bd1 * ace1[:, None, None]
+                x2 = ad2 @ x2 + bd2 * ace2[:, None, None]
 
                 state = rk4_step(self.rhs, state, self.loads, (u1, u2), k * dt, dt)
                 bad = ~np.isfinite(sum(state))

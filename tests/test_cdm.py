@@ -144,12 +144,11 @@ class TestStateSpace:
             realized=Polynomial([1.0]),
             stable=True,
         )
-        ss = controller_to_statespace(ctrl)
-        assert ss.order == 1
-        assert ss.A == ((0.0,),)
-        assert ss.B == (1.0,)
-        assert ss.C == (5.0,)
-        assert ss.D == 0.0
+        a, b, c, d = controller_to_statespace(ctrl)
+        assert a.tolist() == [[0.0]]
+        assert b.tolist() == [1.0]
+        assert c.tolist() == [5.0]
+        assert d == 0.0
 
     def test_poles_of_s_plus_s2(self):
         ctrl = CdmController(
@@ -161,8 +160,8 @@ class TestStateSpace:
             realized=Polynomial([1.0]),
             stable=True,
         )
-        ss = controller_to_statespace(ctrl)
-        eig = sorted(np.linalg.eigvals(np.array(ss.A)).real)
+        a, _, _, _ = controller_to_statespace(ctrl)
+        eig = sorted(np.linalg.eigvals(a).real)
         assert eig == pytest.approx([-1.0, 0.0], abs=1e-12)
 
     def test_improper_rejected(self):
@@ -181,9 +180,9 @@ class TestStateSpace:
     def test_biproper_feedthrough_split(self):
         plant = derive_design_plant(AREA1, TIE)
         ctrl = synthesize(plant, opt_gains(20.5126))
-        ss = controller_to_statespace(ctrl)
-        assert ss.order == 2
-        assert ss.D == pytest.approx(ctrl.Bc.coeff(2) / ctrl.Ac.coeff(2))
+        a, b, c, d = controller_to_statespace(ctrl)
+        assert a.shape == (2, 2) and b.shape == c.shape == (2,)
+        assert d == pytest.approx(ctrl.Bc.coeff(2) / ctrl.Ac.coeff(2))
 
 
 class TestSerialization:
