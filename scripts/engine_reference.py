@@ -18,14 +18,13 @@ import json
 import math
 import pathlib
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from cdmlfc import defaults
 from cdmlfc.cdm import synthesize
 from cdmlfc.plant import derive_design_plant
-from cdmlfc.scenarios import TuningObjective, case1_load, indices, realize, run_case
+from cdmlfc.scenarios import TuningObjective, indices, run_case
 from cdmlfc.sim import SystemModel, simulate
 
 CASES = (2, 3, 4, 5)
@@ -42,12 +41,10 @@ def objective_candidates() -> np.ndarray:
 
 def one_lane_iae(objective: TuningObjective, x: np.ndarray) -> float:
     """IAE of a one-lane `simulate` run of candidate x on the objective's model."""
-    areas = tuple(replace(a, Tg=a.Tg * objective.perturb, Tt=a.Tt * objective.perturb) for a in objective.areas)
     plants = [derive_design_plant(area, objective.tie) for area in objective.areas]
     pair = tuple(synthesize(plant, gains) for plant, gains in zip(plants, objective.decode(x)))
-    load = realize(case1_load(), objective.horizon)
-    model = SystemModel(areas, objective.tie, objective.nonlin, pair)
-    return indices(simulate(model, (load, load), dt=objective.dt, horizon=objective.horizon)).iae
+    model = SystemModel(objective.eval_areas, objective.tie, objective.nonlin, pair)
+    return indices(simulate(model, objective.eval_loads, dt=objective.dt, horizon=objective.horizon)).iae
 
 
 def main():

@@ -180,6 +180,20 @@ def _number(value, path: str) -> float:
     raise ConfigError(path, "expected a finite number")
 
 
+def _pair(values, path: str) -> list:
+    """values if a two-element list (one entry per area, or [low, high]), else a config error naming path."""
+    if not (isinstance(values, list) and len(values) == 2):
+        raise ConfigError(path, "expected a two-element list")
+    return values
+
+
+def _numbers(values, path: str) -> list[float]:
+    """values as a list of finite floats, else a config error naming path or the bad entry."""
+    if not isinstance(values, list):
+        raise ConfigError(path, "expected a list of numbers")
+    return [_number(v, f"{path}[{i}]") for i, v in enumerate(values)]
+
+
 def _step(node: dict, path: str) -> float:
     """node["dt"], an integrator step in (0, 0.05] as the simulator requires."""
     dt = _number(node["dt"], f"{path}.dt")
@@ -209,22 +223,18 @@ def build_config(user: Optional[dict] = None, overrides: Optional[dict] = None) 
     controllers = merged["controllers"]
     opt = merged["optimizer"]
 
-    gamma = [float(g) for g in controllers["cdm_opt"]["gamma"]]
-    tau = float(controllers["cdm_opt"]["tau"])
-    kb0 = controllers["cdm_opt"]["k_b0"]
-    if not (isinstance(kb0, list) and len(kb0) == 2):
-        raise ConfigError("controllers.cdm_opt.k_b0", "expected a two-element list")
+    cdm_opt = controllers["cdm_opt"]
+    gamma = _numbers(cdm_opt["gamma"], "controllers.cdm_opt.gamma")
+    tau = _number(cdm_opt["tau"], "controllers.cdm_opt.tau")
+    kb0 = _numbers(_pair(cdm_opt["k_b0"], "controllers.cdm_opt.k_b0"), "controllers.cdm_opt.k_b0")
     try:
-        cdm_gains = tuple(CdmGains(gamma, tau, float(k)) for k in kb0)
+        cdm_gains = tuple(CdmGains(gamma, tau, k) for k in kb0)
     except ValueError as exc:
         raise ConfigError("controllers.cdm_opt", str(exc)) from None
 
-    pid_nodes = controllers["pid"]
-    if not (isinstance(pid_nodes, list) and len(pid_nodes) == 2):
-        raise ConfigError("controllers.pid", "expected a two-element list")
     pid = []
     keys = {f.name for f in fields(PidSpec)}
-    for i, node in enumerate(pid_nodes):
+    for i, node in enumerate(_pair(controllers["pid"], "controllers.pid")):
         path = f"controllers.pid[{i}]"
         if not isinstance(node, dict) or set(node.keys()) - keys:
             raise ConfigError(path, f"expected keys {sorted(keys)}")
@@ -233,19 +243,21 @@ def build_config(user: Optional[dict] = None, overrides: Optional[dict] = None) 
             raise ConfigError(f"{path}.{sorted(missing)[0]}", "missing required field")
         pid.append(_record(PidSpec, {"tf": defaults.PID_FILTER_TF, **node}, path))
 
-    integral = merged["controllers"]["integral"]
-    if not (isinstance(integral, list) and len(integral) == 2):
-        raise ConfigError("controllers.integral", "expected a two-element list")
+    integral = _numbers(_pair(controllers["integral"], "controllers.integral"), "controllers.integral")
 
-    bounds_node = opt["bounds"]
-    for key, pair in bounds_node.items():
-        if not (isinstance(pair, list) and len(pair) == 2 and pair[0] < pair[1]):
-            raise ConfigError(f"optimizer.bounds.{key}", "expected [low, high] with low < high")
-    opt_bounds = (
-        [tuple(bounds_node["gamma"])] * 5
-        + [tuple(bounds_node["tau"])]
-        + [tuple(bounds_node["k_b0"])] * 2
-    )
+    classic = []
+    for key in ("ac", "bc"):
+        path = f"controllers.cdm_classic.{key}"
+        polys = _pair(controllers["cdm_classic"][key], path)
+        classic.append(tuple(Polynomial(_numbers(c, f"{path}[{i}]")) for i, c in enumerate(polys)))
+
+    bounds = {}
+    for key, pair in opt["bounds"].items():
+        path = f"optimizer.bounds.{key}"
+        low, high = bounds[key] = tuple(_numbers(_pair(pair, path), path))
+        if not low < high:
+            raise ConfigError(path, "expected [low, high] with low < high")
+    opt_bounds = [bounds["gamma"]] * 5 + [bounds["tau"]] + [bounds["k_b0"]] * 2
 
     solver = merged["solver"]
     dt = _step(solver, "solver")
@@ -267,11 +279,11 @@ def build_config(user: Optional[dict] = None, overrides: Optional[dict] = None) 
         tie=_record(TieLine, model["tie"], "model.tie"),
         nonlin=_record(NonlinearityConfig, model["nonlinear"], "model.nonlinear"),
         cases_nonlin=_record(NonlinearityConfig, merged["cases"]["nonlinear"], "cases.nonlinear"),
-        cases_seed=int(merged["cases"]["seed"]),
+        cases_seed=int(_number(merged["cases"]["seed"], "cases.seed")),
         cdm_gains=cdm_gains,
-        classic=tuple(tuple(Polynomial(c) for c in controllers["cdm_classic"][k]) for k in ("ac", "bc")),
+        classic=tuple(classic),
         pid=tuple(pid),
-        integral=tuple(IntegralSpec(float(k)) for k in integral),
+        integral=tuple(IntegralSpec(k) for k in integral),
         dt=dt,
         controller_dt=controller_dt,
         horizon=horizon,

@@ -87,28 +87,28 @@ class Polynomial:
         return Polynomial(k * c for c in self.coeffs)
 
     def __call__(self, s0: float) -> float:
-        return poly_eval(self, s0)
+        """Evaluate at s0 by Horner's rule."""
+        acc = 0.0
+        for c in reversed(self.coeffs):
+            acc = acc * s0 + c
+        return acc
 
     def as_json(self) -> list[float]:
         return list(self.coeffs)
 
     def __str__(self) -> str:
-        return format_ascending(self)
-
-
-def format_ascending(p: Polynomial) -> str:
-    """Render as "a0 + a1*s + a2*s^2 + ..." for reports."""
-    parts = []
-    for i, c in enumerate(p.coeffs):
-        if c == 0.0 and not (i == 0 and p.is_zero):
-            continue
-        if i == 0:
-            parts.append(f"{c:.6g}")
-        elif i == 1:
-            parts.append(f"{c:.6g}*s")
-        else:
-            parts.append(f"{c:.6g}*s^{i}")
-    return " + ".join(parts) if parts else "0"
+        """Render as "a0 + a1*s + a2*s^2 + ..." for reports."""
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if c == 0.0 and not (i == 0 and self.is_zero):
+                continue
+            if i == 0:
+                parts.append(f"{c:.6g}")
+            elif i == 1:
+                parts.append(f"{c:.6g}*s")
+            else:
+                parts.append(f"{c:.6g}*s^{i}")
+        return " + ".join(parts) if parts else "0"
 
 
 def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -120,14 +120,6 @@ def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
         for j, b in enumerate(q.coeffs):
             out[i + j] += a * b
     return Polynomial(out)
-
-
-def poly_eval(p: Polynomial, s0: float) -> float:
-    """Evaluate p at s0 by Horner's rule."""
-    acc = 0.0
-    for c in reversed(p.coeffs):
-        acc = acc * s0 + c
-    return acc
 
 
 def _require_nonzero_coeffs(p: Polynomial) -> None:
@@ -156,17 +148,8 @@ def equivalent_tau(p: Polynomial) -> float:
 def stability_limits(p: Polynomial) -> list[float]:
     """gamma*_i = 1/gamma_{i-1} + 1/gamma_{i+1} with gamma_0 = gamma_n = inf."""
     gamma = stability_indices(p)
-    return stability_limits_from(gamma)
-
-
-def stability_limits_from(gamma: Sequence[float]) -> list[float]:
-    m = len(gamma)
-    out = []
-    for i in range(m):
-        left = 1.0 / gamma[i - 1] if i - 1 >= 0 else 0.0
-        right = 1.0 / gamma[i + 1] if i + 1 < m else 0.0
-        out.append(left + right)
-    return out
+    inverse = [0.0] + [1.0 / g for g in gamma] + [0.0]
+    return [inverse[i] + inverse[i + 2] for i in range(len(gamma))]
 
 
 def break_points(p: Polynomial) -> list[float]:
@@ -276,6 +259,4 @@ def lipatov_sufficient(p: Polynomial) -> bool:
         return False
     if p.degree < 2:
         return True
-    gamma = stability_indices(p)
-    limits = stability_limits_from(gamma)
-    return all(g > 1.5 * gs for g, gs in zip(gamma, limits))
+    return all(g > 1.5 * gs for g, gs in zip(stability_indices(p), stability_limits(p)))

@@ -227,11 +227,11 @@ class TuningObjective:
 
     def __post_init__(self):
         self._plants = tuple(derive_design_plant(a, self.tie) for a in self.areas)
-        perturbed = tuple(replace(a, Tg=a.Tg * self.perturb, Tt=a.Tt * self.perturb) for a in self.areas)
+        # the evaluation model, built here only: Tg and Tt scaled by perturb, the case-1 load in both areas
+        self.eval_areas = tuple(replace(a, Tg=a.Tg * self.perturb, Tt=a.Tt * self.perturb) for a in self.areas)
         load = realize(case1_load(), self.horizon)
-        self._sim = BatchCdmSimulator(
-            perturbed, self.tie, self.nonlin, (load, load), self.dt, self.horizon
-        )
+        self.eval_loads = (load, load)
+        self._sim = BatchCdmSimulator(self.eval_areas, self.tie, self.nonlin, self.eval_loads, self.dt, self.horizon)
 
     def decode(self, x: Sequence[float]) -> tuple[CdmGains, CdmGains]:
         gamma = tuple(float(v) for v in x[:5])

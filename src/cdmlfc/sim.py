@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.signal import cont2discrete
 
 from .cdm import CdmController, controller_to_statespace
 from .errors import NonFiniteState
@@ -89,11 +88,13 @@ def _continuous_realization(spec: ControllerSpec) -> tuple[np.ndarray, np.ndarra
 def tustin_discretize(
     a: np.ndarray, b: np.ndarray, c: np.ndarray, d: float, dt: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Bilinear (trapezoidal) discretization of (A, B, C, D) at step dt."""
-    ad, bd, cd, dd, _ = cont2discrete(
-        (a, b.reshape(-1, 1), c.reshape(1, -1), np.array([[d]])), dt, method="bilinear"
-    )
-    return ad, bd.ravel(), cd.ravel(), float(dd[0, 0])
+    """Bilinear (trapezoidal) discretization of (A, B, C, D) at step dt, in four linear solves."""
+    eye = np.eye(a.shape[0])
+    ima = eye - 0.5 * dt * a
+    ad = np.linalg.solve(ima, eye + 0.5 * dt * a)
+    bd = np.linalg.solve(ima, dt * b)
+    cd = np.linalg.solve(ima.T, c)
+    return ad, bd, cd, d + 0.5 * float(c @ bd)
 
 
 class DiscreteController:
@@ -175,13 +176,6 @@ def plant_rhs(
         return (ddf1, ddpm1, ddpg1, ddf2, ddpm2, ddpg2, t12 * (df1 - df2))
 
     return rhs
-
-
-def derivatives(
-    state: Sequence[float], model: SystemModel, loads: tuple[float, float], u: tuple[float, float]
-) -> tuple[float, ...]:
-    """One-lane plant state derivative of `model` (see `plant_rhs`)."""
-    return plant_rhs(model.areas, model.tie, model.nonlin)(state, loads, u)
 
 
 def rk4_step(rhs: Callable, state: tuple, loads: tuple[LoadFn, LoadFn], u: tuple, t: float, h: float) -> tuple:

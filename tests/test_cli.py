@@ -85,14 +85,39 @@ class TestConfig:
             ({"solver": {"dt": "fast"}}, "solver.dt"),
             ({"solver": {"controller_dt": float("inf")}}, "solver.controller_dt"),
             ({"scenario": {"horizon": -1.0}}, "scenario.horizon"),
+            ({"controllers": {"integral": ["x", 0.2]}}, "controllers.integral[0]"),
+            ({"controllers": {"integral": [0.3, float("nan")]}}, "controllers.integral[1]"),
+            (
+                {"controllers": {"cdm_opt": {"gamma": ["a", 1, 1, 1, 1], "tau": 1, "k_b0": [1, 1]}}},
+                "controllers.cdm_opt.gamma[0]",
+            ),
+            (
+                {"controllers": {"cdm_opt": {"gamma": [1, 1, 1, 1, 1], "tau": "fast", "k_b0": [1, 1]}}},
+                "controllers.cdm_opt.tau",
+            ),
+            (
+                {"controllers": {"cdm_classic": {"ac": [[0, 1, "z"], [0, 1]], "bc": [[1], [1]]}}},
+                "controllers.cdm_classic.ac[0][2]",
+            ),
+            (
+                {"controllers": {"cdm_classic": {"ac": [[0, 1], [0, 1]], "bc": [[1], [None]]}}},
+                "controllers.cdm_classic.bc[1][0]",
+            ),
+            ({"cases": {"seed": "abc"}}, "cases.seed"),
         ):
             with pytest.raises(ConfigError) as err:
                 build_config(user)
             assert key in str(err.value)
 
     def test_bad_bounds_rejected(self):
-        with pytest.raises(ConfigError):
-            build_config({"optimizer": {"bounds": {"gamma": [5, 1], "tau": [0.1, 5], "k_b0": [1, 100]}}})
+        for gamma, key in (
+            ([5, 1], "optimizer.bounds.gamma"),
+            ([1, "b"], "optimizer.bounds.gamma[1]"),
+            (["a", "b"], "optimizer.bounds.gamma[0]"),
+        ):
+            with pytest.raises(ConfigError) as err:
+                build_config({"optimizer": {"bounds": {"gamma": gamma, "tau": [0.1, 5], "k_b0": [1, 100]}}})
+            assert key in str(err.value)
 
 
 class TestCliCommands:
@@ -111,6 +136,13 @@ class TestCliCommands:
         cfg.write_text(json.dumps({"controllers": {"cdm_opt": {"gamma": [1, 1, 1, 1, 1], "k_b0": [1, 1]}}}))
         rc = main(["design", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
+
+    def test_design_non_numeric_gain_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"controllers": {"integral": ["x", 0.2]}}))
+        rc = main(["design", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "controllers.integral[0]" in capsys.readouterr().err
 
     def test_case2_outputs(self, tmp_path):
         rc = main(["case", "2", "--out", str(tmp_path)])

@@ -10,7 +10,6 @@ from cdmlfc.poly import (
     hurwitz_verdict,
     is_hurwitz,
     lipatov_sufficient,
-    poly_eval,
     poly_mul,
     stability_indices,
     stability_limits,
@@ -63,12 +62,12 @@ class TestPolynomialBasics:
 
     def test_eval(self):
         p = Polynomial([1.0, 2.0, 1.0])
-        assert poly_eval(p, 0.0) == 1.0
-        assert poly_eval(p, 1.0) == 4.0
+        assert p(0.0) == 1.0
+        assert p(1.0) == 4.0
 
     def test_eval_area1_numerator_at_zero(self):
         n1 = Polynomial([1.2566, 0.3483])
-        assert poly_eval(n1, 0.0) == pytest.approx(1.256, abs=1e-3)
+        assert n1(0.0) == pytest.approx(1.256, abs=1e-3)
 
     def test_descending_roundtrip(self):
         p = Polynomial.from_descending([0.3483, 1.2566])

@@ -5,15 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from cdmlfc import defaults
-from cdmlfc.cdm import CdmController, synthesize
+from cdmlfc.cdm import CdmController, CdmGains, synthesize
 from cdmlfc.errors import CdmlfcError, ImproperController, NonFiniteState
 from cdmlfc.plant import NonlinearityConfig, derive_design_plant
 from cdmlfc.poly import Polynomial
-from cdmlfc.scenarios import TuningObjective, case1_load, realize, run_case
+from cdmlfc.scenarios import TuningObjective, run_case
 from cdmlfc.sim import (
     BatchCdmSimulator,
     DiscreteController,
@@ -21,7 +21,6 @@ from cdmlfc.sim import (
     PidSpec,
     SystemModel,
     Trajectory,
-    derivatives,
     plant_rhs,
     simulate,
 )
@@ -64,31 +63,31 @@ def model(nonlin=None, controllers=None):
 class TestDerivatives:
     def test_equilibrium(self):
         m = model()
-        d = derivatives((0.0,) * 7, m, (0.0, 0.0), (0.0, 0.0))
+        d = plant_rhs(m.areas, m.tie, m.nonlin)((0.0,) * 7, (0.0, 0.0), (0.0, 0.0))
         assert d == (0.0,) * 7
 
     def test_grc_clamp_value(self):
         # dPg - dPm = 1 pu with Tt = 0.4 would slew at 2.5 pu/s unclamped
         m = model(nonlin=NonlinearityConfig(grc_rate=0.1 / 60.0, gdb_width=0.0))
-        d = derivatives((0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0), m, (0.0, 0.0), (0.0, 0.0))
+        d = plant_rhs(m.areas, m.tie, m.nonlin)((0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
         assert d[1] == pytest.approx(0.1 / 60.0)
         assert d[1] == pytest.approx(0.0016667, rel=1e-4)
 
     def test_dead_band_swallows_droop(self):
         m = model()  # gdb width 0.05, half width 0.025
         df1 = 0.06  # df/R = 0.02 < 0.025
-        d = derivatives((df1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), m, (0.0, 0.0), (0.0, 0.0))
+        d = plant_rhs(m.areas, m.tie, m.nonlin)((df1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
         assert d[2] == 0.0
 
     def test_droop_outside_dead_band(self):
         m = model()
         df1 = 0.09  # df/R = 0.03 > 0.025
-        d = derivatives((df1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), m, (0.0, 0.0), (0.0, 0.0))
+        d = plant_rhs(m.areas, m.tie, m.nonlin)((df1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
         assert d[2] == pytest.approx(-(0.03 - 0.025) / defaults.AREA1.Tg)
 
     def test_tie_line_antisymmetry_inputs(self):
         m = model()
-        d = derivatives((0.001, 0.0, 0.0, -0.002, 0.0, 0.0, 0.0), m, (0.0, 0.0), (0.0, 0.0))
+        d = plant_rhs(m.areas, m.tie, m.nonlin)((0.001, 0.0, 0.0, -0.002, 0.0, 0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
         assert d[6] == pytest.approx(2.0 * math.pi * 0.2 * 0.003)
 
 
@@ -141,6 +140,32 @@ class TestDiscretizeController:
         with pytest.raises(ImproperController):
             DiscreteController(bad, dt=0.01)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(("cdm", "pid", "integral")), dt=st.sampled_from((0.005, 0.01, 0.02)))
+    def test_bilinear_map_keeps_the_frequency_response(self, data, kind, dt):
+        # cd (zI - ad)^-1 bd + dd at z = exp(j w dt) equals the continuous
+        # controller's transfer function at s = (2/dt)(z - 1)/(z + 1)
+        gain = st.floats(0.01, 10.0)
+        if kind == "cdm":
+            x = data.draw(st.tuples(*(st.floats(lo, hi) for lo, hi in defaults.OPT_BOUNDS)))
+            area = data.draw(st.sampled_from((defaults.AREA1, defaults.AREA2)))
+            try:
+                spec = synthesize(derive_design_plant(area, defaults.TIE), CdmGains(x[:5], x[5], x[6]))
+            except (CdmlfcError, ValueError):
+                reject()
+            response = lambda s: spec.Bc(s) / spec.Ac(s)
+        elif kind == "pid":
+            spec = PidSpec(data.draw(gain), data.draw(gain), data.draw(gain), tf=data.draw(st.floats(0.005, 0.5)))
+            response = lambda s: spec.kp + spec.ki / s + spec.kd * s / (spec.tf * s + 1.0)
+        else:
+            spec = IntegralSpec(data.draw(gain))
+            response = lambda s: spec.ki / s
+        ctrl = DiscreteController(spec, dt)
+        for w in (0.1, 1.0, 10.0, 100.0):
+            z = np.exp(1j * w * dt)
+            discrete = ctrl.cd @ np.linalg.solve(z * np.eye(len(ctrl.bd)) - ctrl.ad, ctrl.bd) + ctrl.dd
+            assert discrete == pytest.approx(response(2.0 / dt * (z - 1.0) / (z + 1.0)), rel=1e-9)
+
 
 class TestSimulate:
     def test_zero_input_zero_trajectory(self):
@@ -174,7 +199,7 @@ class TestSimulate:
         # simpler: simulate and inspect using a probe on successive mech power
         # values via a custom channel is unavailable; use df-based bound instead:
         # the mechanical power is not exported, so check the clamp directly.
-        d = derivatives((0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0), m, (0.0, 0.0), (0.0, 0.0))
+        d = plant_rhs(m.areas, m.tie, m.nonlin)((0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
         assert abs(d[1]) <= grc * (1 + 1e-9)
 
     def test_tie_line_antisymmetry_of_ace(self):
@@ -221,6 +246,7 @@ class TestGrcRate:
         c1 = dc(m.controllers[0], dt)
         c2 = dc(m.controllers[1], dt)
         b1, b2 = frequency_bias(m.areas[0]), frequency_bias(m.areas[1])
+        rhs = plant_rhs(m.areas, m.tie, m.nonlin)
         state = (0.0,) * 7
         max_rate = 0.0
         for k in range(round(horizon / dt)):
@@ -229,13 +255,13 @@ class TestGrcRate:
             ace2 = b2 * state[3] - state[6]
             u = (c1.step(ace1), c2.step(ace2))
             loads = lambda tt: (STEP1(tt), 0.0)
-            k1 = derivatives(state, m, loads(t), u)
+            k1 = rhs(state, loads(t), u)
             s2 = tuple(x + 0.5 * dt * d for x, d in zip(state, k1))
-            k2 = derivatives(s2, m, loads(t + 0.5 * dt), u)
+            k2 = rhs(s2, loads(t + 0.5 * dt), u)
             s3 = tuple(x + 0.5 * dt * d for x, d in zip(state, k2))
-            k3 = derivatives(s3, m, loads(t + 0.5 * dt), u)
+            k3 = rhs(s3, loads(t + 0.5 * dt), u)
             s4 = tuple(x + dt * d for x, d in zip(state, k3))
-            k4 = derivatives(s4, m, loads(t + dt), u)
+            k4 = rhs(s4, loads(t + dt), u)
             nxt = tuple(
                 x + dt / 6.0 * (a + 2 * b + 2 * c + d)
                 for x, a, b, c, d in zip(state, k1, k2, k3, k4)
@@ -379,12 +405,11 @@ class TestEngineReference:
         # run of the objective's own model (drifted areas, case-1 load in both)
         rec = REFERENCE["objective"]
         objective = TuningObjective()
-        areas = tuple(replace(a, Tg=a.Tg * objective.perturb, Tt=a.Tt * objective.perturb) for a in objective.areas)
         plants = [derive_design_plant(area, objective.tie) for area in objective.areas]
-        load = realize(case1_load(), objective.horizon)
         live = [(x, cost) for x, cost in zip(rec["candidates"], rec["costs"]) if cost < 1e6]
         assert live
         for x, cost in live:
             pair = tuple(synthesize(plant, gains) for plant, gains in zip(plants, objective.decode(x)))
-            m = SystemModel(areas, objective.tie, objective.nonlin, pair)
-            assert cost == pytest.approx(one_lane_iae(m, (load, load), objective.dt, objective.horizon), rel=1e-12)
+            m = SystemModel(objective.eval_areas, objective.tie, objective.nonlin, pair)
+            iae = one_lane_iae(m, objective.eval_loads, objective.dt, objective.horizon)
+            assert cost == pytest.approx(iae, rel=1e-12)
