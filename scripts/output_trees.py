@@ -1,0 +1,81 @@
+"""Write the output trees of a fixed list of CLI commands, for byte comparison.
+
+    PYTHONPATH=src python3 scripts/output_trees.py OUT
+
+Each command runs through `cdmlfc.cli.main` into OUT/<name>; its stdout and
+exit code go to OUT/<name>/stdout.txt and OUT/<name>/exit_code.txt. Run it
+on two checkouts and `diff -r` the two OUT directories: an empty diff means
+the change kept every output, manifests included, byte for byte.
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+import sys
+
+from cdmlfc.cli import main
+
+CONTROLLERS = ["--controllers", "cdm_opt,cdm,pid,pi"]
+
+CONFIGS = {
+    "case1": {"optimizer": {"n_pop": 12, "max_it": 4}},
+    "optimize": {"optimizer": {"n_pop": 20, "max_it": 6, "seed": 3}},
+    # a sine without its optional start, a composite and seeded random loads
+    "custom": {
+        "scenario": {
+            "loads": [
+                {
+                    "kind": "composite",
+                    "parts": [
+                        {"kind": "sine", "amplitude": 0.01, "frequency": 0.1},
+                        {"kind": "step", "magnitude": 0.005, "time": 2.0},
+                    ],
+                },
+                {"kind": "uniform_random", "amplitude": 0.01, "hold": 2.0, "seed": 7},
+            ],
+            "horizon": 20.0,
+            "disturbance_time": 0.0,
+        }
+    },
+}
+
+
+def commands(configs: pathlib.Path) -> dict[str, list[str]]:
+    def config(name: str) -> list[str]:
+        return ["--config", str(configs / f"{name}.json")]
+
+    return {
+        "case1": ["case", "1", *config("case1"), *CONTROLLERS],
+        **{f"case{i}": ["case", str(i), *CONTROLLERS] for i in range(2, 7)},
+        "sweep": ["sweep", *CONTROLLERS],
+        "design": ["design"],
+        "simulate": ["simulate", "--horizon", "20", *CONTROLLERS],
+        "compare": ["compare", "--horizon", "20", *CONTROLLERS],
+        "case2_dt0.005": ["case", "2", "--dt", "0.005", "--horizon", "20", *CONTROLLERS],
+        "optimize": ["optimize", *config("optimize"), "--repeats", "2"],
+        "optimize_random": ["optimize", *config("optimize"), "--algorithm", "random-search"],
+        "custom_compare": ["compare", *config("custom"), *CONTROLLERS],
+    }
+
+
+def run(out: pathlib.Path) -> None:
+    configs = out / "configs"
+    configs.mkdir(parents=True, exist_ok=True)
+    for name, cfg in CONFIGS.items():
+        (configs / f"{name}.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
+    for name, argv in commands(configs).items():
+        target = out / name
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            rc = main(argv + ["--out", str(target)])
+        target.mkdir(parents=True, exist_ok=True)
+        (target / "stdout.txt").write_text(stdout.getvalue())
+        (target / "exit_code.txt").write_text(f"{rc}\n")
+        print(f"{name}: exit {rc}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: output_trees.py OUT")
+    run(pathlib.Path(sys.argv[1]))

@@ -14,12 +14,12 @@ import numpy as np
 from cdmlfc.wca import WcaConfig, minimize
 
 
-def sphere(x):
-    return float(np.sum(x * x))
+def sphere(X):
+    return np.sum(X * X, axis=1)
 
 
-def rosenbrock(x):
-    return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
+def rosenbrock(X):
+    return 100.0 * (X[:, 1] - X[:, 0] ** 2) ** 2 + (1.0 - X[:, 0]) ** 2
 
 
 def main():
@@ -31,8 +31,7 @@ def main():
     ]:
         finals = []
         for seed in seeds:
-            best, _ = minimize(fn, [box, box], WcaConfig(seed=seed))
-            finals.append(best.cost)
+            finals.append(minimize(fn, [box, box], WcaConfig(seed=seed))[1])
         record[name] = {
             "bounds": list(box),
             "seeds": seeds,

@@ -5,14 +5,13 @@ __version__ = "0.1.0"
 from .cdm import CdmController, CdmGains, closed_loop, controller_to_statespace, synthesize
 from .plant import AreaParams, DesignPlant, NonlinearityConfig, TieLine, derive_design_plant, frequency_bias
 from .poly import Polynomial, is_hurwitz, lipatov_sufficient, stability_indices, target_poly
-from .scenarios import Metrics, TuningObjective, indices, run_case, sensitivity_sweep, transient_measures
+from .scenarios import Metrics, TuningObjective, indices, run_case, run_scenario, sensitivity_sweep, transient_measures
 from .sim import IntegralSpec, PidSpec, SystemModel, Trajectory, simulate
-from .wca import Candidate, WcaConfig, minimize
+from .wca import WcaConfig, minimize
 
 __all__ = [
     "__version__",
     "AreaParams",
-    "Candidate",
     "CdmController",
     "CdmGains",
     "DesignPlant",
@@ -35,6 +34,7 @@ __all__ = [
     "lipatov_sufficient",
     "minimize",
     "run_case",
+    "run_scenario",
     "sensitivity_sweep",
     "simulate",
     "stability_indices",

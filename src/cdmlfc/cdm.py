@@ -68,20 +68,6 @@ class CdmController:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "CdmController":
-        gains = data.get("gains")
-        return cls(
-            Ac=Polynomial(data["ac"]),
-            Bc=Polynomial(data["bc"]),
-            F=float(data["f"]),
-            residual=float(data["residual"]),
-            target=Polynomial(data["target"]),
-            realized=Polynomial(data["realized"]),
-            stable=bool(data["stable"]),
-            gains=None if gains is None else CdmGains(gains["gamma"], gains["tau"], gains["k_b0"]),
-        )
-
-    @classmethod
     def from_polynomials(cls, ac: Polynomial, bc: Polynomial, plant: DesignPlant) -> "CdmController":
         """Wrap explicitly given controller polynomials (e.g. fixed baselines)."""
         realized = closed_loop_poly(plant, ac, bc)

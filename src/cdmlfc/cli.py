@@ -23,19 +23,7 @@ from .cdm import synthesize
 from .config import RunConfig, load_config
 from .errors import ConfigError, NonFiniteState, ObjectiveFailure, SingularSystem
 from .plant import derive_design_plant
-from .scenarios import (
-    CaseReport,
-    SweepReport,
-    TuningObjective,
-    model_snapshot,
-    profile_from_json,
-    rank_controllers,
-    realize,
-    run_case,
-    run_controllers,
-    sensitivity_sweep,
-    table6_specs,
-)
+from .scenarios import CaseReport, SweepReport, TuningObjective, run_case, run_scenario, sensitivity_sweep, table6_specs
 from .sim import horizon_steps, sample_steps
 from .wca import minimize, random_search
 
@@ -183,12 +171,12 @@ def cmd_optimize(cfg: RunConfig, outdir: Path, repeats: int, algorithm: str) -> 
     for k in range(repeats):
         seed = cfg.wca.seed + k
         wca_cfg = dataclasses.replace(cfg.wca, seed=seed)
-        cand, history = runner(objective, objective.bounds, wca_cfg, batch_objective=objective.batch)
+        position, cost, history = runner(objective.batch, objective.bounds, wca_cfg)
         _convergence_csv(outdir / f"convergence_seed{seed}.csv", history)
-        finals.append(cand.cost)
-        print(f"seed {seed}: final J = {cand.cost:.6g}")
-        if cand.cost < best_cost:
-            best_cost, best_vec, best_seed = cand.cost, cand.position.copy(), seed
+        finals.append(cost)
+        print(f"seed {seed}: final J = {cost:.6g}")
+        if cost < best_cost:
+            best_cost, best_vec, best_seed = cost, position.copy(), seed
 
     if best_cost >= 1e6:
         print("optimization never found a stable design (all penalties)", file=sys.stderr)
@@ -205,7 +193,7 @@ def cmd_optimize(cfg: RunConfig, outdir: Path, repeats: int, algorithm: str) -> 
             "gamma": list(g1.gamma),
             "tau": g1.tau,
             "k_b0": [g1.k_b0, g2.k_b0],
-            "reference_j": objective(objective.reference_vector()),
+            "reference_j": float(objective.batch(objective.reference_vector())[0]),
         },
     )
     arr = np.array(finals)
@@ -225,45 +213,21 @@ def cmd_optimize(cfg: RunConfig, outdir: Path, repeats: int, algorithm: str) -> 
 
 def _scenario_report(cfg: RunConfig, controllers: list[str]) -> CaseReport:
     """Run the configured scenario (`scenario.*`, the model, the solver) for each controller set."""
-    horizon = _run_horizon(cfg, float(cfg.scenario["horizon"]), "the scenario (scenario.horizon)")
-    t0 = float(cfg.scenario["disturbance_time"])
-    raw = cfg.scenario["loads"]
-    if not (isinstance(raw, list) and len(raw) == 2):
-        raise ConfigError("scenario.loads", "expected a two-element list of load profiles")
-    try:
-        profiles = [profile_from_json(node) for node in raw]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("scenario.loads", f"bad load profile: {exc}") from None
     pairs = (
         (name, defaults.build_controller_pair(name, cfg.areas, cfg.tie, cfg.cdm_gains, cfg.classic, cfg.pid, cfg.integral))
         for name in controllers
     )
-    results = run_controllers(
+    return run_scenario(
+        0,
+        cfg.scenario,
         cfg.areas,
         cfg.tie,
         cfg.nonlin,
         pairs,
-        tuple(realize(p, horizon) for p in profiles),
         dt=cfg.dt,
         controller_dt=cfg.controller_dt,
-        horizon=horizon,
-        t0=t0,
-    )
-    return CaseReport(
-        case_id=0,
-        description="custom scenario comparison",
-        controllers=list(controllers),
-        results=results,
-        ranking=rank_controllers(results),
-        model_snapshot=model_snapshot(cfg.areas, cfg.tie, cfg.nonlin),
-        run_params={
-            "dt": cfg.dt,
-            "controller_dt": cfg.controller_dt,
-            "horizon": horizon,
-            "seed": cfg.cases_seed,
-            "disturbance_time": t0,
-            "loads": cfg.scenario["loads"],
-        },
+        horizon=_run_horizon(cfg, cfg.scenario.horizon, "the scenario (scenario.horizon)"),
+        seed=cfg.cases_seed,
     )
 
 
@@ -314,11 +278,9 @@ def _cmd_case1(cfg: RunConfig, outdir: Path) -> int:
         (outdir / f"convergence_seed{cfg.wca.seed}.csv").read_bytes()
     )
     objective = _tuning_objective(cfg)
-    cand, history = random_search(
-        objective, objective.bounds, cfg.wca, batch_objective=objective.batch
-    )
+    _, cost, history = random_search(objective.batch, objective.bounds, cfg.wca)
     _convergence_csv(outdir / "convergence_random.csv", history)
-    print(f"random-search baseline final J = {cand.cost:.6g}")
+    print(f"random-search baseline final J = {cost:.6g}")
     return 0
 
 

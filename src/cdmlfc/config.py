@@ -19,7 +19,7 @@ from .cdm import CdmGains
 from .errors import ConfigError
 from .plant import AreaParams, NonlinearityConfig, TieLine
 from .poly import Polynomial
-from .scenarios import case_definition, profile_to_json
+from .scenarios import CaseDefinition, case_definition, profile_from_json, profile_to_json
 from .sim import IntegralSpec, PidSpec, horizon_steps, sample_steps
 from .wca import WcaConfig
 
@@ -152,7 +152,7 @@ class RunConfig:
     opt_bounds: list
     objective_settings: dict
     objective_nonlin: NonlinearityConfig
-    scenario: dict
+    scenario: CaseDefinition
 
     def canonical_json(self) -> str:
         return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -225,6 +225,8 @@ def build_config(user: Optional[dict] = None, overrides: Optional[dict] = None) 
 
     cdm_opt = controllers["cdm_opt"]
     gamma = _numbers(cdm_opt["gamma"], "controllers.cdm_opt.gamma")
+    if len(gamma) != len(defaults.OPT_GAMMA):
+        raise ConfigError("controllers.cdm_opt.gamma", f"expected {len(defaults.OPT_GAMMA)} stability indices")
     tau = _number(cdm_opt["tau"], "controllers.cdm_opt.tau")
     kb0 = _numbers(_pair(cdm_opt["k_b0"], "controllers.cdm_opt.k_b0"), "controllers.cdm_opt.k_b0")
     try:
@@ -268,10 +270,16 @@ def build_config(user: Optional[dict] = None, overrides: Optional[dict] = None) 
     horizon = None if solver["horizon"] is None else _horizon(solver, "solver", dt, "solver.dt")
     objective_dt = _step(opt["objective"], "optimizer.objective")
     _horizon(opt["objective"], "optimizer.objective", objective_dt, "optimizer.objective.dt")
+    scenario = merged["scenario"]
     # its solver.dt grid is checked by the commands that run the scenario, so
     # that a --dt off its grid still serves the commands that do not
-    if not _number(merged["scenario"]["horizon"], "scenario.horizon") > 0.0:
+    scenario_horizon = _number(scenario["horizon"], "scenario.horizon")
+    if not scenario_horizon > 0.0:
         raise ConfigError("scenario.horizon", "must be > 0")
+    try:
+        loads = tuple(profile_from_json(node) for node in _pair(scenario["loads"], "scenario.loads"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError("scenario.loads", f"bad load profile: {exc}") from None
 
     return RunConfig(
         raw=merged,
@@ -291,7 +299,12 @@ def build_config(user: Optional[dict] = None, overrides: Optional[dict] = None) 
         opt_bounds=opt_bounds,
         objective_settings=dict(opt["objective"]),
         objective_nonlin=_record(NonlinearityConfig, opt["objective"], "optimizer.objective"),
-        scenario=merged["scenario"],
+        scenario=CaseDefinition(
+            "custom scenario comparison",
+            loads,
+            scenario_horizon,
+            disturbance_time=_number(scenario["disturbance_time"], "scenario.disturbance_time"),
+        ),
     )
 
 

@@ -108,7 +108,12 @@ def profile_from_json(data: Optional[dict]) -> Optional[LoadProfile]:
         raise ValueError(f"unknown load profile kind {kind!r}")
     if kind == "composite":
         return Composite(tuple(profile_from_json(p) for p in data["parts"]))
-    return _PROFILE_KINDS[kind](**{k: v for k, v in data.items() if k != "kind"})
+    profile = _PROFILE_KINDS[kind](**{k: v for k, v in data.items() if k != "kind"})
+    for f in fields(profile):
+        value = getattr(profile, f.name)
+        if type(value) not in ((int,) if f.type == "int" else (int, float)) or not math.isfinite(value):
+            raise ValueError(f"{kind} {f.name} must be a finite {f.type}")
+    return profile
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +275,6 @@ class TuningObjective:
                     costs[i] = 1e6 + pairs[j][0].residual + pairs[j][1].residual
         return costs
 
-    def __call__(self, x: Sequence[float]) -> float:
-        return float(self.batch(np.asarray(x, dtype=float).reshape(1, -1))[0])
-
 
 # ---------------------------------------------------------------------------
 # cases
@@ -318,13 +320,6 @@ def case_definition(case_id: int, seed: int = defaults.CASE_SEED) -> CaseDefinit
     raise ValueError("case definitions cover cases 2-5 (1 is the optimizer study, 6 the sweep)")
 
 
-def apply_area_overrides(area: AreaParams, overrides: dict) -> AreaParams:
-    unknown = set(overrides) - {f.name for f in fields(area)}
-    if unknown:
-        raise KeyError(f"unknown area parameter {sorted(unknown)[0]!r}")
-    return replace(area, **{key: float(value) for key, value in overrides.items()})
-
-
 @dataclass
 class ControllerResult:
     name: str
@@ -354,34 +349,43 @@ class CaseReport:
         }
 
 
-def model_snapshot(areas: tuple[AreaParams, AreaParams], tie: TieLine, nonlin: NonlinearityConfig) -> dict:
-    return {"area1": asdict(areas[0]), "area2": asdict(areas[1]), "T12": tie.T12, **asdict(nonlin)}
-
-
-def run_controllers(
+def run_scenario(
+    case_id: int,
+    definition: CaseDefinition,
     areas: tuple[AreaParams, AreaParams],
     tie: TieLine,
     nonlin: NonlinearityConfig,
     pairs: Iterable[tuple[str, tuple[ControllerSpec, ControllerSpec]]],
-    loads: tuple[LoadFn, LoadFn],
     *,
     dt: float,
     controller_dt: Optional[float],
     horizon: float,
-    t0: float,
-) -> list[ControllerResult]:
-    """Simulate and score each (name, controller pair) on one model and load."""
+    seed: int,
+) -> CaseReport:
+    """Simulate and score each (name, controller pair) on one scenario: the
+    definition's loads over `horizon`, on `areas` with its area overrides."""
+    areas = tuple(replace(area, **overrides) for area, overrides in zip(areas, definition.area_overrides))
+    loads = tuple(realize(p, horizon) for p in definition.loads)
     results = []
     for name, pair in pairs:
-        model = SystemModel(areas, tie, nonlin, pair)
-        traj = simulate(model, loads, dt=dt, horizon=horizon, controller_dt=controller_dt)
-        results.append(ControllerResult(name, evaluate(traj, t0=t0), traj))
-    return results
-
-
-def rank_controllers(results: Sequence[ControllerResult]) -> list[str]:
-    """Controller names, best first, lexicographic by (IAE, ISE)."""
-    return [r.name for r in sorted(results, key=lambda r: (r.metrics.iae, r.metrics.ise))]
+        traj = simulate(SystemModel(areas, tie, nonlin, pair), loads, dt=dt, horizon=horizon, controller_dt=controller_dt)
+        results.append(ControllerResult(name, evaluate(traj, t0=definition.disturbance_time), traj))
+    return CaseReport(
+        case_id=case_id,
+        description=definition.description,
+        controllers=[r.name for r in results],
+        results=results,
+        ranking=[r.name for r in sorted(results, key=lambda r: (r.metrics.iae, r.metrics.ise))],
+        model_snapshot={"area1": asdict(areas[0]), "area2": asdict(areas[1]), "T12": tie.T12, **asdict(nonlin)},
+        run_params={
+            "dt": dt,
+            "controller_dt": controller_dt,
+            "horizon": horizon,
+            "seed": seed,
+            "disturbance_time": definition.disturbance_time,
+            "loads": [profile_to_json(p) for p in definition.loads],
+        },
+    )
 
 
 def run_case(
@@ -396,39 +400,17 @@ def run_case(
 ) -> CaseReport:
     """Simulate one bundled case for each requested controller set."""
     cd = case_definition(case_id, seed=seed)
-    horizon = cd.horizon if horizon is None else float(horizon)
-    nonlin = defaults.NONLIN_CASES if nonlin is None else nonlin
-    areas = (
-        apply_area_overrides(defaults.AREA1, cd.area_overrides[0]),
-        apply_area_overrides(defaults.AREA2, cd.area_overrides[1]),
-    )
-    loads = (realize(cd.loads[0], horizon), realize(cd.loads[1], horizon))
-    results = run_controllers(
-        areas,
+    return run_scenario(
+        case_id,
+        cd,
+        (defaults.AREA1, defaults.AREA2),
         defaults.TIE,
-        nonlin,
+        defaults.NONLIN_CASES if nonlin is None else nonlin,
         ((name, defaults.controller_pair(name)) for name in controllers),
-        loads,
         dt=dt,
         controller_dt=controller_dt,
-        horizon=horizon,
-        t0=cd.disturbance_time,
-    )
-    return CaseReport(
-        case_id=case_id,
-        description=cd.description,
-        controllers=list(controllers),
-        results=results,
-        ranking=rank_controllers(results),
-        model_snapshot=model_snapshot(areas, defaults.TIE, nonlin),
-        run_params={
-            "dt": dt,
-            "controller_dt": controller_dt,
-            "horizon": horizon,
-            "seed": seed,
-            "disturbance_time": cd.disturbance_time,
-            "loads": [profile_to_json(p) for p in cd.loads],
-        },
+        horizon=cd.horizon if horizon is None else float(horizon),
+        seed=seed,
     )
 
 
@@ -513,7 +495,7 @@ def sensitivity_sweep(
         for delta in spec.deltas:
             value = getattr(nominal[i], field_name) * (1.0 + delta)
             areas = list(nominal)
-            areas[i] = apply_area_overrides(nominal[i], {field_name: value})
+            areas[i] = replace(nominal[i], **{field_name: value})
             rows.append(SweepRow(parameter=spec.parameter, delta=delta, value=value, metrics=run_cell(tuple(areas))))
 
     return SweepReport(

@@ -9,15 +9,18 @@ Evaporation and raining are decided at the top of each iteration: a river
 evaporates if it lies within d_max of the sea or, with probability
 evap_prob, by chance. Its group (the river and its streams) is then redrawn
 uniformly in the box instead of flowing, and scored in the iteration's one
-objective call; the stream/parent promotion makes the best fresh drop the
+cost call; the stream/parent promotion makes the best fresh drop the
 river. The chance trigger follows common WCA implementations; its 0.1
 default is this toolkit's choice, since the paper's abstract gives no WCA
 settings. Without it (evap_prob = 0, the distance-only rule) the bundled
 d_max0 = 1e-16 lets no river evaporate within 50 iterations, and a run
 whose first population misses the good basin cannot leave it.
 
+Every entry point takes one batch cost function, cost(X) -> costs, where X
+is an (n, d) array of positions and costs has length n.
+
 Determinism contract: one generator seeded from config.seed drives every
-draw in a fixed order, so identical (objective, bounds, config) reproduce
+draw in a fixed order, so identical (cost, bounds, config) reproduce
 identical histories bit for bit.
 """
 
@@ -31,8 +34,7 @@ import numpy as np
 
 from .errors import ObjectiveFailure
 
-Objective = Callable[[np.ndarray], float]
-BatchObjective = Callable[[np.ndarray], np.ndarray]
+Cost = Callable[[np.ndarray], np.ndarray]
 
 _INIT_RETRY_CAP = 20
 
@@ -64,12 +66,6 @@ class WcaConfig:
 
 
 @dataclass
-class Candidate:
-    position: np.ndarray
-    cost: float
-
-
-@dataclass
 class WcaState:
     """The population as arrays: row 0 is the sea, rows 1..n_sr-1 the
     rivers, the rest the streams; parents[i] is the row stream i flows to."""
@@ -94,17 +90,10 @@ def _as_bounds(bounds: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarra
     return lb, ub
 
 
-def _evaluate(
-    objective: Objective,
-    positions: np.ndarray,
-    batch_objective: Optional[BatchObjective],
-) -> np.ndarray:
-    if batch_objective is not None:
-        costs = np.asarray(batch_objective(positions), dtype=float)
-    else:
-        costs = np.array([float(objective(p)) for p in positions], dtype=float)
+def _evaluate(cost: Cost, positions: np.ndarray) -> np.ndarray:
+    costs = np.asarray(cost(positions), dtype=float)
     if costs.shape != (positions.shape[0],):
-        raise ValueError("objective returned a mis-shaped cost vector")
+        raise ValueError("cost function returned a mis-shaped cost vector")
     return costs
 
 
@@ -150,24 +139,19 @@ def assign_streams(costs: Sequence[float], n_raindrops: int, fitness_inverted: b
     return counts
 
 
-def initialize(
-    objective: Objective,
-    bounds: Sequence[Sequence[float]],
-    config: WcaConfig,
-    batch_objective: Optional[BatchObjective] = None,
-) -> WcaState:
+def initialize(cost: Cost, bounds: Sequence[Sequence[float]], config: WcaConfig) -> WcaState:
     """Rain the initial population and build the sea/river/stream hierarchy."""
     lb, ub = _as_bounds(bounds)
     rng = np.random.default_rng(config.seed)
     positions = lb + rng.random((config.n_pop, lb.size)) * (ub - lb)
-    costs = _evaluate(objective, positions, batch_objective)
+    costs = _evaluate(cost, positions)
     for i in range(config.n_pop):
         retries = 0
         while not math.isfinite(costs[i]):
             if retries >= _INIT_RETRY_CAP:
                 raise ObjectiveFailure(f"non-finite cost at initialization (candidate {i})")
             positions[i] = lb + rng.random(lb.size) * (ub - lb)
-            costs[i] = _evaluate(objective, positions[i : i + 1], batch_objective)[0]
+            costs[i] = _evaluate(cost, positions[i : i + 1])[0]
             retries += 1
 
     order = np.argsort(costs, kind="stable")
@@ -193,19 +177,13 @@ def _swap(positions: np.ndarray, costs: np.ndarray, i: int, j: int) -> None:
     costs[[i, j]] = costs[[j, i]]
 
 
-def step(
-    state: WcaState,
-    objective: Objective,
-    bounds: Sequence[Sequence[float]],
-    config: WcaConfig,
-    batch_objective: Optional[BatchObjective] = None,
-) -> WcaState:
+def step(state: WcaState, cost: Cost, bounds: Sequence[Sequence[float]], config: WcaConfig) -> WcaState:
     """Advance one iteration: evaporate/rain or flow, promote, decay d_max.
 
     Draw order: one chance draw per river (only when evap_prob > 0), then
     one rng.random((n_pop - 1, d)) whose rows go to the streams and then the
     rivers, whether they flow or rain. The moved rows, streams first, are
-    scored in a single objective call.
+    scored in a single cost call.
     """
     lb, ub = _as_bounds(bounds)
     n_sr = config.n_sr
@@ -230,7 +208,7 @@ def step(
     flowed = np.clip(old + r * config.c * (positions[targets] - old), lb, ub)
     moved = np.where(rains[:, None], lb + r * (ub - lb), flowed)
 
-    moved_costs = _evaluate(objective, moved, batch_objective)
+    moved_costs = _evaluate(cost, moved)
     if not np.all(np.isfinite(moved_costs)):
         raise ObjectiveFailure(f"non-finite cost at iteration {state.iteration + 1}")
     positions[rows] = moved
@@ -259,28 +237,23 @@ def step(
 
 
 def minimize(
-    objective: Objective,
-    bounds: Sequence[Sequence[float]],
-    config: WcaConfig,
-    batch_objective: Optional[BatchObjective] = None,
-) -> tuple[Candidate, list[float]]:
-    """Run max_it iterations; return the sea and the best-cost history.
+    cost: Cost, bounds: Sequence[Sequence[float]], config: WcaConfig
+) -> tuple[np.ndarray, float, list[float]]:
+    """Run max_it iterations; return the sea's position and cost and the
+    best-cost history.
 
     history[k] is the best cost after k iterations (k = 0 is the initial
     population best), length max_it + 1.
     """
-    state = initialize(objective, bounds, config, batch_objective)
+    state = initialize(cost, bounds, config)
     for _ in range(config.max_it):
-        state = step(state, objective, bounds, config, batch_objective)
-    return Candidate(state.positions[0], float(state.costs[0])), state.history
+        state = step(state, cost, bounds, config)
+    return state.positions[0], float(state.costs[0]), state.history
 
 
 def random_search(
-    objective: Objective,
-    bounds: Sequence[Sequence[float]],
-    config: WcaConfig,
-    batch_objective: Optional[BatchObjective] = None,
-) -> tuple[Candidate, list[float]]:
+    cost: Cost, bounds: Sequence[Sequence[float]], config: WcaConfig
+) -> tuple[np.ndarray, float, list[float]]:
     """Seeded uniform random search with the same evaluation budget.
 
     Sanity baseline standing in for the out-of-scope GA/PSO comparisons:
@@ -295,7 +268,7 @@ def random_search(
     history: list[float] = []
     for block in range(config.max_it + 1):
         positions = lb + rng.random((config.n_pop, lb.size)) * (ub - lb)
-        costs = _evaluate(objective, positions, batch_objective)
+        costs = _evaluate(cost, positions)
         if not np.all(np.isfinite(costs)):
             raise ObjectiveFailure(f"non-finite cost in random-search block {block}")
         i = int(np.argmin(costs))
@@ -303,4 +276,4 @@ def random_search(
             best_cost = float(costs[i])
             best_pos = positions[i].copy()
         history.append(best_cost)
-    return Candidate(best_pos, best_cost), history
+    return best_pos, best_cost, history

@@ -183,14 +183,3 @@ class TestStateSpace:
         a, b, c, d = controller_to_statespace(ctrl)
         assert a.shape == (2, 2) and b.shape == c.shape == (2,)
         assert d == pytest.approx(ctrl.Bc.coeff(2) / ctrl.Ac.coeff(2))
-
-
-class TestSerialization:
-    def test_json_roundtrip(self):
-        plant = derive_design_plant(AREA1, TIE)
-        ctrl = synthesize(plant, opt_gains(20.5126))
-        back = CdmController.from_json(ctrl.to_json())
-        assert back.Ac.coeffs == ctrl.Ac.coeffs
-        assert back.Bc.coeffs == ctrl.Bc.coeffs
-        assert back.F == ctrl.F
-        assert back.gains.gamma == ctrl.gains.gamma

@@ -1,12 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from cdmlfc import cli, defaults
 from cdmlfc.cli import main
 from cdmlfc.config import build_config
 from cdmlfc.errors import ConfigError
-from cdmlfc.wca import Candidate, WcaConfig
+from cdmlfc.wca import WcaConfig
 
 
 class TestConfig:
@@ -104,6 +105,17 @@ class TestConfig:
                 "controllers.cdm_classic.bc[1][0]",
             ),
             ({"cases": {"seed": "abc"}}, "cases.seed"),
+            (
+                {"controllers": {"cdm_opt": {"gamma": [2, 2], "tau": 1, "k_b0": [1, 1]}}},
+                "controllers.cdm_opt.gamma",
+            ),
+            ({"scenario": {"loads": [{"kind": "step", "magnitude": 0.01}, None]}}, "scenario.loads"),
+            ({"scenario": {"loads": [{"kind": "step", "magnitude": "x", "time": 1.0}, None]}}, "scenario.loads"),
+            (
+                {"scenario": {"loads": [None, {"kind": "uniform_random", "amplitude": 0.01, "hold": 10, "seed": 1.5}]}},
+                "scenario.loads",
+            ),
+            ({"scenario": {"disturbance_time": "x"}}, "scenario.disturbance_time"),
         ):
             with pytest.raises(ConfigError) as err:
                 build_config(user)
@@ -188,10 +200,10 @@ class TestCliCommands:
     def test_optimize_keeps_wca_settings_on_every_repeat(self, tmp_path, monkeypatch):
         seen = []
 
-        def fake_minimize(objective, bounds, config, batch_objective=None):
+        def fake_minimize(cost, bounds, config):
             seen.append(config)
-            x = objective.reference_vector()
-            return Candidate(x, 0.5), [0.5] * (config.max_it + 1)
+            x = np.array([*defaults.OPT_GAMMA, defaults.OPT_TAU, *defaults.OPT_KB0])
+            return x, 0.5, [0.5] * (config.max_it + 1)
 
         monkeypatch.setattr(cli, "minimize", fake_minimize)
         cfg = tmp_path / "cfg.json"
@@ -288,6 +300,20 @@ class TestCliCommands:
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "scenario.loads" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_compare_and_case2_share_one_runner(self, tmp_path):
+        # the default scenario is case 2's definition
+        flags = ["--grc", "0.1", "--horizon", "20", "--controllers", "cdm_opt,cdm,pid,pi"]
+        assert main(["compare", "--out", str(tmp_path / "cmp")] + flags) == 0
+        assert main(["case", "2", "--out", str(tmp_path / "case")] + flags) == 0
+        names = ["report.csv"] + [f"trajectory_{name}.csv" for name in defaults.CONTROLLER_SET_NAMES]
+        for name in names:
+            assert (tmp_path / "cmp" / name).read_bytes() == (tmp_path / "case" / name).read_bytes()
+        cmp, case = (json.loads((tmp_path / d / "report.json").read_text()) for d in ("cmp", "case"))
+        for report in (cmp, case):
+            del report["case_id"], report["description"]
+        assert cmp == case
 
     def test_compare_snapshot_is_the_full_model(self, tmp_path):
         rc = main(["compare", "--out", str(tmp_path), "--controllers", "pi", "--horizon", "5"])

@@ -144,7 +144,7 @@ class TestTransientMeasures:
 class TestTuningObjective:
     def test_reference_gains_finite_and_stable(self):
         obj = TuningObjective()
-        j = obj(obj.reference_vector())
+        j = obj.batch(obj.reference_vector())[0]
         assert math.isfinite(j)
         assert j < 1.0
 
@@ -153,14 +153,14 @@ class TestTuningObjective:
         lows = np.array([b[0] for b in obj.bounds])
         highs = np.array([b[1] for b in obj.bounds])
         for x in (lows, highs):
-            j = obj(x)
+            j = obj.batch(x)[0]
             assert math.isfinite(j)
 
     def test_penalty_for_hopeless_vectors(self):
         obj = TuningObjective()
         # gamma all at the tiny lower bound: unstable target
         x = np.array([0.01, 0.01, 0.01, 0.01, 0.01, 0.1, 1.0, 1.0])
-        assert obj(x) >= 1e6
+        assert obj.batch(x)[0] >= 1e6
 
     def test_kb0_invariance(self):
         # the closed loop is invariant to K_B0 (it only scales Ac and Bc
@@ -170,7 +170,7 @@ class TestTuningObjective:
         alt = ref.copy()
         alt[6] *= 3.0
         alt[7] *= 0.25
-        assert obj(alt) == pytest.approx(obj(ref), rel=1e-9)
+        assert obj.batch(alt)[0] == pytest.approx(obj.batch(ref)[0], rel=1e-9)
 
     def test_synthesis_bug_propagates(self, monkeypatch):
         # only synthesis errors (CdmlfcError, ValueError) become penalties
@@ -180,7 +180,7 @@ class TestTuningObjective:
         obj = TuningObjective()
         monkeypatch.setattr(scenarios, "synthesize", broken)
         with pytest.raises(TypeError):
-            obj(obj.reference_vector())
+            obj.batch(obj.reference_vector())[0]
 
     def test_batch_matches_pointwise(self):
         obj = TuningObjective()
@@ -190,7 +190,7 @@ class TestTuningObjective:
         xs = lb + rng.random((6, 8)) * (ub - lb)
         batch = obj.batch(xs)
         for i in range(6):
-            assert batch[i] == pytest.approx(obj(xs[i]), rel=1e-12)
+            assert batch[i] == pytest.approx(obj.batch(xs[i])[0], rel=1e-12)
 
 
 class TestRunCase:

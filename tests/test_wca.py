@@ -41,12 +41,12 @@ DISTANCE_ONLY_ROSENBROCK_FINALS = [
 ]
 
 
-def sphere(x):
-    return float(np.sum(x * x))
+def sphere(X):
+    return np.sum(X * X, axis=1)
 
 
-def rosenbrock(x):
-    return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
+def rosenbrock(X):
+    return 100.0 * (X[:, 1] - X[:, 0] ** 2) ** 2 + (1.0 - X[:, 0]) ** 2
 
 
 class TestConfig:
@@ -123,8 +123,8 @@ class TestInitialize:
         assert state.costs[0] == min(state.costs)
 
     def test_objective_failure_after_retries(self):
-        def bad(x):
-            return float("nan")
+        def bad(X):
+            return np.full(len(X), np.nan)
 
         with pytest.raises(ObjectiveFailure):
             initialize(bad, BOX2, WcaConfig(seed=0))
@@ -160,14 +160,14 @@ class TestStep:
 
         def batch(X):
             calls.append(X.shape[0])
-            return np.sum(X * X, axis=1)
+            return sphere(X)
 
         cfg = WcaConfig(seed=3, evap_prob=1.0)
-        state = initialize(sphere, BOX2, cfg, batch_objective=batch)
+        state = initialize(batch, BOX2, cfg)
         for _ in range(10):
             calls.clear()
             prev = state
-            state = step(state, sphere, BOX2, cfg, batch_objective=batch)
+            state = step(state, batch, BOX2, cfg)
             assert calls == [cfg.n_pop - 1]
             assert state.rain_events - prev.rain_events == cfg.n_sr - 1
             assert state.costs[0] == min(state.costs)
@@ -216,11 +216,11 @@ class TestStep:
             calls.append(X.shape[0])
             return np.sum(X * X - 10.0 * np.cos(2.0 * np.pi * X), axis=1)
 
-        state = initialize(sphere, box, cfg, batch_objective=batch)
+        state = initialize(batch, box, cfg)
         parents = state.parents.copy()
         for _ in range(cfg.max_it):
             calls.clear()
-            state = step(state, sphere, box, cfg, batch_objective=batch)
+            state = step(state, batch, box, cfg)
             assert calls == [cfg.n_pop - 1]
             assert state.costs[0] == min(state.costs)
             assert np.all(state.positions >= -3.0) and np.all(state.positions <= 1.0)
@@ -230,43 +230,33 @@ class TestStep:
 
 class TestMinimize:
     def test_constant_objective(self):
-        best, hist = minimize(lambda x: 7.5, BOX2, WcaConfig(seed=0))
-        assert best.cost == 7.5
+        _, cost, hist = minimize(lambda X: np.full(len(X), 7.5), BOX2, WcaConfig(seed=0))
+        assert cost == 7.5
         assert hist == [7.5] * 51
 
     def test_sphere_benchmark(self):
         finals = []
         for seed in range(10):
-            best, _ = minimize(sphere, BOX2, WcaConfig(seed=seed))
-            finals.append(best.cost)
+            finals.append(minimize(sphere, BOX2, WcaConfig(seed=seed))[1])
         assert float(np.median(finals)) < 1e-3
 
     def test_rosenbrock_benchmark(self):
         finals = []
         for seed in range(10):
-            best, _ = minimize(rosenbrock, [(-2.048, 2.048)] * 2, WcaConfig(seed=seed))
-            finals.append(best.cost)
+            finals.append(minimize(rosenbrock, [(-2.048, 2.048)] * 2, WcaConfig(seed=seed))[1])
         assert float(np.median(finals)) < 1e-1
 
     def test_bit_exact_reproducibility(self):
-        b1, h1 = minimize(sphere, BOX2, WcaConfig(seed=11))
-        b2, h2 = minimize(sphere, BOX2, WcaConfig(seed=11))
+        x1, j1, h1 = minimize(sphere, BOX2, WcaConfig(seed=11))
+        x2, j2, h2 = minimize(sphere, BOX2, WcaConfig(seed=11))
         assert h1 == h2
-        assert np.array_equal(b1.position, b2.position)
-        assert b1.cost == b2.cost
-
-    def test_batch_objective_matches_pointwise(self):
-        def batch(X):
-            return np.sum(X * X, axis=1)
-
-        b1, h1 = minimize(sphere, BOX2, WcaConfig(seed=6))
-        b2, h2 = minimize(sphere, BOX2, WcaConfig(seed=6), batch_objective=batch)
-        assert h1 == pytest.approx(h2, rel=1e-12)
+        assert np.array_equal(x1, x2)
+        assert j1 == j2
 
     def test_distance_only_rule_reproduces_recorded_finals(self):
-        sphere_finals = [minimize(sphere, BOX2, WcaConfig(seed=k, evap_prob=0.0))[0].cost for k in range(10)]
+        sphere_finals = [minimize(sphere, BOX2, WcaConfig(seed=k, evap_prob=0.0))[1] for k in range(10)]
         rosen_finals = [
-            minimize(rosenbrock, ROSEN_BOX2, WcaConfig(seed=k, evap_prob=0.0))[0].cost for k in range(10)
+            minimize(rosenbrock, ROSEN_BOX2, WcaConfig(seed=k, evap_prob=0.0))[1] for k in range(10)
         ]
         assert sphere_finals == DISTANCE_ONLY_SPHERE_FINALS
         assert rosen_finals == DISTANCE_ONLY_ROSENBROCK_FINALS
@@ -288,7 +278,7 @@ class TestMinimize:
         assert rec["rosenbrock_2d"]["median_final_cost"] < 1e-1
         for name, fn in (("sphere_2d", sphere), ("rosenbrock_2d", rosenbrock)):
             box = rec[name]["bounds"]
-            finals = [minimize(fn, [box, box], WcaConfig(seed=k))[0].cost for k in rec[name]["seeds"]]
+            finals = [minimize(fn, [box, box], WcaConfig(seed=k))[1] for k in rec[name]["seeds"]]
             assert finals == rec[name]["final_costs"]
 
 
@@ -299,11 +289,11 @@ class TestRandomSearch:
             return np.where(X[:, 0] > 0.0, np.nan, np.sum(X * X, axis=1))
 
         with pytest.raises(ObjectiveFailure):
-            random_search(sphere, BOX2, WcaConfig(seed=0, max_it=3), batch_objective=half_nan)
+            random_search(half_nan, BOX2, WcaConfig(seed=0, max_it=3))
 
     def test_history_tracks_block_minima(self):
         cfg = WcaConfig(seed=1, n_pop=10, max_it=4)
-        best, hist = random_search(sphere, BOX2, cfg)
+        x, cost, hist = random_search(sphere, BOX2, cfg)
         assert len(hist) == cfg.max_it + 1
         assert all(b <= a for a, b in zip(hist, hist[1:]))
-        assert best.cost == hist[-1] == sphere(best.position)
+        assert cost == hist[-1] == sphere(x[None])[0]
