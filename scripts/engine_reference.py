@@ -23,6 +23,7 @@ import numpy as np
 
 from cdmlfc import defaults
 from cdmlfc.cdm import synthesize
+from cdmlfc.config import build_config
 from cdmlfc.plant import derive_design_plant
 from cdmlfc.scenarios import TuningObjective, indices, run_case
 from cdmlfc.sim import SystemModel, simulate
@@ -50,7 +51,7 @@ def one_lane_iae(objective: TuningObjective, x: np.ndarray) -> float:
 def main():
     cases = {}
     for case_id in CASES:
-        report = run_case(case_id, CONTROLLERS)
+        report = run_case(case_id, build_config(), CONTROLLERS)
         cases[str(case_id)] = {r.name: {"iae": r.metrics.iae, "ise": r.metrics.ise} for r in report.results}
     xs = objective_candidates()
     objective = TuningObjective()

@@ -38,6 +38,11 @@ CONFIGS = {
             "disturbance_time": 0.0,
         }
     },
+    # slower governor and turbine in area 1, a CDM design with a longer tau
+    "custom_model": {
+        "model": {"area1": {"D": 0.015, "M": 0.1667, "R": 3.0, "Tg": 0.16, "Tt": 0.8}},
+        "controllers": {"cdm_opt": {"gamma": [25.33, 0.01, 17.62, 9.88, 29.98], "tau": 1.0, "k_b0": [20.5126, 39.9347]}},
+    },
 }
 
 
@@ -56,6 +61,8 @@ def commands(configs: pathlib.Path) -> dict[str, list[str]]:
         "optimize": ["optimize", *config("optimize"), "--repeats", "2"],
         "optimize_random": ["optimize", *config("optimize"), "--algorithm", "random-search"],
         "custom_compare": ["compare", *config("custom"), *CONTROLLERS],
+        "case2_custom_model": ["case", "2", *config("custom_model"), *CONTROLLERS],
+        "sweep_custom_model": ["sweep", *config("custom_model"), *CONTROLLERS],
     }
 
 

@@ -85,18 +85,17 @@ def _tuning_objective(cfg: RunConfig) -> TuningObjective:
 
 
 def _run_horizon(cfg: RunConfig, default: float, what: str) -> float:
-    """The horizon of a case, sweep or scenario run: solver.horizon, else the
-    default horizon of `what`. Refuses, before anything runs, a controller
-    sample or a default horizon off the solver.dt grid."""
+    """The horizon of a case, sweep or scenario run (`cfg.run_horizon`).
+    Refuses, before anything runs, a controller sample or a horizon off the
+    solver.dt grid."""
     if not sample_steps(cfg.controller_dt, cfg.dt):
         raise ConfigError(
             "solver.controller_dt", f"{cfg.controller_dt:g} is not a positive whole multiple of solver.dt = {cfg.dt:g}"
         )
-    if cfg.horizon is not None:
-        return cfg.horizon
-    if not horizon_steps(default, cfg.dt):
-        raise ConfigError("solver.dt", f"{cfg.dt:g} does not divide the {default:g} s horizon of {what}")
-    return default
+    horizon = cfg.run_horizon(default)
+    if not horizon_steps(horizon, cfg.dt):
+        raise ConfigError("solver.dt", f"{cfg.dt:g} does not divide the {horizon:g} s horizon of {what}")
+    return horizon
 
 
 def _report_csv(path: Path, report: CaseReport) -> None:
@@ -213,22 +212,11 @@ def cmd_optimize(cfg: RunConfig, outdir: Path, repeats: int, algorithm: str) -> 
 
 def _scenario_report(cfg: RunConfig, controllers: list[str]) -> CaseReport:
     """Run the configured scenario (`scenario.*`, the model, the solver) for each controller set."""
-    pairs = (
-        (name, defaults.build_controller_pair(name, cfg.areas, cfg.tie, cfg.cdm_gains, cfg.classic, cfg.pid, cfg.integral))
-        for name in controllers
-    )
-    return run_scenario(
-        0,
-        cfg.scenario,
-        cfg.areas,
-        cfg.tie,
-        cfg.nonlin,
-        pairs,
-        dt=cfg.dt,
-        controller_dt=cfg.controller_dt,
-        horizon=_run_horizon(cfg, cfg.scenario.horizon, "the scenario (scenario.horizon)"),
-        seed=cfg.cases_seed,
-    )
+    horizon = _run_horizon(cfg, cfg.scenario.horizon, "the scenario (scenario.horizon)")
+    if not 0.0 <= cfg.scenario.disturbance_time < horizon:
+        raise ConfigError("scenario.disturbance_time", f"must lie in [0, {horizon:g}), the run horizon")
+    pairs = ((name, cfg.controller_pair(name)) for name in controllers)
+    return run_scenario(0, cfg.scenario, cfg, cfg.nonlin, pairs)
 
 
 def _write_trajectories(outdir: Path, report: CaseReport) -> None:
@@ -255,15 +243,8 @@ def cmd_case(cfg: RunConfig, outdir: Path, case_id: int, controllers: list[str])
         return _cmd_case1(cfg, outdir)
     if case_id == 6:
         return cmd_sweep(cfg, outdir, controllers)
-    report = run_case(
-        case_id,
-        controllers,
-        dt=cfg.dt,
-        controller_dt=cfg.controller_dt,
-        horizon=_run_horizon(cfg, defaults.CASE_HORIZONS[case_id], f"case {case_id}"),
-        seed=cfg.cases_seed,
-        nonlin=cfg.cases_nonlin,
-    )
+    _run_horizon(cfg, defaults.CASE_HORIZONS[case_id], f"case {case_id}")
+    report = run_case(case_id, cfg, controllers)
     _write_report(outdir, report)
     print(f"case {case_id}: ranking by (IAE, ISE): {' < '.join(report.ranking)}")
     return 0
@@ -285,14 +266,8 @@ def _cmd_case1(cfg: RunConfig, outdir: Path) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, outdir: Path, controllers: list[str]) -> int:
-    report = sensitivity_sweep(
-        table6_specs(),
-        controllers,
-        dt=cfg.dt,
-        controller_dt=cfg.controller_dt,
-        horizon=_run_horizon(cfg, defaults.CASE_HORIZONS[6], "the sweep"),
-        nonlin=cfg.cases_nonlin,
-    )
+    _run_horizon(cfg, defaults.CASE_HORIZONS[6], "the sweep")
+    report = sensitivity_sweep(table6_specs(), cfg, controllers)
     _sweep_csv(outdir / "sweep.csv", report)
     _write_json(outdir / "sweep.json", report.to_json())
     print(f"sweep: {len(report.rows)} rows ({len(report.controllers)} controller set(s))")
@@ -373,6 +348,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, overrides)
         controllers = _controller_names(args)
+        if getattr(args, "repeats", 1) < 1:
+            raise ConfigError("--repeats", f"must be >= 1, got {args.repeats}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

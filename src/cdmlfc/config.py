@@ -15,12 +15,12 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any, Optional
 
 from . import defaults
-from .cdm import CdmGains
+from .cdm import CdmController, CdmGains, synthesize
 from .errors import ConfigError
-from .plant import AreaParams, NonlinearityConfig, TieLine
+from .plant import AreaParams, NonlinearityConfig, TieLine, derive_design_plant
 from .poly import Polynomial
 from .scenarios import CaseDefinition, case_definition, profile_from_json, profile_to_json
-from .sim import IntegralSpec, PidSpec, horizon_steps, sample_steps
+from .sim import ControllerSpec, IntegralSpec, PidSpec, horizon_steps, sample_steps
 from .wca import WcaConfig
 
 
@@ -157,6 +157,23 @@ class RunConfig:
     def canonical_json(self) -> str:
         return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
 
+    def run_horizon(self, default: float) -> float:
+        """The horizon of a case, sweep or scenario run: solver.horizon, else `default`."""
+        return default if self.horizon is None else self.horizon
+
+    def controller_pair(self, name: str) -> tuple[ControllerSpec, ControllerSpec]:
+        """Controller pair by report name; the CDM sets are designed on the areas' design plants."""
+        if name == "pid":
+            return self.pid
+        if name == "pi":
+            return self.integral
+        plants = [derive_design_plant(area, self.tie) for area in self.areas]
+        if name == "cdm_opt":
+            return tuple(synthesize(plant, gains) for plant, gains in zip(plants, self.cdm_gains))
+        if name == "cdm":
+            return tuple(CdmController.from_polynomials(ac, bc, plant) for ac, bc, plant in zip(*self.classic, plants))
+        raise KeyError(f"unknown controller set {name!r}; expected one of {defaults.CONTROLLER_SET_NAMES}")
+
 
 _CASTS = {"int": int, "float": float, "bool": bool, "str": str}
 
@@ -178,6 +195,14 @@ def _number(value, path: str) -> float:
     except (TypeError, ValueError):
         pass
     raise ConfigError(path, "expected a finite number")
+
+
+def _seed(value, path: str) -> int:
+    """value as a non-negative integer seed, else a config error naming path."""
+    seed = _number(value, path)
+    if seed < 0.0 or seed != int(seed):
+        raise ConfigError(path, "must be a non-negative integer")
+    return int(seed)
 
 
 def _pair(values, path: str) -> list:
@@ -287,7 +312,7 @@ def build_config(user: Optional[dict] = None, overrides: Optional[dict] = None) 
         tie=_record(TieLine, model["tie"], "model.tie"),
         nonlin=_record(NonlinearityConfig, model["nonlinear"], "model.nonlinear"),
         cases_nonlin=_record(NonlinearityConfig, merged["cases"]["nonlinear"], "cases.nonlinear"),
-        cases_seed=int(_number(merged["cases"]["seed"], "cases.seed")),
+        cases_seed=_seed(merged["cases"]["seed"], "cases.seed"),
         cdm_gains=cdm_gains,
         classic=tuple(classic),
         pid=tuple(pid),
@@ -295,7 +320,7 @@ def build_config(user: Optional[dict] = None, overrides: Optional[dict] = None) 
         dt=dt,
         controller_dt=controller_dt,
         horizon=horizon,
-        wca=_record(WcaConfig, opt, "optimizer"),
+        wca=_record(WcaConfig, {**opt, "seed": _seed(opt["seed"], "optimizer.seed")}, "optimizer"),
         opt_bounds=opt_bounds,
         objective_settings=dict(opt["objective"]),
         objective_nonlin=_record(NonlinearityConfig, opt["objective"], "optimizer.objective"),

@@ -11,12 +11,9 @@ anything those benchmarks show).
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from .cdm import CdmController, CdmGains, synthesize
-from .plant import AreaParams, NonlinearityConfig, TieLine, derive_design_plant
+from .cdm import CdmGains
+from .plant import AreaParams, NonlinearityConfig, TieLine
 from .poly import Polynomial
-from .sim import ControllerSpec, IntegralSpec, PidSpec
 
 AREA1 = AreaParams(D=0.015, M=0.1667, R=3.0, Tg=0.08, Tt=0.4)
 AREA2 = AreaParams(D=0.016, M=0.2017, R=2.73, Tg=0.06, Tt=0.44)
@@ -64,38 +61,3 @@ def opt_gains(area_index: int) -> CdmGains:
 
 CONTROLLER_SET_NAMES = ("cdm_opt", "cdm", "pid", "pi")
 
-
-def build_controller_pair(
-    name: str,
-    areas: Sequence[AreaParams],
-    tie: TieLine,
-    cdm_gains: Sequence[CdmGains],
-    classic: tuple[Sequence[Polynomial], Sequence[Polynomial]],
-    pid: Sequence[PidSpec],
-    integral: Sequence[IntegralSpec],
-) -> tuple[ControllerSpec, ControllerSpec]:
-    """Controller pair `name` from the given values; the CDM sets are designed
-    on the areas' design plants (classic = (Ac per area, Bc per area))."""
-    if name == "pid":
-        return tuple(pid)
-    if name == "pi":
-        return tuple(integral)
-    plants = [derive_design_plant(area, tie) for area in areas]
-    if name == "cdm_opt":
-        return tuple(synthesize(plant, gains) for plant, gains in zip(plants, cdm_gains))
-    if name == "cdm":
-        return tuple(CdmController.from_polynomials(ac, bc, plant) for ac, bc, plant in zip(*classic, plants))
-    raise KeyError(f"unknown controller set {name!r}; expected one of {CONTROLLER_SET_NAMES}")
-
-
-def controller_pair(name: str) -> tuple[ControllerSpec, ControllerSpec]:
-    """Bundled controller pair by report name."""
-    return build_controller_pair(
-        name,
-        (AREA1, AREA2),
-        TIE,
-        (opt_gains(0), opt_gains(1)),
-        (CLASSIC_AC, CLASSIC_BC),
-        [PidSpec(*g, tf=PID_FILTER_TF) for g in PID_GAINS],
-        [IntegralSpec(k) for k in INTEGRAL_GAINS],
-    )

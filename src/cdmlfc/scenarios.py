@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -21,6 +21,9 @@ from .cdm import CdmGains, synthesize
 from .errors import CdmlfcError, NonFiniteState
 from .plant import AreaParams, NonlinearityConfig, TieLine, derive_design_plant
 from .sim import BatchCdmSimulator, ControllerSpec, SystemModel, Trajectory, simulate
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 LoadFn = Callable[[float], float]
 
@@ -51,6 +54,8 @@ class UniformRandom:
     def __post_init__(self):
         if self.hold <= 0.0:
             raise ValueError("hold must be > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -352,23 +357,20 @@ class CaseReport:
 def run_scenario(
     case_id: int,
     definition: CaseDefinition,
-    areas: tuple[AreaParams, AreaParams],
-    tie: TieLine,
+    cfg: RunConfig,
     nonlin: NonlinearityConfig,
     pairs: Iterable[tuple[str, tuple[ControllerSpec, ControllerSpec]]],
-    *,
-    dt: float,
-    controller_dt: Optional[float],
-    horizon: float,
-    seed: int,
 ) -> CaseReport:
     """Simulate and score each (name, controller pair) on one scenario: the
-    definition's loads over `horizon`, on `areas` with its area overrides."""
-    areas = tuple(replace(area, **overrides) for area, overrides in zip(areas, definition.area_overrides))
+    definition's loads over cfg's run horizon, on cfg's areas with the
+    definition's area overrides, cfg's tie line and solver steps, and `nonlin`."""
+    horizon = cfg.run_horizon(definition.horizon)
+    areas = tuple(replace(area, **overrides) for area, overrides in zip(cfg.areas, definition.area_overrides))
     loads = tuple(realize(p, horizon) for p in definition.loads)
     results = []
     for name, pair in pairs:
-        traj = simulate(SystemModel(areas, tie, nonlin, pair), loads, dt=dt, horizon=horizon, controller_dt=controller_dt)
+        model = SystemModel(areas, cfg.tie, nonlin, pair)
+        traj = simulate(model, loads, dt=cfg.dt, horizon=horizon, controller_dt=cfg.controller_dt)
         results.append(ControllerResult(name, evaluate(traj, t0=definition.disturbance_time), traj))
     return CaseReport(
         case_id=case_id,
@@ -376,42 +378,23 @@ def run_scenario(
         controllers=[r.name for r in results],
         results=results,
         ranking=[r.name for r in sorted(results, key=lambda r: (r.metrics.iae, r.metrics.ise))],
-        model_snapshot={"area1": asdict(areas[0]), "area2": asdict(areas[1]), "T12": tie.T12, **asdict(nonlin)},
+        model_snapshot={"area1": asdict(areas[0]), "area2": asdict(areas[1]), "T12": cfg.tie.T12, **asdict(nonlin)},
         run_params={
-            "dt": dt,
-            "controller_dt": controller_dt,
+            "dt": cfg.dt,
+            "controller_dt": cfg.controller_dt,
             "horizon": horizon,
-            "seed": seed,
+            "seed": cfg.cases_seed,
             "disturbance_time": definition.disturbance_time,
             "loads": [profile_to_json(p) for p in definition.loads],
         },
     )
 
 
-def run_case(
-    case_id: int,
-    controllers: Sequence[str] = ("cdm_opt", "pid", "pi"),
-    *,
-    dt: float = defaults.DT_DEFAULT,
-    controller_dt: Optional[float] = defaults.CONTROLLER_DT_DEFAULT,
-    horizon: Optional[float] = None,
-    seed: int = defaults.CASE_SEED,
-    nonlin: Optional[NonlinearityConfig] = None,
-) -> CaseReport:
-    """Simulate one bundled case for each requested controller set."""
-    cd = case_definition(case_id, seed=seed)
-    return run_scenario(
-        case_id,
-        cd,
-        (defaults.AREA1, defaults.AREA2),
-        defaults.TIE,
-        defaults.NONLIN_CASES if nonlin is None else nonlin,
-        ((name, defaults.controller_pair(name)) for name in controllers),
-        dt=dt,
-        controller_dt=controller_dt,
-        horizon=cd.horizon if horizon is None else float(horizon),
-        seed=seed,
-    )
+def run_case(case_id: int, cfg: RunConfig, controllers: Sequence[str]) -> CaseReport:
+    """Simulate one bundled case on cfg's model, in its case regime
+    (cases.seed, cases.nonlinear), for each requested controller set."""
+    pairs = ((name, cfg.controller_pair(name)) for name in controllers)
+    return run_scenario(case_id, case_definition(case_id, seed=cfg.cases_seed), cfg, cfg.cases_nonlin, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -453,53 +436,43 @@ def table6_specs() -> list[SweepSpec]:
     return [SweepSpec(p) for p in ("area1.Tg", "area2.Tg", "area1.Tt", "area2.Tt")]
 
 
-def sensitivity_sweep(
-    specs: Union[SweepSpec, Sequence[SweepSpec]],
-    controllers: Sequence[str] = ("cdm_opt",),
-    *,
-    dt: float = defaults.DT_DEFAULT,
-    controller_dt: Optional[float] = defaults.CONTROLLER_DT_DEFAULT,
-    horizon: float = defaults.CASE_HORIZONS[6],
-    nonlin: Optional[NonlinearityConfig] = None,
-) -> SweepReport:
+def sensitivity_sweep(specs: Sequence[SweepSpec], cfg: RunConfig, controllers: Sequence[str]) -> SweepReport:
     """Robustness sweep: nominal controllers against perturbed plants.
 
-    The load is the case-2 step. Controllers stay frozen at their nominal
-    design; only the simulated plant drifts. One shared nominal row plus
-    one row per (parameter, delta) pair.
+    Every cell is case 2's step on cfg's model in its case regime.
+    Controllers stay frozen at their nominal design; only the simulated
+    plant drifts. One shared nominal row plus one row per (parameter,
+    delta) pair; a controller pair that diverges in a cell scores None.
     """
-    if isinstance(specs, SweepSpec):
-        specs = [specs]
-    nonlin = defaults.NONLIN_CASES if nonlin is None else nonlin
-    case2 = case_definition(2)
-    loads = tuple(realize(p, horizon) for p in case2.loads)
-    pairs = {name: defaults.controller_pair(name) for name in controllers}
+    case2 = replace(case_definition(2), horizon=defaults.CASE_HORIZONS[6])
+    pairs = {name: cfg.controller_pair(name) for name in controllers}
 
-    def run_cell(areas: tuple[AreaParams, AreaParams]) -> dict:
+    def run_cell(area_overrides: tuple[dict, dict]) -> dict:
+        cell = replace(case2, area_overrides=area_overrides)
         out = {}
         for name, pair in pairs.items():
-            model = SystemModel(areas, defaults.TIE, nonlin, pair)
             try:
-                traj = simulate(model, loads, dt=dt, horizon=horizon, controller_dt=controller_dt)
+                out[name] = run_scenario(6, cell, cfg, cfg.cases_nonlin, [(name, pair)]).results[0].metrics
             except NonFiniteState:
                 out[name] = None
-                continue
-            out[name] = evaluate(traj, t0=case2.disturbance_time)
         return out
 
-    nominal = (defaults.AREA1, defaults.AREA2)
-    rows = [SweepRow(parameter="nominal", delta=0.0, value=math.nan, metrics=run_cell(nominal))]
+    rows = [SweepRow(parameter="nominal", delta=0.0, value=math.nan, metrics=run_cell(({}, {})))]
     for spec in specs:
         area_key, _, field_name = spec.parameter.partition(".")
         i = ("area1", "area2").index(area_key)
         for delta in spec.deltas:
-            value = getattr(nominal[i], field_name) * (1.0 + delta)
-            areas = list(nominal)
-            areas[i] = replace(nominal[i], **{field_name: value})
-            rows.append(SweepRow(parameter=spec.parameter, delta=delta, value=value, metrics=run_cell(tuple(areas))))
+            value = getattr(cfg.areas[i], field_name) * (1.0 + delta)
+            overrides = ({field_name: value}, {}) if i == 0 else ({}, {field_name: value})
+            rows.append(SweepRow(parameter=spec.parameter, delta=delta, value=value, metrics=run_cell(overrides)))
 
     return SweepReport(
         rows=rows,
         controllers=list(controllers),
-        run_params={"dt": dt, "controller_dt": controller_dt, "horizon": horizon, **asdict(nonlin)},
+        run_params={
+            "dt": cfg.dt,
+            "controller_dt": cfg.controller_dt,
+            "horizon": cfg.run_horizon(case2.horizon),
+            **asdict(cfg.cases_nonlin),
+        },
     )

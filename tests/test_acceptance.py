@@ -8,6 +8,7 @@ criterion runs a real 10-repeat tuning campaign and takes a few minutes.
 import json
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from cdmlfc import defaults
 from cdmlfc.cdm import synthesize
 from cdmlfc.cli import main as cli_main
+from cdmlfc.config import build_config
 from cdmlfc.plant import NonlinearityConfig, derive_design_plant
 from cdmlfc.poly import Polynomial, equivalent_tau, is_hurwitz, lipatov_sufficient, stability_indices, target_poly
 from cdmlfc.scenarios import SweepSpec, run_case, sensitivity_sweep, table6_specs
@@ -173,7 +175,7 @@ def test_criterion_5_simulation_physics():
     problems = []
 
     # (a) zero-input equilibrium preserved exactly over 100 s
-    pair = defaults.controller_pair("cdm_opt")
+    pair = build_config().controller_pair("cdm_opt")
     m = SystemModel((defaults.AREA1, defaults.AREA2), defaults.TIE, defaults.NONLIN_CASES, pair)
     zero = lambda t: 0.0
     traj = simulate(m, (zero, zero), dt=0.01, horizon=100.0)
@@ -185,9 +187,10 @@ def test_criterion_5_simulation_physics():
     # (b) GRC bound at every sample of every case run at the stated rate
     grc = 0.1 / 60.0
     stated = NonlinearityConfig(grc_rate=grc, gdb_width=0.05)
+    stated_cfg = build_config({"cases": {"nonlinear": asdict(stated)}, "solver": {"horizon": 30.0}})
     worst_rate = 0.0
     for case_id in (2, 3, 4, 5):
-        rep = run_case(case_id, ("cdm_opt", "pi"), nonlin=stated, horizon=30.0)
+        rep = run_case(case_id, stated_cfg, ("cdm_opt", "pi"))
         for res in rep.results:
             tr = res.trajectory
             dt = float(tr.t[1] - tr.t[0])
@@ -231,7 +234,7 @@ def test_criterion_5_simulation_physics():
 def test_criterion_6_case2_desk_reproduction():
     t0 = time.perf_counter()
     problems = []
-    rep = run_case(2, ("cdm_opt", "pid", "pi"))
+    rep = run_case(2, build_config(), ("cdm_opt", "pid", "pi"))
     if rep.ranking != ["cdm_opt", "pid", "pi"]:
         problems.append(f"ranking {rep.ranking}")
     cdm = next(r for r in rep.results if r.name == "cdm_opt").metrics.signals["df1"]
@@ -239,7 +242,7 @@ def test_criterion_6_case2_desk_reproduction():
         problems.append(f"undershoot {cdm.undershoot:.4g} outside +/-50% of -4.508e-3")
     if not (cdm.settled and cdm.t_s < 10.0):
         problems.append(f"settling {cdm.t_s} (benchmark 6.71 s)")
-    pi30 = run_case(2, ("pi",), horizon=30.0).results[0].metrics.signals["df1"]
+    pi30 = run_case(2, build_config(overrides={"solver.horizon": 30.0}), ("pi",)).results[0].metrics.signals["df1"]
     if pi30.settled:
         problems.append("PI settled within 30 s (benchmark reports no settling)")
     elapsed = time.perf_counter() - t0
@@ -269,7 +272,7 @@ def test_criterion_7_optimization_dominance(tmp_path):
 
 
 def test_criterion_8_sensitivity_robustness():
-    sweep = sensitivity_sweep(table6_specs(), ("cdm_opt",))
+    sweep = sensitivity_sweep(table6_specs(), build_config(), ("cdm_opt",))
     problems = []
     if len(sweep.rows) != 17:
         problems.append(f"{len(sweep.rows)} rows")
@@ -279,7 +282,7 @@ def test_criterion_8_sensitivity_robustness():
             problems.append(f"{row.parameter} {row.delta:+.0%} diverged")
         elif not (m.signals["df1"].settled and m.signals["df2"].settled):
             problems.append(f"{row.parameter} {row.delta:+.0%} not settled")
-    tt1 = sensitivity_sweep(SweepSpec("area1.Tt"), ("cdm_opt",))
+    tt1 = sensitivity_sweep([SweepSpec("area1.Tt")], build_config(), ("cdm_opt",))
     rows = sorted(tt1.rows, key=lambda r: r.delta)
     ises = [r.metrics["cdm_opt"].ise for r in rows]
     if not all(b > a for a, b in zip(ises, ises[1:])):

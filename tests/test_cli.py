@@ -10,6 +10,11 @@ from cdmlfc.errors import ConfigError
 from cdmlfc.wca import WcaConfig
 
 
+def _csv_rows(path) -> list[dict]:
+    header, *lines = path.read_text().splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
 class TestConfig:
     def test_defaults_build(self):
         cfg = build_config()
@@ -116,6 +121,13 @@ class TestConfig:
                 "scenario.loads",
             ),
             ({"scenario": {"disturbance_time": "x"}}, "scenario.disturbance_time"),
+            ({"cases": {"seed": -1}}, "cases.seed"),
+            ({"cases": {"seed": 1.5}}, "cases.seed"),
+            ({"optimizer": {"seed": -1}}, "optimizer.seed"),
+            (
+                {"scenario": {"loads": [None, {"kind": "uniform_random", "amplitude": 0.01, "hold": 10, "seed": -3}]}},
+                "scenario.loads",
+            ),
         ):
             with pytest.raises(ConfigError) as err:
                 build_config(user)
@@ -294,6 +306,28 @@ class TestCliCommands:
             assert "'foo'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        rc = main(["case", "4", "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_optimize_repeats_below_one_exits_2(self, tmp_path, capsys):
+        rc = main(["optimize", "--repeats", "0", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "--repeats" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_disturbance_time_outside_the_horizon_exits_2(self, tmp_path, capsys):
+        for when in (100.0, 10.0, -5.0):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"scenario": {"disturbance_time": when}}))
+            argv = ["compare", "--config", str(cfg), "--controllers", "pi", "--horizon", "10"]
+            rc = main(argv + ["--out", str(tmp_path / "out")])
+            assert rc == 2
+            assert "scenario.disturbance_time" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.csv").exists()
+
     def test_incomplete_load_profile_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": {"loads": [{"kind": "step", "magnitude": 0.01}, None]}}))
@@ -303,17 +337,37 @@ class TestCliCommands:
         assert not (tmp_path / "out").exists()
 
     def test_compare_and_case2_share_one_runner(self, tmp_path):
-        # the default scenario is case 2's definition
+        # the default scenario is case 2's definition; a configured model and
+        # configured gains reach both commands, and the sweep's nominal row
+        area1 = {"D": 0.015, "M": 0.1667, "R": 3.0, "Tg": 0.16, "Tt": 0.8}
+        custom = {"model": {"area1": area1}, "controllers": {"integral": [0.9, 0.9]}}
         flags = ["--grc", "0.1", "--horizon", "20", "--controllers", "cdm_opt,cdm,pid,pi"]
-        assert main(["compare", "--out", str(tmp_path / "cmp")] + flags) == 0
-        assert main(["case", "2", "--out", str(tmp_path / "case")] + flags) == 0
-        names = ["report.csv"] + [f"trajectory_{name}.csv" for name in defaults.CONTROLLER_SET_NAMES]
-        for name in names:
-            assert (tmp_path / "cmp" / name).read_bytes() == (tmp_path / "case" / name).read_bytes()
-        cmp, case = (json.loads((tmp_path / d / "report.json").read_text()) for d in ("cmp", "case"))
-        for report in (cmp, case):
-            del report["case_id"], report["description"]
-        assert cmp == case
+        for label, user in (("default", None), ("custom", custom)):
+            run = tmp_path / label
+            run.mkdir()
+            config = []
+            if user is not None:
+                (run / "cfg.json").write_text(json.dumps(user))
+                config = ["--config", str(run / "cfg.json")]
+            assert main(["compare", "--out", str(run / "cmp")] + flags + config) == 0
+            assert main(["case", "2", "--out", str(run / "case")] + flags + config) == 0
+            names = ["report.csv"] + [f"trajectory_{name}.csv" for name in defaults.CONTROLLER_SET_NAMES]
+            for name in names:
+                assert (run / "cmp" / name).read_bytes() == (run / "case" / name).read_bytes()
+            cmp, case = (json.loads((run / d / "report.json").read_text()) for d in ("cmp", "case"))
+            for report in (cmp, case):
+                del report["case_id"], report["description"]
+            assert cmp == case
+            if user is not None:
+                assert case["model_snapshot"]["area1"] == area1
+                assert main(["sweep", "--out", str(run / "sweep")] + flags + config) == 0
+                sweep = _csv_rows(run / "sweep" / "sweep.csv")[0]
+                assert sweep["parameter"] == "nominal"
+                for row in _csv_rows(run / "case" / "report.csv"):
+                    name = row["controller"]
+                    assert [sweep[f"{name}_{k}"] for k in ("iae", "ise", "itse", "itae")] == [
+                        row[k] for k in ("iae", "ise", "itse", "itae")
+                    ]
 
     def test_compare_snapshot_is_the_full_model(self, tmp_path):
         rc = main(["compare", "--out", str(tmp_path), "--controllers", "pi", "--horizon", "5"])

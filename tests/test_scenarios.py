@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cdmlfc import scenarios
+from cdmlfc.config import build_config
 
 from cdmlfc.scenarios import (
     Composite,
@@ -195,68 +196,70 @@ class TestTuningObjective:
 
 class TestRunCase:
     def test_case2_ranking(self):
-        report = run_case(2, ("cdm_opt", "pid", "pi"))
+        report = run_case(2, build_config(), ("cdm_opt", "pid", "pi"))
         assert report.ranking == ["cdm_opt", "pid", "pi"]
 
     def test_case2_cdm_against_benchmark_row(self):
-        report = run_case(2, ("cdm_opt",))
+        report = run_case(2, build_config(), ("cdm_opt",))
         s = report.results[0].metrics.signals["df1"]
         assert s.undershoot == pytest.approx(-4.508e-3, rel=0.5)
         assert s.settled and s.t_s < 10.0
 
     def test_case2_pi_not_settled_at_30s(self):
-        report = run_case(2, ("pi",), horizon=30.0)
+        report = run_case(2, build_config(overrides={"solver.horizon": 30.0}), ("pi",))
         assert not report.results[0].metrics.signals["df1"].settled
 
     def test_case5_overrides_snapshot(self):
-        report = run_case(5, ("cdm_opt",))
+        report = run_case(5, build_config(), ("cdm_opt",))
         assert report.model_snapshot["area1"]["Tt"] == pytest.approx(0.785)
         assert report.model_snapshot["area1"]["Tg"] == pytest.approx(0.105)
         assert report.model_snapshot["area2"]["Tt"] == pytest.approx(0.6)
 
     def test_case4_deterministic(self):
-        a = run_case(4, ("cdm_opt",))
-        b = run_case(4, ("cdm_opt",))
+        a = run_case(4, build_config(), ("cdm_opt",))
+        b = run_case(4, build_config(), ("cdm_opt",))
         assert a.to_json() == b.to_json()
         assert np.array_equal(a.results[0].trajectory.df1, b.results[0].trajectory.df1)
 
     def test_case3_runs_and_reports(self):
-        report = run_case(3, ("cdm_opt", "pi"))
+        report = run_case(3, build_config(), ("cdm_opt", "pi"))
         assert report.ranking[0] == "cdm_opt"
         for res in report.results:
             assert math.isfinite(res.metrics.iae)
 
     def test_case2_ranking_stable_across_dt(self):
         for dt in (0.01, 0.005):
-            report = run_case(2, ("cdm_opt", "pid", "pi"), dt=dt, horizon=30.0)
+            cfg = build_config(overrides={"solver.dt": dt, "solver.horizon": 30.0})
+            report = run_case(2, cfg, ("cdm_opt", "pid", "pi"))
             assert report.ranking == ["cdm_opt", "pid", "pi"]
 
     def test_case4_ranking_stable_across_seeds(self):
         for seed in (1, 2, 3, 4, 5):
-            report = run_case(4, ("cdm_opt", "pid", "pi"), seed=seed)
+            report = run_case(4, build_config(overrides={"cases.seed": seed}), ("cdm_opt", "pid", "pi"))
             assert report.ranking == ["cdm_opt", "pid", "pi"]
 
 
 class TestSensitivitySweep:
     def test_nominal_row_matches_case2(self):
-        sweep = sensitivity_sweep(SweepSpec("area1.Tt", (0.25,)), ("cdm_opt",), horizon=30.0)
+        cfg = build_config(overrides={"solver.horizon": 30.0})
+        sweep = sensitivity_sweep([SweepSpec("area1.Tt", (0.25,))], cfg, ("cdm_opt",))
         nominal = sweep.rows[0].metrics["cdm_opt"]
-        case = run_case(2, ("cdm_opt",), horizon=30.0)
+        case = run_case(2, cfg, ("cdm_opt",))
         assert nominal.iae == pytest.approx(case.results[0].metrics.iae, rel=1e-12)
 
     def test_table6_cardinality(self):
-        sweep = sensitivity_sweep(table6_specs(), ("cdm_opt",))
+        sweep = sensitivity_sweep(table6_specs(), build_config(), ("cdm_opt",))
         assert len(sweep.rows) == 17
         assert sum(1 for r in sweep.rows if r.parameter == "nominal") == 1
 
     def test_tt1_monotone_ise(self):
-        sweep = sensitivity_sweep(SweepSpec("area1.Tt"), ("cdm_opt",))
+        sweep = sensitivity_sweep([SweepSpec("area1.Tt")], build_config(), ("cdm_opt",))
         rows = sorted(sweep.rows, key=lambda r: r.delta)
         ises = [r.metrics["cdm_opt"].ise for r in rows]
         assert all(b > a for a, b in zip(ises, ises[1:]))
 
     def test_all_cells_stable_and_settled(self):
-        sweep = sensitivity_sweep(table6_specs(), ("cdm_opt",))
+        sweep = sensitivity_sweep(table6_specs(), build_config(), ("cdm_opt",))
         for row in sweep.rows:
             m = row.metrics["cdm_opt"]
             assert m is not None

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cdmlfc import defaults
 from cdmlfc.cdm import CdmController, CdmGains, synthesize
+from cdmlfc.config import build_config
 from cdmlfc.errors import CdmlfcError, ImproperController, NonFiniteState
 from cdmlfc.plant import NonlinearityConfig, derive_design_plant
 from cdmlfc.poly import Polynomial
@@ -390,7 +391,7 @@ class TestEngineReference:
     @pytest.mark.parametrize("case_id", sorted(REFERENCE["cases"]))
     def test_case_indices(self, case_id):
         recorded = REFERENCE["cases"][case_id]
-        report = run_case(int(case_id), tuple(recorded))
+        report = run_case(int(case_id), build_config(), tuple(recorded))
         for res in report.results:
             assert res.metrics.iae == pytest.approx(recorded[res.name]["iae"], rel=1e-12)
             assert res.metrics.ise == pytest.approx(recorded[res.name]["ise"], rel=1e-12)
