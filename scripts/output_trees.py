@@ -43,6 +43,8 @@ CONFIGS = {
         "model": {"area1": {"D": 0.015, "M": 0.1667, "R": 3.0, "Tg": 0.16, "Tt": 0.8}},
         "controllers": {"cdm_opt": {"gamma": [25.33, 0.01, 17.62, 9.88, 29.98], "tau": 1.0, "k_b0": [20.5126, 39.9347]}},
     },
+    # a CDM design whose loop is not Hurwitz in either area: refused with exit 3
+    "unstable_cdm_opt": {"controllers": {"cdm_opt": {"gamma": [2.5, 2, 2, 2, 2], "tau": 0.9, "k_b0": [15, 30]}}},
 }
 
 
@@ -63,6 +65,7 @@ def commands(configs: pathlib.Path) -> dict[str, list[str]]:
         "custom_compare": ["compare", *config("custom"), *CONTROLLERS],
         "case2_custom_model": ["case", "2", *config("custom_model"), *CONTROLLERS],
         "sweep_custom_model": ["sweep", *config("custom_model"), *CONTROLLERS],
+        "case2_unstable_cdm_opt": ["case", "2", *config("unstable_cdm_opt"), "--horizon", "10", "--controllers", "cdm_opt"],
     }
 
 

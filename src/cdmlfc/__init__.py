@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .cdm import CdmController, CdmGains, closed_loop, controller_to_statespace, synthesize
+from .cdm import CdmController, CdmGains, controller_to_statespace, synthesize
 from .plant import AreaParams, DesignPlant, NonlinearityConfig, TieLine, derive_design_plant, frequency_bias
 from .poly import Polynomial, is_hurwitz, lipatov_sufficient, stability_indices, target_poly
 from .scenarios import Metrics, TuningObjective, indices, run_case, run_scenario, sensitivity_sweep, transient_measures
@@ -25,7 +25,6 @@ __all__ = [
     "Trajectory",
     "TuningObjective",
     "WcaConfig",
-    "closed_loop",
     "controller_to_statespace",
     "derive_design_plant",
     "frequency_bias",

@@ -161,10 +161,6 @@ def closed_loop_poly(plant: DesignPlant, ac: Polynomial, bc: Polynomial) -> Poly
     return poly_mul(ac, plant.Dp) + poly_mul(bc, plant.N)
 
 
-def closed_loop(plant: DesignPlant, ctrl: CdmController) -> Polynomial:
-    return closed_loop_poly(plant, ctrl.Ac, ctrl.Bc)
-
-
 def controller_to_statespace(ctrl: CdmController) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Controllable-canonical realization (A, B, C, D) of Bc(s)/Ac(s):
     xdot = A x + B y, v = C x + D y.

@@ -21,10 +21,9 @@ import numpy as np
 from . import __version__, defaults
 from .cdm import synthesize
 from .config import RunConfig, load_config
-from .errors import ConfigError, NonFiniteState, ObjectiveFailure, SingularSystem
+from .errors import ConfigError, NonFiniteState, ObjectiveFailure, SingularSystem, UnstableDesign
 from .plant import derive_design_plant
 from .scenarios import CaseReport, SweepReport, TuningObjective, run_case, run_scenario, sensitivity_sweep, table6_specs
-from .sim import horizon_steps, sample_steps
 from .wca import minimize, random_search
 
 
@@ -82,20 +81,6 @@ def _tuning_objective(cfg: RunConfig) -> TuningObjective:
         horizon=float(settings["horizon"]),
         bounds=cfg.opt_bounds,
     )
-
-
-def _run_horizon(cfg: RunConfig, default: float, what: str) -> float:
-    """The horizon of a case, sweep or scenario run (`cfg.run_horizon`).
-    Refuses, before anything runs, a controller sample or a horizon off the
-    solver.dt grid."""
-    if not sample_steps(cfg.controller_dt, cfg.dt):
-        raise ConfigError(
-            "solver.controller_dt", f"{cfg.controller_dt:g} is not a positive whole multiple of solver.dt = {cfg.dt:g}"
-        )
-    horizon = cfg.run_horizon(default)
-    if not horizon_steps(horizon, cfg.dt):
-        raise ConfigError("solver.dt", f"{cfg.dt:g} does not divide the {horizon:g} s horizon of {what}")
-    return horizon
 
 
 def _report_csv(path: Path, report: CaseReport) -> None:
@@ -212,11 +197,10 @@ def cmd_optimize(cfg: RunConfig, outdir: Path, repeats: int, algorithm: str) -> 
 
 def _scenario_report(cfg: RunConfig, controllers: list[str]) -> CaseReport:
     """Run the configured scenario (`scenario.*`, the model, the solver) for each controller set."""
-    horizon = _run_horizon(cfg, cfg.scenario.horizon, "the scenario (scenario.horizon)")
+    horizon = cfg.run_horizon(cfg.scenario.horizon, "the scenario (scenario.horizon)")
     if not 0.0 <= cfg.scenario.disturbance_time < horizon:
         raise ConfigError("scenario.disturbance_time", f"must lie in [0, {horizon:g}), the run horizon")
-    pairs = ((name, cfg.controller_pair(name)) for name in controllers)
-    return run_scenario(0, cfg.scenario, cfg, cfg.nonlin, pairs)
+    return run_scenario(0, cfg.scenario, cfg, cfg.nonlin, controllers)
 
 
 def _write_trajectories(outdir: Path, report: CaseReport) -> None:
@@ -243,7 +227,6 @@ def cmd_case(cfg: RunConfig, outdir: Path, case_id: int, controllers: list[str])
         return _cmd_case1(cfg, outdir)
     if case_id == 6:
         return cmd_sweep(cfg, outdir, controllers)
-    _run_horizon(cfg, defaults.CASE_HORIZONS[case_id], f"case {case_id}")
     report = run_case(case_id, cfg, controllers)
     _write_report(outdir, report)
     print(f"case {case_id}: ranking by (IAE, ISE): {' < '.join(report.ranking)}")
@@ -266,7 +249,6 @@ def _cmd_case1(cfg: RunConfig, outdir: Path) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, outdir: Path, controllers: list[str]) -> int:
-    _run_horizon(cfg, defaults.CASE_HORIZONS[6], "the sweep")
     report = sensitivity_sweep(table6_specs(), cfg, controllers)
     _sweep_csv(outdir / "sweep.csv", report)
     _write_json(outdir / "sweep.json", report.to_json())
@@ -375,7 +357,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except SingularSystem as exc:
+    except (SingularSystem, UnstableDesign) as exc:
         print(f"synthesis error: {exc}", file=sys.stderr)
         return 3
     except ObjectiveFailure as exc:

@@ -16,7 +16,7 @@ from typing import Any, Optional
 
 from . import defaults
 from .cdm import CdmController, CdmGains, synthesize
-from .errors import ConfigError
+from .errors import ConfigError, UnstableDesign
 from .plant import AreaParams, NonlinearityConfig, TieLine, derive_design_plant
 from .poly import Polynomial
 from .scenarios import CaseDefinition, case_definition, profile_from_json, profile_to_json
@@ -157,22 +157,35 @@ class RunConfig:
     def canonical_json(self) -> str:
         return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
 
-    def run_horizon(self, default: float) -> float:
-        """The horizon of a case, sweep or scenario run: solver.horizon, else `default`."""
-        return default if self.horizon is None else self.horizon
+    def run_horizon(self, default: float, what: str) -> float:
+        """The horizon of a case, sweep or scenario run (`what` names it): solver.horizon,
+        else `default`. Refuses a controller sample or a horizon off the solver.dt grid."""
+        if not sample_steps(self.controller_dt, self.dt):
+            message = f"{self.controller_dt:g} is not a positive whole multiple of solver.dt = {self.dt:g}"
+            raise ConfigError("solver.controller_dt", message)
+        horizon = default if self.horizon is None else self.horizon
+        if not horizon_steps(horizon, self.dt):
+            raise ConfigError("solver.dt", f"{self.dt:g} does not divide the {horizon:g} s horizon of {what}")
+        return horizon
 
     def controller_pair(self, name: str) -> tuple[ControllerSpec, ControllerSpec]:
-        """Controller pair by report name; the CDM sets are designed on the areas' design plants."""
+        """Controller pair by report name; the CDM sets are designed on the areas' design
+        plants, and a CDM set whose design loop is not Hurwitz raises UnstableDesign."""
         if name == "pid":
             return self.pid
         if name == "pi":
             return self.integral
         plants = [derive_design_plant(area, self.tie) for area in self.areas]
         if name == "cdm_opt":
-            return tuple(synthesize(plant, gains) for plant, gains in zip(plants, self.cdm_gains))
-        if name == "cdm":
-            return tuple(CdmController.from_polynomials(ac, bc, plant) for ac, bc, plant in zip(*self.classic, plants))
-        raise KeyError(f"unknown controller set {name!r}; expected one of {defaults.CONTROLLER_SET_NAMES}")
+            pair = tuple(synthesize(plant, gains) for plant, gains in zip(plants, self.cdm_gains))
+        elif name == "cdm":
+            pair = tuple(CdmController.from_polynomials(ac, bc, plant) for ac, bc, plant in zip(*self.classic, plants))
+        else:
+            raise KeyError(f"unknown controller set {name!r}; expected one of {defaults.CONTROLLER_SET_NAMES}")
+        unstable = [i + 1 for i, ctrl in enumerate(pair) if not ctrl.stable]
+        if unstable:
+            raise UnstableDesign(f"controller set {name!r} has an unstable design for area(s) {unstable}")
+        return pair
 
 
 _CASTS = {"int": int, "float": float, "bool": bool, "str": str}

@@ -11,7 +11,6 @@ anything those benchmarks show).
 
 from __future__ import annotations
 
-from .cdm import CdmGains
 from .plant import AreaParams, NonlinearityConfig, TieLine
 from .poly import Polynomial
 
@@ -53,11 +52,5 @@ OBJECTIVE_HORIZON = 60.0
 OBJECTIVE_PERTURB = 1.5  # governor/turbine time constant factor of the tuning model
 CASE_HORIZONS = {1: 60.0, 2: 60.0, 3: 60.0, 4: 100.0, 5: 100.0, 6: 30.0}
 CASE_SEED = 2016
-
-
-def opt_gains(area_index: int) -> CdmGains:
-    return CdmGains(OPT_GAMMA, OPT_TAU, OPT_KB0[area_index])
-
-
 CONTROLLER_SET_NAMES = ("cdm_opt", "cdm", "pid", "pi")
 

@@ -17,6 +17,10 @@ class SingularSystem(CdmlfcError):
     """The Sylvester synthesis system is rank-deficient."""
 
 
+class UnstableDesign(CdmlfcError):
+    """A controller set's design loop is not Hurwitz."""
+
+
 class ImproperController(CdmlfcError):
     """Controller numerator degree exceeds denominator degree."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from . import defaults
 from .cdm import CdmGains, synthesize
 from .errors import CdmlfcError, NonFiniteState
 from .plant import AreaParams, NonlinearityConfig, TieLine, derive_design_plant
-from .sim import BatchCdmSimulator, ControllerSpec, SystemModel, Trajectory, simulate
+from .sim import BatchCdmSimulator, SystemModel, Trajectory, simulate
 
 if TYPE_CHECKING:
     from .config import RunConfig
@@ -359,12 +359,15 @@ def run_scenario(
     definition: CaseDefinition,
     cfg: RunConfig,
     nonlin: NonlinearityConfig,
-    pairs: Iterable[tuple[str, tuple[ControllerSpec, ControllerSpec]]],
+    controllers: Sequence[str],
 ) -> CaseReport:
-    """Simulate and score each (name, controller pair) on one scenario: the
-    definition's loads over cfg's run horizon, on cfg's areas with the
-    definition's area overrides, cfg's tie line and solver steps, and `nonlin`."""
-    horizon = cfg.run_horizon(definition.horizon)
+    """Simulate and score each named controller set (`cfg.controller_pair`, all resolved before
+    anything runs) on one scenario (case 0 the configured one, 6 a sweep cell): the definition's
+    loads over cfg's run horizon, on cfg's areas with its area overrides, cfg's tie line and
+    solver steps, and `nonlin`."""
+    what = {0: "the scenario (scenario.horizon)", 6: "the sweep"}.get(case_id, f"case {case_id}")
+    horizon = cfg.run_horizon(definition.horizon, what)
+    pairs = [(name, cfg.controller_pair(name)) for name in controllers]
     areas = tuple(replace(area, **overrides) for area, overrides in zip(cfg.areas, definition.area_overrides))
     loads = tuple(realize(p, horizon) for p in definition.loads)
     results = []
@@ -393,8 +396,7 @@ def run_scenario(
 def run_case(case_id: int, cfg: RunConfig, controllers: Sequence[str]) -> CaseReport:
     """Simulate one bundled case on cfg's model, in its case regime
     (cases.seed, cases.nonlinear), for each requested controller set."""
-    pairs = ((name, cfg.controller_pair(name)) for name in controllers)
-    return run_scenario(case_id, case_definition(case_id, seed=cfg.cases_seed), cfg, cfg.cases_nonlin, pairs)
+    return run_scenario(case_id, case_definition(case_id, seed=cfg.cases_seed), cfg, cfg.cases_nonlin, controllers)
 
 
 # ---------------------------------------------------------------------------
@@ -445,14 +447,13 @@ def sensitivity_sweep(specs: Sequence[SweepSpec], cfg: RunConfig, controllers: S
     delta) pair; a controller pair that diverges in a cell scores None.
     """
     case2 = replace(case_definition(2), horizon=defaults.CASE_HORIZONS[6])
-    pairs = {name: cfg.controller_pair(name) for name in controllers}
 
     def run_cell(area_overrides: tuple[dict, dict]) -> dict:
         cell = replace(case2, area_overrides=area_overrides)
         out = {}
-        for name, pair in pairs.items():
+        for name in controllers:
             try:
-                out[name] = run_scenario(6, cell, cfg, cfg.cases_nonlin, [(name, pair)]).results[0].metrics
+                out[name] = run_scenario(6, cell, cfg, cfg.cases_nonlin, [name]).results[0].metrics
             except NonFiniteState:
                 out[name] = None
         return out
@@ -472,7 +473,7 @@ def sensitivity_sweep(specs: Sequence[SweepSpec], cfg: RunConfig, controllers: S
         run_params={
             "dt": cfg.dt,
             "controller_dt": cfg.controller_dt,
-            "horizon": cfg.run_horizon(case2.horizon),
+            "horizon": cfg.run_horizon(case2.horizon, "the sweep"),
             **asdict(cfg.cases_nonlin),
         },
     )

@@ -84,7 +84,7 @@ def test_criterion_2_cdm_roundtrip_and_prefilter():
 
     exact_f = []
     for i, area in enumerate((defaults.AREA1, defaults.AREA2)):
-        ctrl = synthesize(derive_design_plant(area, defaults.TIE), defaults.opt_gains(i))
+        ctrl = synthesize(derive_design_plant(area, defaults.TIE), build_config().cdm_gains[i])
         exact_f.append(ctrl.F == defaults.OPT_KB0[i] and ctrl.Bc.coeff(0) == defaults.OPT_KB0[i])
     ok = worst <= 1e-9 and all(exact_f) and elapsed < 1.0
     report("2 (CDM algebra round trip)", ok,

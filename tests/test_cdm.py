@@ -4,7 +4,6 @@ import pytest
 from cdmlfc.cdm import (
     CdmController,
     CdmGains,
-    closed_loop,
     closed_loop_poly,
     controller_to_statespace,
     synthesize,
@@ -128,7 +127,7 @@ class TestClosedLoop:
     def test_synthesized_degree_six(self):
         plant = derive_design_plant(AREA1, TIE)
         ctrl = synthesize(plant, opt_gains(20.5126))
-        cl = closed_loop(plant, ctrl)
+        cl = closed_loop_poly(plant, ctrl.Ac, ctrl.Bc)
         assert cl.degree == 6
         assert cl.coeffs == pytest.approx(ctrl.realized.coeffs, rel=1e-12)
 

@@ -283,6 +283,11 @@ class TestCliCommands:
         assert rc == 2
         err = capsys.readouterr().err
         assert "solver.dt" in err and "case 4" in err
+        cfg.write_text(json.dumps({"solver": {"controller_dt": 0.035}}))
+        rc = main(["sweep", "--dt", "0.035", "--config", str(cfg), "--out", str(tmp_path / "c")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "solver.dt" in err and "the sweep" in err
 
     def test_scenario_horizon_off_the_dt_grid_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -391,3 +396,11 @@ class TestCliCommands:
         assert rc == 0
         verdict = json.loads((tmp_path / "out2" / "controller_area1.json").read_text())["verdict"]
         assert verdict == "unstable"
+        # the commands that run a named CDM set refuse one whose design is unstable
+        unstable = {"gamma": [2.5, 2, 2, 2, 2], "tau": 0.9, "k_b0": [15, 30]}
+        cfg.write_text(json.dumps({"controllers": {"cdm_opt": unstable}}))
+        for i, argv in enumerate((["case", "2", "--controllers", "cdm_opt"], ["sweep"], ["simulate"], ["compare"])):
+            out = tmp_path / f"run{i}"
+            rc = main(argv + ["--horizon", "10", "--config", str(cfg), "--out", str(out)])
+            assert rc == 3, argv
+            assert not (out / "report.csv").exists() and not (out / "sweep.csv").exists()

@@ -5,7 +5,7 @@ import pytest
 
 from cdmlfc import scenarios
 from cdmlfc.config import build_config
-
+from cdmlfc.errors import ConfigError, UnstableDesign
 from cdmlfc.scenarios import (
     Composite,
     TuningObjective,
@@ -237,6 +237,23 @@ class TestRunCase:
         for seed in (1, 2, 3, 4, 5):
             report = run_case(4, build_config(overrides={"cases.seed": seed}), ("cdm_opt", "pid", "pi"))
             assert report.ranking == ["cdm_opt", "pid", "pi"]
+
+    def test_case4_horizon_off_the_dt_grid_names_solver_dt(self):
+        cfg = build_config({"solver": {"dt": 0.03, "controller_dt": 0.03}})
+        with pytest.raises(ConfigError) as exc:
+            run_case(4, cfg, ["pi"])
+        assert exc.value.path == "solver.dt" and "case 4" in str(exc.value)
+
+    def test_unstable_cdm_set_refused_before_anything_runs(self, monkeypatch):
+        # Ac = s^2 - s leaves neither area's design loop Hurwitz
+        cfg = build_config({"controllers": {"cdm_classic": {"ac": [[0, -1, 1]] * 2, "bc": [[1, 1, 1]] * 2}}})
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before every controller set was resolved")
+
+        monkeypatch.setattr(scenarios, "simulate", no_simulation)
+        with pytest.raises(UnstableDesign, match=r"'cdm' has an unstable design for area\(s\) \[1, 2\]"):
+            run_case(2, cfg, ["pi", "cdm"])
 
 
 class TestSensitivitySweep:

@@ -38,8 +38,8 @@ NONLINEARITIES = [
 
 def cdm_pair():
     return tuple(
-        synthesize(derive_design_plant(area, defaults.TIE), defaults.opt_gains(i))
-        for i, area in enumerate((defaults.AREA1, defaults.AREA2))
+        synthesize(derive_design_plant(area, defaults.TIE), gains)
+        for area, gains in zip((defaults.AREA1, defaults.AREA2), build_config().cdm_gains)
     )
 
 
