@@ -45,6 +45,8 @@ CONFIGS = {
     },
     # a CDM design whose loop is not Hurwitz in either area: refused with exit 3
     "unstable_cdm_opt": {"controllers": {"cdm_opt": {"gamma": [2.5, 2, 2, 2, 2], "tau": 0.9, "k_b0": [15, 30]}}},
+    # a boolean written as a string: refused with exit 2 before anything runs
+    "string_bool": {"optimizer": {"fitness_inverted": "false"}},
 }
 
 
@@ -66,6 +68,8 @@ def commands(configs: pathlib.Path) -> dict[str, list[str]]:
         "case2_custom_model": ["case", "2", *config("custom_model"), *CONTROLLERS],
         "sweep_custom_model": ["sweep", *config("custom_model"), *CONTROLLERS],
         "case2_unstable_cdm_opt": ["case", "2", *config("unstable_cdm_opt"), "--horizon", "10", "--controllers", "cdm_opt"],
+        "case2_grc_inf": ["case", "2", "--grc", "inf", "--horizon", "20", "--controllers", "cdm_opt,pi"],
+        "optimize_string_bool": ["optimize", *config("string_bool")],
     }
 
 

@@ -62,11 +62,18 @@ def _write_manifest(outdir: Path, command: str, cfg: RunConfig, overrides: dict)
 
 
 def _controller_names(args) -> list[str]:
-    names = [c.strip() for c in getattr(args, "controllers", "").split(",") if c.strip()]
-    for name in names:
+    """The sets named by --controllers (none for a command without it): at least one, each known and once."""
+    if not hasattr(args, "controllers"):
+        return []
+    names = [c.strip() for c in args.controllers.split(",") if c.strip()]
+    expected = ", ".join(defaults.CONTROLLER_SET_NAMES)
+    if not names:
+        raise ConfigError("--controllers", f"names no controller set; expected some of {expected}")
+    for i, name in enumerate(names):
         if name not in defaults.CONTROLLER_SET_NAMES:
-            expected = ", ".join(defaults.CONTROLLER_SET_NAMES)
             raise ConfigError("--controllers", f"unknown controller set {name!r}; expected one of {expected}")
+        if name in names[:i]:
+            raise ConfigError("--controllers", f"controller set {name!r} is named twice")
     return names
 
 
@@ -76,9 +83,9 @@ def _tuning_objective(cfg: RunConfig) -> TuningObjective:
         areas=cfg.areas,
         tie=cfg.tie,
         nonlin=cfg.objective_nonlin,
-        perturb=float(settings["perturb"]),
-        dt=float(settings["dt"]),
-        horizon=float(settings["horizon"]),
+        perturb=settings["perturb"],
+        dt=settings["dt"],
+        horizon=settings["horizon"],
         bounds=cfg.opt_bounds,
     )
 

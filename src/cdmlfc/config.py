@@ -1,9 +1,10 @@
 """Run configuration: a single JSON file merged over bundled defaults.
 
-Validation is strict: unknown keys are rejected with path-qualified
-messages, and record-like nodes (an area, the CDM gain triple, a PID gain
-set, a load profile) must be complete when supplied. Everything not
-supplied falls back to the bundled benchmark values.
+Validation is strict, and every error names its dotted path: unknown keys
+are rejected, record-like nodes (an area, the CDM gain triple, a PID gain
+set, a load profile) must be complete when supplied, and every leaf is read
+by one rule (`_value`). Everything not supplied falls back to the bundled
+benchmark values.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Any, Optional
 
 from . import defaults
@@ -19,7 +20,7 @@ from .cdm import CdmController, CdmGains, synthesize
 from .errors import ConfigError, UnstableDesign
 from .plant import AreaParams, NonlinearityConfig, TieLine, derive_design_plant
 from .poly import Polynomial
-from .scenarios import CaseDefinition, case_definition, profile_from_json, profile_to_json
+from .scenarios import PROFILE_KINDS, CaseDefinition, Composite, LoadProfile, case_definition, profile_to_json
 from .sim import ControllerSpec, IntegralSpec, PidSpec, horizon_steps, sample_steps
 from .wca import WcaConfig
 
@@ -44,10 +45,7 @@ def default_config() -> dict:
                 "ac": [list(p.coeffs) for p in defaults.CLASSIC_AC],
                 "bc": [list(p.coeffs) for p in defaults.CLASSIC_BC],
             },
-            "pid": [
-                {"kp": g[0], "ki": g[1], "kd": g[2], "tf": defaults.PID_FILTER_TF}
-                for g in defaults.PID_GAINS
-            ],
+            "pid": [asdict(PidSpec(*gains)) for gains in defaults.PID_GAINS],
             "integral": list(defaults.INTEGRAL_GAINS),
         },
         "solver": {
@@ -82,55 +80,33 @@ def default_config() -> dict:
     }
 
 
-# schema tree: dict of allowed keys, "*" marks record nodes validated whole
+# object records: supplied whole, with exactly the keys of their default node
 _RECORD_PATHS = {
     "model.area1",
     "model.area2",
     "model.tie",
     "controllers.cdm_opt",
     "controllers.cdm_classic",
-    "controllers.pid",
-    "controllers.integral",
-    "scenario.loads",
     "optimizer.bounds",
 }
 
-_AREA_KEYS = {f.name for f in fields(AreaParams)}
-_REQUIRED_RECORD_KEYS = {
-    "model.area1": _AREA_KEYS,
-    "model.area2": _AREA_KEYS,
-    "model.tie": {"T12"},
-    "controllers.cdm_opt": {"gamma", "tau", "k_b0"},
-    "controllers.cdm_classic": {"ac", "bc"},
-    "optimizer.bounds": {"gamma", "tau", "k_b0"},
-}
+
+def _keys(node, allowed: set, required: set, path: str) -> None:
+    """Refuse a node that is not an object, holds a key outside allowed or lacks a required one."""
+    if not isinstance(node, dict):
+        raise ConfigError(path, "expected an object")
+    for keys, message in ((set(node) - allowed, "unknown key"), (required - set(node), "missing required field")):
+        if keys:
+            raise ConfigError(f"{path}.{min(keys)}".lstrip("."), message)
 
 
 def _merge(base: Any, user: Any, path: str) -> Any:
-    if path in _RECORD_PATHS:
-        required = _REQUIRED_RECORD_KEYS.get(path)
-        if required is not None:
-            if not isinstance(user, dict):
-                raise ConfigError(path, f"expected an object with keys {sorted(required)}")
-            missing = required - set(user.keys())
-            if missing:
-                raise ConfigError(f"{path}.{sorted(missing)[0]}", "missing required field")
-            unknown = set(user.keys()) - required
-            if unknown:
-                raise ConfigError(f"{path}.{sorted(unknown)[0]}", "unknown key")
+    if not isinstance(base, dict):
         return copy.deepcopy(user)
-    if isinstance(base, dict):
-        if not isinstance(user, dict):
-            raise ConfigError(path, "expected an object")
-        unknown = set(user.keys()) - set(base.keys())
-        if unknown:
-            raise ConfigError(f"{path}.{sorted(unknown)[0]}" if path else sorted(unknown)[0], "unknown key")
-        merged = {}
-        for key, value in base.items():
-            child = f"{path}.{key}" if path else key
-            merged[key] = _merge(value, user[key], child) if key in user else copy.deepcopy(value)
-        return merged
-    return copy.deepcopy(user)
+    _keys(user, set(base), set(base) if path in _RECORD_PATHS else set(), path)
+    merged = copy.deepcopy(base)
+    merged.update({key: _merge(base[key], value, f"{path}.{key}".lstrip(".")) for key, value in user.items()})
+    return merged
 
 
 @dataclass
@@ -188,34 +164,38 @@ class RunConfig:
         return pair
 
 
-_CASTS = {"int": int, "float": float, "bool": bool, "str": str}
+_KINDS = {"float": "a finite number", "int": "a whole number", "bool": "a boolean", "str": "a string"}
 
 
-def _record(cls, node: dict, path: str):
-    """The dataclass cls built from node's values, each cast to its field's annotated type."""
+def _value(value, kind: str, path: str):
+    """value read as a leaf of kind "float", "int", "bool" or "str", else a config error naming path.
+
+    A float is a finite JSON number (never a string, a boolean or NaN), an int a whole one, a bool
+    a JSON boolean and a str a string. Only a grc_rate may be +inf, which means no clamp."""
+    number = type(value) in (int, float) and (math.isfinite(value) or (value == math.inf and path.endswith("grc_rate")))
+    ok = type(value).__name__ == kind if kind in ("bool", "str") else number and (kind == "float" or value % 1 == 0)
+    if not ok:
+        raise ConfigError(path, f"expected {_KINDS[kind]}, got {json.dumps(value, default=repr)}")
+    return float(value) if kind == "float" else int(value) if kind == "int" else value
+
+
+def _record(cls, node, path: str, others: tuple = ()):
+    """The dataclass cls built from the object node, each field read with `_value` as its annotated
+    type; a field with a default may be left out, and node may hold no key but the fields and `others`."""
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+    _keys(node, {f.name for f in fields(cls)} | set(others), required, path)
     try:
-        return cls(**{f.name: _CASTS[f.type](node[f.name]) for f in fields(cls)})
-    except (ValueError, TypeError) as exc:
+        return cls(**{f.name: _value(node[f.name], f.type, f"{path}.{f.name}") for f in fields(cls) if f.name in node})
+    except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
-
-
-def _number(value, path: str) -> float:
-    """value as a finite float, else a config error naming path."""
-    try:
-        number = float(value)
-        if math.isfinite(number):
-            return number
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError(path, "expected a finite number")
 
 
 def _seed(value, path: str) -> int:
     """value as a non-negative integer seed, else a config error naming path."""
-    seed = _number(value, path)
-    if seed < 0.0 or seed != int(seed):
+    seed = _value(value, "int", path)
+    if seed < 0:
         raise ConfigError(path, "must be a non-negative integer")
-    return int(seed)
+    return seed
 
 
 def _pair(values, path: str) -> list:
@@ -229,22 +209,39 @@ def _numbers(values, path: str) -> list[float]:
     """values as a list of finite floats, else a config error naming path or the bad entry."""
     if not isinstance(values, list):
         raise ConfigError(path, "expected a list of numbers")
-    return [_number(v, f"{path}[{i}]") for i, v in enumerate(values)]
+    return [_value(v, "float", f"{path}[{i}]") for i, v in enumerate(values)]
 
 
 def _step(node: dict, path: str) -> float:
     """node["dt"], an integrator step in (0, 0.05] as the simulator requires."""
-    dt = _number(node["dt"], f"{path}.dt")
+    dt = _value(node["dt"], "float", f"{path}.dt")
     if not (0.0 < dt <= 0.05):
         raise ConfigError(f"{path}.dt", "must be in (0, 0.05]")
     return dt
 
 
 def _horizon(node: dict, path: str, dt: float, dt_path: str) -> float:
-    horizon = _number(node["horizon"], f"{path}.horizon")
+    horizon = _value(node["horizon"], "float", f"{path}.horizon")
     if not horizon_steps(horizon, dt):
         raise ConfigError(f"{path}.horizon", f"must be a positive whole multiple of {dt_path}")
     return horizon
+
+
+def _profile(node, path: str) -> Optional[LoadProfile]:
+    """A scenario load profile from its JSON form (`profile_to_json`'s), or None."""
+    if node is None:
+        return None
+    if not isinstance(node, dict):
+        raise ConfigError(path, "expected a load profile object or null")
+    kind = _value(node.get("kind"), "str", f"{path}.kind")
+    if kind not in PROFILE_KINDS:
+        raise ConfigError(f"{path}.kind", f"expected one of {sorted(PROFILE_KINDS)}")
+    if kind != "composite":
+        return _record(PROFILE_KINDS[kind], node, path, ("kind",))
+    _keys(node, {"kind", "parts"}, {"parts"}, path)
+    if not isinstance(node["parts"], list):
+        raise ConfigError(f"{path}.parts", "expected a list of load profiles")
+    return Composite(tuple(_profile(part, f"{path}.parts[{i}]") for i, part in enumerate(node["parts"])))
 
 
 def build_config(user: Optional[dict] = None, overrides: Optional[dict] = None) -> RunConfig:
@@ -265,24 +262,15 @@ def build_config(user: Optional[dict] = None, overrides: Optional[dict] = None) 
     gamma = _numbers(cdm_opt["gamma"], "controllers.cdm_opt.gamma")
     if len(gamma) != len(defaults.OPT_GAMMA):
         raise ConfigError("controllers.cdm_opt.gamma", f"expected {len(defaults.OPT_GAMMA)} stability indices")
-    tau = _number(cdm_opt["tau"], "controllers.cdm_opt.tau")
+    tau = _value(cdm_opt["tau"], "float", "controllers.cdm_opt.tau")
     kb0 = _numbers(_pair(cdm_opt["k_b0"], "controllers.cdm_opt.k_b0"), "controllers.cdm_opt.k_b0")
     try:
         cdm_gains = tuple(CdmGains(gamma, tau, k) for k in kb0)
     except ValueError as exc:
         raise ConfigError("controllers.cdm_opt", str(exc)) from None
 
-    pid = []
-    keys = {f.name for f in fields(PidSpec)}
-    for i, node in enumerate(_pair(controllers["pid"], "controllers.pid")):
-        path = f"controllers.pid[{i}]"
-        if not isinstance(node, dict) or set(node.keys()) - keys:
-            raise ConfigError(path, f"expected keys {sorted(keys)}")
-        missing = keys - {"tf"} - set(node.keys())
-        if missing:
-            raise ConfigError(f"{path}.{sorted(missing)[0]}", "missing required field")
-        pid.append(_record(PidSpec, {"tf": defaults.PID_FILTER_TF, **node}, path))
-
+    pid = _pair(controllers["pid"], "controllers.pid")
+    pid = tuple(_record(PidSpec, node, f"controllers.pid[{i}]") for i, node in enumerate(pid))
     integral = _numbers(_pair(controllers["integral"], "controllers.integral"), "controllers.integral")
 
     classic = []
@@ -298,26 +286,37 @@ def build_config(user: Optional[dict] = None, overrides: Optional[dict] = None) 
         if not low < high:
             raise ConfigError(path, "expected [low, high] with low < high")
     opt_bounds = [bounds["gamma"]] * 5 + [bounds["tau"]] + [bounds["k_b0"]] * 2
+    wca_node = {**opt, "seed": _seed(opt["seed"], "optimizer.seed")}
+    wca = _record(WcaConfig, wca_node, "optimizer", ("bounds", "objective"))
 
     solver = merged["solver"]
     dt = _step(solver, "solver")
-    controller_dt = _number(solver["controller_dt"], "solver.controller_dt")
+    controller_dt = _value(solver["controller_dt"], "float", "solver.controller_dt")
     # a controller sample finer than dt is refused by the commands that run the solver
     if not (controller_dt > 0.0 and (controller_dt < dt or sample_steps(controller_dt, dt))):
         raise ConfigError("solver.controller_dt", "must be a positive whole multiple of solver.dt")
     horizon = None if solver["horizon"] is None else _horizon(solver, "solver", dt, "solver.dt")
-    objective_dt = _step(opt["objective"], "optimizer.objective")
-    _horizon(opt["objective"], "optimizer.objective", objective_dt, "optimizer.objective.dt")
+
+    objective = opt["objective"]
+    objective_dt = _step(objective, "optimizer.objective")
+    perturb = _value(objective["perturb"], "float", "optimizer.objective.perturb")
+    if not perturb > 0.0:
+        raise ConfigError("optimizer.objective.perturb", "must be > 0")
+    objective_nonlin = _record(NonlinearityConfig, objective, "optimizer.objective", ("dt", "horizon", "perturb"))
+    objective_settings = {
+        "dt": objective_dt,
+        "horizon": _horizon(objective, "optimizer.objective", objective_dt, "optimizer.objective.dt"),
+        "perturb": perturb,
+        **asdict(objective_nonlin),
+    }
+
     scenario = merged["scenario"]
     # its solver.dt grid is checked by the commands that run the scenario, so
     # that a --dt off its grid still serves the commands that do not
-    scenario_horizon = _number(scenario["horizon"], "scenario.horizon")
+    scenario_horizon = _value(scenario["horizon"], "float", "scenario.horizon")
     if not scenario_horizon > 0.0:
         raise ConfigError("scenario.horizon", "must be > 0")
-    try:
-        loads = tuple(profile_from_json(node) for node in _pair(scenario["loads"], "scenario.loads"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("scenario.loads", f"bad load profile: {exc}") from None
+    loads = tuple(_profile(n, f"scenario.loads[{i}]") for i, n in enumerate(_pair(scenario["loads"], "scenario.loads")))
 
     return RunConfig(
         raw=merged,
@@ -328,20 +327,20 @@ def build_config(user: Optional[dict] = None, overrides: Optional[dict] = None) 
         cases_seed=_seed(merged["cases"]["seed"], "cases.seed"),
         cdm_gains=cdm_gains,
         classic=tuple(classic),
-        pid=tuple(pid),
+        pid=pid,
         integral=tuple(IntegralSpec(k) for k in integral),
         dt=dt,
         controller_dt=controller_dt,
         horizon=horizon,
-        wca=_record(WcaConfig, {**opt, "seed": _seed(opt["seed"], "optimizer.seed")}, "optimizer"),
+        wca=wca,
         opt_bounds=opt_bounds,
-        objective_settings=dict(opt["objective"]),
-        objective_nonlin=_record(NonlinearityConfig, opt["objective"], "optimizer.objective"),
+        objective_settings=objective_settings,
+        objective_nonlin=objective_nonlin,
         scenario=CaseDefinition(
             "custom scenario comparison",
             loads,
             scenario_horizon,
-            disturbance_time=_number(scenario["disturbance_time"], "scenario.disturbance_time"),
+            disturbance_time=_value(scenario["disturbance_time"], "float", "scenario.disturbance_time"),
         ),
     )
 

@@ -32,7 +32,6 @@ OPT_TAU = 0.8832
 OPT_KB0 = (20.5126, 39.9347)
 
 PID_GAINS = ((3.8830, 8.9908, 2.9089), (4.4420, 8.1478, 1.0651))  # Kp, Ki, Kd per area
-PID_FILTER_TF = 0.01
 INTEGRAL_GAINS = (0.3, 0.2)
 
 # classic CDM baseline polynomials (ascending powers)

@@ -90,8 +90,8 @@ def realize(profile: Optional[LoadProfile], horizon: float) -> LoadFn:
 
 
 # JSON form: {"kind": <key>, <field>: <value>, ...}; a composite's parts nest
-_PROFILE_KINDS = {"step": Step, "sine": Sine, "uniform_random": UniformRandom, "composite": Composite}
-_KIND_OF = {cls: kind for kind, cls in _PROFILE_KINDS.items()}
+PROFILE_KINDS = {"step": Step, "sine": Sine, "uniform_random": UniformRandom, "composite": Composite}
+_KIND_OF = {cls: kind for kind, cls in PROFILE_KINDS.items()}
 
 
 def profile_to_json(profile: Optional[LoadProfile]) -> Optional[dict]:
@@ -103,22 +103,6 @@ def profile_to_json(profile: Optional[LoadProfile]) -> Optional[dict]:
     if kind == "composite":
         return {"kind": kind, "parts": [profile_to_json(p) for p in profile.parts]}
     return {"kind": kind, **asdict(profile)}
-
-
-def profile_from_json(data: Optional[dict]) -> Optional[LoadProfile]:
-    if data is None:
-        return None
-    kind = data["kind"]
-    if kind not in _PROFILE_KINDS:
-        raise ValueError(f"unknown load profile kind {kind!r}")
-    if kind == "composite":
-        return Composite(tuple(profile_from_json(p) for p in data["parts"]))
-    profile = _PROFILE_KINDS[kind](**{k: v for k, v in data.items() if k != "kind"})
-    for f in fields(profile):
-        value = getattr(profile, f.name)
-        if type(value) not in ((int,) if f.type == "int" else (int, float)) or not math.isfinite(value):
-            raise ValueError(f"{kind} {f.name} must be a finite {f.type}")
-    return profile
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +431,8 @@ def sensitivity_sweep(specs: Sequence[SweepSpec], cfg: RunConfig, controllers: S
     delta) pair; a controller pair that diverges in a cell scores None.
     """
     case2 = replace(case_definition(2), horizon=defaults.CASE_HORIZONS[6])
+    for name in controllers:  # a design-unstable set is refused before any cell runs
+        cfg.controller_pair(name)
 
     def run_cell(area_overrides: tuple[dict, dict]) -> dict:
         cell = replace(case2, area_overrides=area_overrides)

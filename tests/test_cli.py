@@ -1,13 +1,35 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from cdmlfc import cli, defaults
 from cdmlfc.cli import main
-from cdmlfc.config import build_config
+from cdmlfc.config import build_config, default_config
 from cdmlfc.errors import ConfigError
 from cdmlfc.wca import WcaConfig
+
+
+def _leaves(node, path=""):
+    """(dotted path, parent, key) of every scalar leaf of a config tree."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        child = f"{path}[{key}]" if isinstance(node, list) else f"{path}.{key}" if path else key
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, child)
+        else:
+            yield child, node, key
+
+
+def _wrong_kinds(value) -> list:
+    """Values of a wrong kind for a leaf whose default is value (None stands for a number)."""
+    if isinstance(value, bool):
+        return ["false", 0, math.nan]
+    if isinstance(value, str):
+        return [5, math.nan]
+    wrong = [str(value), True, math.nan]
+    return wrong + [0.5] if isinstance(value, int) else wrong
 
 
 def _csv_rows(path) -> list[dict]:
@@ -85,6 +107,24 @@ class TestConfig:
         cfg = build_config({"optimizer": {"objective": {"dt": 0.005, "horizon": 1.005}}})
         assert (cfg.objective_settings["dt"], cfg.objective_settings["horizon"]) == (0.005, 1.005)
 
+    def test_every_leaf_reads_by_one_rule(self):
+        tree = default_config()
+        for path, parent, key in list(_leaves(tree)):
+            value = parent[key]
+            for wrong in _wrong_kinds(value):
+                parent[key] = wrong
+                with pytest.raises(ConfigError) as err:
+                    build_config(tree)
+                assert err.value.path == path, (path, wrong, str(err.value))
+            parent[key] = value
+        assert build_config(tree).raw == default_config()
+
+    def test_whole_numbers_read_as_integers(self):
+        cfg = build_config({"cases": {"seed": 2.0}, "optimizer": {"seed": 3.0, "n_pop": 20.0, "max_it": 4.0}})
+        assert (cfg.cases_seed, cfg.wca.seed, cfg.wca.n_pop, cfg.wca.max_it) == (2, 3, 20, 4)
+        random_load = {"kind": "uniform_random", "amplitude": 0.01, "hold": 10, "seed": 2.0}
+        assert build_config({"scenario": {"loads": [random_load, None]}}).scenario.loads[0].seed == 2
+
     def test_times_must_be_finite_numbers(self):
         for user, key in (
             ({"solver": {"horizon": float("nan")}}, "solver.horizon"),
@@ -128,6 +168,12 @@ class TestConfig:
                 {"scenario": {"loads": [None, {"kind": "uniform_random", "amplitude": 0.01, "hold": 10, "seed": -3}]}},
                 "scenario.loads",
             ),
+            ({"optimizer": {"objective": {"perturb": "x"}}}, "optimizer.objective.perturb"),
+            ({"optimizer": {"objective": {"perturb": -1}}}, "optimizer.objective.perturb"),
+            ({"optimizer": {"objective": {"perturb": float("nan")}}}, "optimizer.objective.perturb"),
+            # only a grc_rate may be infinite, and only +inf (no clamp)
+            ({"model": {"nonlinear": {"grc_rate": -math.inf}}}, "model.nonlinear.grc_rate"),
+            ({"model": {"area1": dict(default_config()["model"]["area1"], D=math.inf)}}, "model.area1.D"),
         ):
             with pytest.raises(ConfigError) as err:
                 build_config(user)
@@ -162,11 +208,25 @@ class TestCliCommands:
         assert rc == 2
 
     def test_design_non_numeric_gain_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"controllers": {"integral": ["x", 0.2]}}))
-        rc = main(["design", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert rc == 2
-        assert "controllers.integral[0]" in capsys.readouterr().err
+        area1 = dict(default_config()["model"]["area1"])
+        for user, path in (
+            ({"controllers": {"integral": ["x", 0.2]}}, "controllers.integral[0]"),
+            ({"controllers": {"integral": ["0.3", 0.2]}}, "controllers.integral[0]"),
+            ({"optimizer": {"fitness_inverted": "false"}}, "optimizer.fitness_inverted"),
+            ({"optimizer": {"n_pop": 50.7}}, "optimizer.n_pop"),
+            ({"optimizer": {"max_it": 3.9}}, "optimizer.max_it"),
+            ({"model": {"area1": dict(area1, D="0.015")}}, "model.area1.D"),
+            ({"model": {"area1": dict(area1, M=True)}}, "model.area1.M"),
+            ({"solver": {"dt": "0.01"}}, "solver.dt"),
+            ({"model": {"nonlinear": {"gdb_width": float("nan")}}}, "model.nonlinear.gdb_width"),
+            ({"optimizer": {"objective": {"perturb": -1}}}, "optimizer.objective.perturb"),
+        ):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(user))
+            rc = main(["design", "--config", str(cfg), "--out", str(tmp_path / "out")])
+            assert rc == 2
+            assert f"config error: {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_case2_outputs(self, tmp_path):
         rc = main(["case", "2", "--out", str(tmp_path)])
@@ -246,10 +306,12 @@ class TestCliCommands:
         assert report["ranking"][0] == "cdm_opt"
 
     def test_grc_flag_changes_case_behavior(self, tmp_path):
-        rc = main(["case", "2", "--out", str(tmp_path), "--grc", str(0.1 / 60.0), "--horizon", "30"])
-        assert rc == 0
-        report = json.loads((tmp_path / "report.json").read_text())
-        assert report["model_snapshot"]["grc_rate"] == pytest.approx(0.1 / 60.0)
+        # inf lifts the clamp: the one value that may be infinite
+        for grc in (str(0.1 / 60.0), "inf"):
+            rc = main(["case", "2", "--out", str(tmp_path / grc), "--grc", grc, "--horizon", "30"])
+            assert rc == 0
+            report = json.loads((tmp_path / grc / "report.json").read_text())
+            assert report["model_snapshot"]["grc_rate"] == pytest.approx(float(grc))
 
     def test_horizon_off_the_dt_grid_exits_2(self, tmp_path, capsys):
         rc = main(["case", "2", "--horizon", "0.015", "--out", str(tmp_path / "out")])
@@ -305,10 +367,16 @@ class TestCliCommands:
         assert "optimizer.objective.horizon" in capsys.readouterr().err
 
     def test_unknown_controller_set_exits_2(self, tmp_path, capsys):
-        for argv in (["case", "2"], ["sweep"], ["compare"]):
-            rc = main(argv + ["--controllers", "cdm_opt,foo", "--out", str(tmp_path / "out")])
-            assert rc == 2
-            assert "'foo'" in capsys.readouterr().err
+        for names, message in (
+            ("cdm_opt,foo", "'foo'"),
+            ("", "names no controller set"),
+            (" , ", "names no controller set"),
+            ("pi,pi", "'pi' is named twice"),
+        ):
+            for argv in (["case", "2"], ["sweep"], ["compare"]):
+                rc = main(argv + ["--controllers", names, "--out", str(tmp_path / "out")])
+                assert rc == 2
+                assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):

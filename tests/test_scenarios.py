@@ -5,7 +5,7 @@ import pytest
 
 from cdmlfc import scenarios
 from cdmlfc.config import build_config
-from cdmlfc.errors import ConfigError, UnstableDesign
+from cdmlfc.errors import ConfigError, NonFiniteState, UnstableDesign
 from cdmlfc.scenarios import (
     Composite,
     TuningObjective,
@@ -17,7 +17,6 @@ from cdmlfc.scenarios import (
     case1_load,
     evaluate,
     indices,
-    profile_from_json,
     profile_to_json,
     realize,
     run_case,
@@ -73,7 +72,7 @@ class TestLoadProfiles:
 
     def test_json_roundtrip(self):
         for p in (Step(0.01, 1.0), Sine(0.01, 0.05, 2.0), UniformRandom(0.02, 5.0, 3), case1_load(), None):
-            assert profile_from_json(profile_to_json(p)) == p
+            assert build_config({"scenario": {"loads": [None, profile_to_json(p)]}}).scenario.loads == (None, p)
 
 
 class TestIndices:
@@ -281,6 +280,35 @@ class TestSensitivitySweep:
             m = row.metrics["cdm_opt"]
             assert m is not None
             assert m.signals["df1"].settled and m.signals["df2"].settled
+
+    def test_unstable_set_refused_before_any_cell_runs(self, monkeypatch):
+        unstable = {"gamma": [2.5, 2, 2, 2, 2], "tau": 0.9, "k_b0": [15, 30]}
+        cfg = build_config({"controllers": {"cdm_opt": unstable}, "solver": {"horizon": 5.0}})
+        calls = []
+        simulate = scenarios.simulate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "simulate", counted)
+        with pytest.raises(UnstableDesign, match="'cdm_opt'"):
+            sensitivity_sweep(table6_specs(), cfg, ["pi", "pid", "cdm_opt"])
+        assert calls == []
+
+    def test_divergent_pair_scores_none_alone(self, monkeypatch):
+        cfg = build_config(overrides={"solver.horizon": 5.0})
+        simulate = scenarios.simulate
+
+        def diverge_pi_in_slow_cells(model, *args, **kwargs):
+            if model.controllers == cfg.integral and model.areas[0].Tt > cfg.areas[0].Tt:
+                raise NonFiniteState(1.0)
+            return simulate(model, *args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "simulate", diverge_pi_in_slow_cells)
+        sweep = sensitivity_sweep([SweepSpec("area1.Tt", (-0.25, 0.25))], cfg, ["pi", "pid"])
+        assert [r.metrics["pi"] is None for r in sweep.rows] == [False, False, True]
+        assert all(r.metrics["pid"] is not None for r in sweep.rows)
 
     def test_invalid_parameter_rejected(self):
         with pytest.raises(ValueError):
