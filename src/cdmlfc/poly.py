@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidGamma, ZeroCoefficient
 
@@ -50,11 +50,6 @@ class Polynomial:
         obj = object.__new__(cls)
         object.__setattr__(obj, "coeffs", tuple(float(c) for c in coeffs))
         return obj
-
-    @classmethod
-    def from_descending(cls, coeffs: Iterable[float]) -> "Polynomial":
-        """Build from highest-power-first coefficients (printed-report order)."""
-        return cls(list(coeffs)[::-1])
 
     @property
     def is_zero(self) -> bool:
@@ -152,20 +147,6 @@ def stability_limits(p: Polynomial) -> list[float]:
     return [inverse[i] + inverse[i + 2] for i in range(len(gamma))]
 
 
-def break_points(p: Polynomial) -> list[float]:
-    """Pseudo-break points omega_i = a_i/a_{i-1}, i = 1..n.
-
-    With this orientation gamma_i = omega_i/omega_{i+1} reproduces the
-    stability indices exactly.
-    """
-    n = p.degree
-    if n < 1:
-        raise ValueError("break points need degree >= 1")
-    _require_nonzero_coeffs(p)
-    a = p.coeffs
-    return [a[i] / a[i - 1] for i in range(1, n + 1)]
-
-
 def target_poly(gamma: Sequence[float], tau: float, a0: float) -> Polynomial:
     """Closed-loop target polynomial from (gamma, tau, a0).
 
@@ -194,17 +175,13 @@ def target_poly(gamma: Sequence[float], tau: float, a0: float) -> Polynomial:
     return Polynomial._exact(coeffs)
 
 
-class HurwitzVerdict(NamedTuple):
-    stable: bool
-    degenerate: bool  # a Routh row (or leading entry) vanished
-
-
-def hurwitz_verdict(p: Polynomial) -> HurwitzVerdict:
-    """Exact Routh-Hurwitz test.
+def is_hurwitz(p: Polynomial) -> bool:
+    """True iff all roots of p have strictly negative real part, by the exact
+    Routh-Hurwitz test.
 
     Zero detection is relative: an entry below 1e-12 of its row's magnitude
     counts as zero. A degenerate table (zero leading entry or an identically
-    zero row) is reported as not Hurwitz with the flag set.
+    zero row) is not Hurwitz.
     """
     n = p.degree
     if n < 1:
@@ -214,9 +191,9 @@ def hurwitz_verdict(p: Polynomial) -> HurwitzVerdict:
         coeffs = [-c for c in coeffs]
     # Necessary condition: every coefficient strictly positive.
     if any(c <= 0.0 for c in coeffs):
-        return HurwitzVerdict(stable=False, degenerate=False)
+        return False
     if n == 1:
-        return HurwitzVerdict(stable=True, degenerate=False)
+        return True
 
     # First two rows hold descending even/odd coefficients.
     row_hi = coeffs[n::-2]
@@ -227,25 +204,17 @@ def hurwitz_verdict(p: Polynomial) -> HurwitzVerdict:
     for _ in range(n - 1):
         scale = max(max(abs(v) for v in row_hi), max(abs(v) for v in row_lo))
         if scale == 0.0 or abs(row_lo[0]) <= 1e-12 * scale:
-            return HurwitzVerdict(stable=False, degenerate=True)
+            return False
         nxt = []
         for k in range(width - 1):
             nxt.append((row_lo[0] * row_hi[k + 1] - row_hi[0] * row_lo[k + 1]) / row_lo[0])
         nxt.append(0.0)
         if row_lo[0] < 0.0:
-            return HurwitzVerdict(stable=False, degenerate=False)
+            return False
         row_hi, row_lo = row_lo, nxt
 
-    if row_lo[0] <= 0.0:
-        # Last pivot is a_0 up to positive factors; sign decides stability.
-        degenerate = abs(row_lo[0]) <= 1e-12 * max(abs(v) for v in row_hi)
-        return HurwitzVerdict(stable=False, degenerate=degenerate)
-    return HurwitzVerdict(stable=True, degenerate=False)
-
-
-def is_hurwitz(p: Polynomial) -> bool:
-    """True iff all roots of p have strictly negative real part."""
-    return hurwitz_verdict(p).stable
+    # Last pivot is a_0 up to positive factors; sign decides stability.
+    return row_lo[0] > 0.0
 
 
 def lipatov_sufficient(p: Polynomial) -> bool:

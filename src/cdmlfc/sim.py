@@ -31,6 +31,14 @@ LoadFn = Callable[[float], float]
 # this cap (pu); simulate then raises NonFiniteState, run_iae NaNs the lane.
 _DIVERGENCE_CAP = 1e6
 
+# The lanes layout of the plant state: row r of a (7, lanes) stacked state
+# holds entry STACKED_ROWS[r] of the one-lane state, so the rows read
+# df1 df2 | dpm1 dpm2 | dpg1 dpg2 | dptie.
+STACKED_ROWS = (0, 3, 1, 4, 2, 5, 6)
+_ONE_LANE_ROWS = tuple(STACKED_ROWS.index(i) for i in range(7))
+# the sign of dptie in each area's row: + in area 1, - in area 2
+_TIE_SIGN = np.array([[1.0], [-1.0]])
+
 
 @dataclass(frozen=True)
 class IntegralSpec:
@@ -119,51 +127,74 @@ def plant_rhs(
     nonlin: NonlinearityConfig,
     lanes: bool = False,
 ) -> Callable:
-    """The plant state derivative f(state, loads, u) under held control inputs.
+    """The plant state derivative under held control inputs.
 
-    state = (df1, dpm1, dpg1, df2, dpm2, dpg2, dptie), each a float or, with
-    lanes=True, an array with one entry per lane; loads = (dPL1, dPL2) and
-    u = (u1, u2) likewise. The tie-line term enters area 1 with +1 and area 2
-    with -1, and the rate clamp is applied to the turbine derivative so GRC
-    holds inside every integrator stage. Only the GRC clamp and the dead zone
-    differ by lane kind, and that choice is made here, once per run.
+    One lane: f(state, loads, u) with state = (df1, dpm1, dpg1, df2, dpm2,
+    dpg2, dptie), loads = (dPL1, dPL2) and u = (u1, u2) floats, returning a
+    tuple in state order. With lanes=True: f(state, loads, u, out) with state
+    and out (7, lanes) arrays stacked as in STACKED_ROWS, the two areas' rows
+    side by side, loads a (2, 1) column and u (2, lanes); out is written in
+    place and returned. Both kinds do the same operations per lane. The
+    tie-line term enters area 1 with +1 and area 2 with -1, and the rate clamp
+    is applied to the turbine derivative so GRC holds inside every integrator
+    stage.
     """
     a1, a2 = areas
     grc = nonlin.grc_rate
     half = 0.5 * nonlin.gdb_width
     t12 = 2.0 * math.pi * tie.T12
 
-    if lanes:
-        def clamp(x):
-            return np.clip(x, -grc, grc)
+    # the governor's droop input df / R, passed through its dead band
+    if half == 0.0:
+        def governor(df, ddf, r):
+            return df / r
+    elif nonlin.gdb_mode == "backlash":
+        def governor(df, ddf, r):
+            # describing-function approximation of the governor dead band
+            return 0.8 * (df / r) - (0.2 / math.pi) * (ddf / r)
 
-        def dead_zone(x, xdot):
+    elif lanes:
+        def governor(df, ddf, r):
+            x = df / r
             return np.sign(x) * np.maximum(np.abs(x) - half, 0.0)
     else:
-        def clamp(x):
-            if x > grc:
-                return grc
-            if x < -grc:
-                return -grc
-            return x
-
-        def dead_zone(x, xdot):
+        def governor(df, ddf, r):
+            x = df / r
             if x > half:
                 return x - half
             if x < -half:
                 return x + half
             return 0.0
 
-    if half == 0.0:
-        def governor(x, xdot):
-            return x
-    elif nonlin.gdb_mode == "backlash":
-        def governor(x, xdot):
-            # describing-function approximation of the governor dead band
-            return 0.8 * x - (0.2 / math.pi) * xdot
+    if lanes:
+        # (2, 1) parameter columns, area 1 over area 2
+        d, m, tt, tg, r = (np.array([[getattr(a1, k)], [getattr(a2, k)]]) for k in ("D", "M", "Tt", "Tg", "R"))
 
-    else:
-        governor = dead_zone
+        def stacked(state, loads, u, out):
+            df, dpm, dpg = state[0:2], state[2:4], state[4:6]
+            ddf, ddpm, ddpg, ddptie = out[0:2], out[2:4], out[4:6], out[6:7]
+            np.subtract(dpm, loads, out=ddf)
+            ddf -= d * df
+            ddf -= _TIE_SIGN * state[6:7]
+            ddf /= m
+            np.subtract(dpg, dpm, out=ddpm)
+            ddpm /= tt
+            np.minimum(np.maximum(ddpm, -grc, out=ddpm), grc, out=ddpm)
+            np.subtract(u, governor(df, ddf, r), out=ddpg)
+            ddpg -= dpg
+            ddpg /= tg
+            np.subtract(state[0:1], state[1:2], out=ddptie)
+            ddptie *= t12
+            return out
+
+        return stacked
+
+    def clamp(x):
+        if x > grc:
+            return grc
+        if x < -grc:
+            return -grc
+        return x
 
     def rhs(state, loads, u):
         df1, dpm1, dpg1, df2, dpm2, dpg2, dptie = state
@@ -171,8 +202,8 @@ def plant_rhs(
         ddf2 = (dpm2 - loads[1] - a2.D * df2 + dptie) / a2.M
         ddpm1 = clamp((dpg1 - dpm1) / a1.Tt)
         ddpm2 = clamp((dpg2 - dpm2) / a2.Tt)
-        ddpg1 = (u[0] - governor(df1 / a1.R, ddf1 / a1.R) - dpg1) / a1.Tg
-        ddpg2 = (u[1] - governor(df2 / a2.R, ddf2 / a2.R) - dpg2) / a2.Tg
+        ddpg1 = (u[0] - governor(df1, ddf1, a1.R) - dpg1) / a1.Tg
+        ddpg2 = (u[1] - governor(df2, ddf2, a2.R) - dpg2) / a2.Tg
         return (ddf1, ddpm1, ddpg1, ddf2, ddpm2, ddpg2, t12 * (df1 - df2))
 
     return rhs
@@ -192,6 +223,34 @@ def rk4_step(rhs: Callable, state: tuple, loads: tuple[LoadFn, LoadFn], u: tuple
     return tuple(
         x + h / 6.0 * (d1 + 2.0 * d2 + 2.0 * d3 + d4) for x, d1, d2, d3, d4 in zip(state, k1, k2, k3, k4)
     )
+
+
+def rk4_lanes_step(
+    rhs: Callable, state: np.ndarray, loads: np.ndarray, u: np.ndarray, h: float, work: np.ndarray
+) -> None:
+    """rk4_step in place on a (7, lanes) stacked state under plant_rhs(lanes=True):
+    per lane, the same operations in the same order. loads holds the (2, 1) load
+    columns at t, t + h/2 and t + h; work is a (5, 7, lanes) scratch array."""
+    k1, k2, k3, k4, x = work
+    l0, lm, le = loads
+    rhs(state, l0, u, k1)
+    np.multiply(k1, 0.5 * h, out=x)
+    x += state
+    rhs(x, lm, u, k2)
+    np.multiply(k2, 0.5 * h, out=x)
+    x += state
+    rhs(x, lm, u, k3)
+    np.multiply(k3, h, out=x)
+    x += state
+    rhs(x, le, u, k4)
+    # state + h / 6 * (k1 + 2 k2 + 2 k3 + k4), summed left to right
+    np.multiply(k2, 2.0, out=x)
+    x += k1
+    k3 *= 2.0
+    x += k3
+    x += k4
+    x *= h / 6.0
+    state += x
 
 
 @dataclass
@@ -302,6 +361,14 @@ class BatchCdmSimulator:
     the two controller realizations differ. Used by the tuning objective,
     where only the summed IAE of the frequency deviations is needed.
     Divergent candidates yield NaN.
+
+    The plant state is one (7, lanes) array in the STACKED_ROWS layout, so
+    each RK4 stage and the final combination is one whole-array operation
+    into preallocated buffers (rk4_lanes_step). Per lane these are the
+    operations of simulate's step, in the same order, so each lane's step
+    states equal a one-lane simulate run's bit for bit. The IAE is a running
+    trapezoid sum, so it agrees with a quadrature of a simulate trajectory
+    only to rounding.
     """
 
     def __init__(
@@ -315,13 +382,15 @@ class BatchCdmSimulator:
     ):
         self.n_steps = _n_steps(horizon, dt)
         self.dt = dt
-        self.loads = loads
-        self.bias = (frequency_bias(areas[0]), frequency_bias(areas[1]))
+        self.bias = np.array([[frequency_bias(areas[0])], [frequency_bias(areas[1])]])
         self.rhs = plant_rhs(areas, tie, nonlin, lanes=True)
+        # rk4_step's load samples at t, t + h/2 and t + h of every step, as (2, 1) columns
+        times = ((t, t + 0.5 * dt, t + dt) for t in (k * dt for k in range(self.n_steps)))
+        samples = (load(s) for step in times for s in step for load in loads)
+        self.load_table = np.fromiter(samples, float, count=6 * self.n_steps).reshape(self.n_steps, 3, 2, 1)
 
     def run_iae(self, controller_pairs: Sequence[tuple[CdmController, CdmController]]) -> np.ndarray:
-        dt = self.dt
-        b1, b2 = self.bias
+        dt, n_steps = self.dt, self.n_steps
 
         # per-candidate trapezoidal controller blocks, stacked across lanes in
         # column form so that each lane takes DiscreteController.step's products
@@ -332,26 +401,28 @@ class BatchCdmSimulator:
             blocks.append((ad, bd[:, :, None], cd[:, None, :], dd))
         (ad1, bd1, c1, d1), (ad2, bd2, c2, d2) = blocks
         x1, x2 = np.zeros_like(bd1), np.zeros_like(bd2)
-        state = (np.zeros(len(controller_pairs)),) * 7
-        iae = np.zeros(len(controller_pairs))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(self.n_steps + 1):
-                df1, _, _, df2, _, _, dptie = state
-                w = dt if 0 < k < self.n_steps else 0.5 * dt
-                iae += w * (np.abs(df1) + np.abs(df2))
-                if k == self.n_steps:
-                    break
-                ace1 = b1 * df1 + dptie
-                ace2 = b2 * df2 - dptie
-                u1 = -((c1 @ x1)[:, 0, 0] + d1 * ace1)
-                u2 = -((c2 @ x2)[:, 0, 0] + d2 * ace2)
-                x1 = ad1 @ x1 + bd1 * ace1[:, None, None]
-                x2 = ad2 @ x2 + bd2 * ace2[:, None, None]
 
-                state = rk4_step(self.rhs, state, self.loads, (u1, u2), k * dt, dt)
-                bad = ~np.isfinite(sum(state))
-                bad |= (np.abs(state[0]) > _DIVERGENCE_CAP) | (np.abs(state[3]) > _DIVERGENCE_CAP)
+        lanes = len(controller_pairs)
+        state = np.zeros((7, lanes))
+        work = np.empty((5, 7, lanes))
+        u = np.empty((2, lanes))
+        iae = np.zeros(lanes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(n_steps + 1):
+                w = dt if 0 < k < n_steps else 0.5 * dt
+                iae += w * (np.abs(state[0]) + np.abs(state[1]))
+                if k == n_steps:
+                    break
+                ace = self.bias * state[0:2] + _TIE_SIGN * state[6:7]
+                u[0] = -((c1 @ x1)[:, 0, 0] + d1 * ace[0])
+                u[1] = -((c2 @ x2)[:, 0, 0] + d2 * ace[1])
+                x1 = ad1 @ x1 + bd1 * ace[0][:, None, None]
+                x2 = ad2 @ x2 + bd2 * ace[1][:, None, None]
+                rk4_lanes_step(self.rhs, state, self.load_table[k], u, dt, work)
+                # simulate's divergence rule, the state summed in one-lane order
+                bad = ~np.isfinite(sum(state[i] for i in _ONE_LANE_ROWS))
+                bad |= (np.abs(state[0:2]) > _DIVERGENCE_CAP).any(axis=0)
                 if bad.any():
-                    state = (np.where(bad, np.nan, state[0]),) + state[1:]
+                    state[0, bad] = np.nan
 
         return iae
