@@ -24,7 +24,7 @@ from .config import RunConfig, load_config
 from .errors import ConfigError, NonFiniteState, ObjectiveFailure, SingularSystem, UnstableDesign
 from .plant import derive_design_plant
 from .scenarios import CaseReport, SweepReport, TuningObjective, run_case, run_scenario, sensitivity_sweep, table6_specs
-from .wca import minimize, random_search
+from .wca import minimize_lockstep, random_search, random_search_lockstep
 
 
 def _fmt(v) -> str:
@@ -151,18 +151,29 @@ def cmd_design(cfg: RunConfig, outdir: Path, allow_unstable: bool) -> int:
     return 0
 
 
-def cmd_optimize(cfg: RunConfig, outdir: Path, repeats: int, algorithm: str) -> int:
-    objective = _tuning_objective(cfg)
-    runner = {"wca": minimize, "random-search": random_search}[algorithm]
+def cmd_optimize(cfg: RunConfig, outdir: Path, repeats: int, algorithm: str, objective: TuningObjective) -> int:
+    runner = {"wca": minimize_lockstep, "random-search": random_search_lockstep}[algorithm]
+    seeds = [cfg.wca.seed + k for k in range(repeats)]
+    reference = objective.reference_vector()
+    reference_j = []
+
+    def score(xs: np.ndarray) -> np.ndarray:
+        # the first call (generation 0) scores the reference vector as its last row
+        if reference_j:
+            return objective.batch(xs)
+        costs = objective.batch(np.vstack([xs, reference]))
+        reference_j.append(float(costs[-1]))
+        return costs[:-1]
+
+    runs = runner(score, objective.bounds, [dataclasses.replace(cfg.wca, seed=seed) for seed in seeds])
+    if not reference_j:  # a runner that never scored
+        reference_j.append(float(objective.batch(reference)[0]))
 
     finals = []
     best_cost = float("inf")
     best_vec = None
     best_seed = None
-    for k in range(repeats):
-        seed = cfg.wca.seed + k
-        wca_cfg = dataclasses.replace(cfg.wca, seed=seed)
-        position, cost, history = runner(objective.batch, objective.bounds, wca_cfg)
+    for seed, (position, cost, history) in zip(seeds, runs):
         _convergence_csv(outdir / f"convergence_seed{seed}.csv", history)
         finals.append(cost)
         print(f"seed {seed}: final J = {cost:.6g}")
@@ -184,7 +195,7 @@ def cmd_optimize(cfg: RunConfig, outdir: Path, repeats: int, algorithm: str) -> 
             "gamma": list(g1.gamma),
             "tau": g1.tau,
             "k_b0": [g1.k_b0, g2.k_b0],
-            "reference_j": float(objective.batch(objective.reference_vector())[0]),
+            "reference_j": reference_j[0],
         },
     )
     arr = np.array(finals)
@@ -242,13 +253,13 @@ def cmd_case(cfg: RunConfig, outdir: Path, case_id: int, controllers: list[str])
 
 def _cmd_case1(cfg: RunConfig, outdir: Path) -> int:
     # optimizer convergence study: WCA vs the seeded random-search baseline
-    rc = cmd_optimize(cfg, outdir, repeats=1, algorithm="wca")
+    objective = _tuning_objective(cfg)
+    rc = cmd_optimize(cfg, outdir, 1, "wca", objective)
     if rc != 0:
         return rc
     (outdir / "convergence_wca.csv").write_bytes(
         (outdir / f"convergence_seed{cfg.wca.seed}.csv").read_bytes()
     )
-    objective = _tuning_objective(cfg)
     _, cost, history = random_search(objective.batch, objective.bounds, cfg.wca)
     _convergence_csv(outdir / "convergence_random.csv", history)
     print(f"random-search baseline final J = {cost:.6g}")
@@ -350,7 +361,7 @@ def main(argv=None) -> int:
         if args.command == "design":
             rc = cmd_design(cfg, outdir, args.allow_unstable)
         elif args.command == "optimize":
-            rc = cmd_optimize(cfg, outdir, args.repeats, args.algorithm)
+            rc = cmd_optimize(cfg, outdir, args.repeats, args.algorithm, _tuning_objective(cfg))
         elif args.command == "simulate":
             rc = cmd_simulate(cfg, outdir, controllers)
         elif args.command == "case":

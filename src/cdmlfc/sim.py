@@ -391,6 +391,8 @@ class BatchCdmSimulator:
 
     def run_iae(self, controller_pairs: Sequence[tuple[CdmController, CdmController]]) -> np.ndarray:
         dt, n_steps = self.dt, self.n_steps
+        if len(controller_pairs) == 0:
+            return np.empty(0)
 
         # per-candidate trapezoidal controller blocks, stacked across lanes in
         # column form so that each lane takes DiscreteController.step's products

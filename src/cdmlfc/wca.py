@@ -17,7 +17,10 @@ d_max0 = 1e-16 lets no river evaporate within 50 iterations, and a run
 whose first population misses the good basin cannot leave it.
 
 Every entry point takes one batch cost function, cost(X) -> costs, where X
-is an (n, d) array of positions and costs has length n.
+is an (n, d) array of positions and costs has length n. minimize_lockstep
+and random_search_lockstep run several configs (seeds) side by side and
+score each generation of all of them in one cost call; minimize and
+random_search are their one-config forms.
 
 Determinism contract: one generator seeded from config.seed drives every
 draw in a fixed order, so identical (cost, bounds, config) reproduce
@@ -139,12 +142,23 @@ def assign_streams(costs: Sequence[float], n_raindrops: int, fitness_inverted: b
     return counts
 
 
-def initialize(cost: Cost, bounds: Sequence[Sequence[float]], config: WcaConfig) -> WcaState:
-    """Rain the initial population and build the sea/river/stream hierarchy."""
-    lb, ub = _as_bounds(bounds)
+def _rain(lb: np.ndarray, ub: np.ndarray, config: WcaConfig) -> tuple[np.random.Generator, np.ndarray]:
+    """The seeded generator and the initial population it draws."""
     rng = np.random.default_rng(config.seed)
-    positions = lb + rng.random((config.n_pop, lb.size)) * (ub - lb)
-    costs = _evaluate(cost, positions)
+    return rng, lb + rng.random((config.n_pop, lb.size)) * (ub - lb)
+
+
+def _populate(
+    cost: Cost,
+    rng: np.random.Generator,
+    positions: np.ndarray,
+    costs: np.ndarray,
+    lb: np.ndarray,
+    ub: np.ndarray,
+    config: WcaConfig,
+) -> WcaState:
+    """Redraw non-finite initial drops one at a time, then rank the
+    population into sea, rivers and streams."""
     for i in range(config.n_pop):
         retries = 0
         while not math.isfinite(costs[i]):
@@ -172,9 +186,78 @@ def initialize(cost: Cost, bounds: Sequence[Sequence[float]], config: WcaConfig)
     )
 
 
+def initialize(cost: Cost, bounds: Sequence[Sequence[float]], config: WcaConfig) -> WcaState:
+    """Rain the initial population and build the sea/river/stream hierarchy."""
+    lb, ub = _as_bounds(bounds)
+    rng, positions = _rain(lb, ub, config)
+    return _populate(cost, rng, positions, _evaluate(cost, positions), lb, ub, config)
+
+
 def _swap(positions: np.ndarray, costs: np.ndarray, i: int, j: int) -> None:
     positions[[i, j]] = positions[[j, i]]
     costs[[i, j]] = costs[[j, i]]
+
+
+def _moving_rows(n_sr: int, n_pop: int) -> np.ndarray:
+    """The rows that move each iteration: the streams, then the rivers."""
+    return np.concatenate((np.arange(n_sr, n_pop), np.arange(1, n_sr)))
+
+
+def _draw(state: WcaState, lb: np.ndarray, ub: np.ndarray, config: WcaConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The first half of step: which rivers rain, and the moved rows."""
+    n_sr = config.n_sr
+    positions, parents = state.positions, state.parents
+
+    # evaporation: rivers near the sea, or picked by chance, rain afresh
+    raining = np.array([np.linalg.norm(positions[0] - positions[j]) < state.d_max for j in range(1, n_sr)])
+    if config.evap_prob > 0.0:
+        raining |= state.rng.random(n_sr - 1) < config.evap_prob
+
+    # streams flow to their parent, rivers to the sea, all toward positions
+    # from before the move (fresh rand per component, then clamped); a
+    # raining group (river and its streams) reuses the draw to rain instead
+    targets = np.concatenate((parents, np.zeros(n_sr - 1, dtype=int)))
+    groups = np.concatenate((parents, np.arange(1, n_sr)))
+    rains = np.concatenate(([False], raining))[groups]
+    old = positions[_moving_rows(n_sr, len(positions))]
+    r = state.rng.random(old.shape)
+    flowed = np.clip(old + r * config.c * (positions[targets] - old), lb, ub)
+    return raining, np.where(rains[:, None], lb + r * (ub - lb), flowed)
+
+
+def _settle(
+    state: WcaState, raining: np.ndarray, moved: np.ndarray, moved_costs: np.ndarray, config: WcaConfig
+) -> WcaState:
+    """The second half of step: place the scored rows, promote, decay d_max."""
+    if not np.all(np.isfinite(moved_costs)):
+        raise ObjectiveFailure(f"non-finite cost at iteration {state.iteration + 1}")
+    n_sr = config.n_sr
+    positions = state.positions.copy()
+    costs = state.costs.copy()
+    rows = _moving_rows(n_sr, len(costs))
+    positions[rows] = moved
+    costs[rows] = moved_costs
+
+    # promotions: stream <-> parent, then rivers <-> sea; sequential, since
+    # two streams of one parent can both beat it. The sea ends as the
+    # population best.
+    for row, parent in zip(range(n_sr, len(costs)), state.parents):
+        if costs[row] < costs[parent]:
+            _swap(positions, costs, row, parent)
+    for row in range(1, n_sr):
+        if costs[row] < costs[0]:
+            _swap(positions, costs, row, 0)
+
+    return WcaState(
+        positions=positions,
+        costs=costs,
+        parents=state.parents,
+        rng=state.rng,
+        d_max=max(state.d_max - state.d_max / config.max_it, 0.0),
+        iteration=state.iteration + 1,
+        history=state.history + [float(costs[0])],
+        rain_events=state.rain_events + int(raining.sum()),
+    )
 
 
 def step(state: WcaState, cost: Cost, bounds: Sequence[Sequence[float]], config: WcaConfig) -> WcaState:
@@ -186,54 +269,71 @@ def step(state: WcaState, cost: Cost, bounds: Sequence[Sequence[float]], config:
     scored in a single cost call.
     """
     lb, ub = _as_bounds(bounds)
-    n_sr = config.n_sr
-    positions = state.positions.copy()
-    costs = state.costs.copy()
-    parents = state.parents
+    raining, moved = _draw(state, lb, ub, config)
+    return _settle(state, raining, moved, _evaluate(cost, moved), config)
 
-    # evaporation: rivers near the sea, or picked by chance, rain afresh
-    raining = np.array([np.linalg.norm(positions[0] - positions[j]) < state.d_max for j in range(1, n_sr)])
-    if config.evap_prob > 0.0:
-        raining |= state.rng.random(n_sr - 1) < config.evap_prob
 
-    # streams flow to their parent, rivers to the sea, all toward positions
-    # from before the move (fresh rand per component, then clamped); a
-    # raining group (river and its streams) reuses the draw to rain instead
-    rows = np.concatenate((np.arange(n_sr, len(costs)), np.arange(1, n_sr)))
-    targets = np.concatenate((parents, np.zeros(n_sr - 1, dtype=int)))
-    groups = np.concatenate((parents, np.arange(1, n_sr)))
-    rains = np.concatenate(([False], raining))[groups]
-    old = positions[rows]
-    r = state.rng.random(old.shape)
-    flowed = np.clip(old + r * config.c * (positions[targets] - old), lb, ub)
-    moved = np.where(rains[:, None], lb + r * (ub - lb), flowed)
+def _score_together(cost: Cost, blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """Each block's costs, from one cost call on the blocks stacked in order."""
+    ends = np.cumsum([len(b) for b in blocks])
+    return np.split(_evaluate(cost, np.concatenate(blocks)), ends[:-1])
 
-    moved_costs = _evaluate(cost, moved)
-    if not np.all(np.isfinite(moved_costs)):
-        raise ObjectiveFailure(f"non-finite cost at iteration {state.iteration + 1}")
-    positions[rows] = moved
-    costs[rows] = moved_costs
 
-    # promotions: stream <-> parent, then rivers <-> sea; sequential, since
-    # two streams of one parent can both beat it. The sea ends as the
-    # population best.
-    for row, parent in zip(range(n_sr, len(costs)), parents):
-        if costs[row] < costs[parent]:
-            _swap(positions, costs, row, parent)
-    for row in range(1, n_sr):
-        if costs[row] < costs[0]:
-            _swap(positions, costs, row, 0)
+class _Shared:
+    """The lead run's cost in a lockstep generation: its first call scores
+    the other runs' rows after its own, in one call of `cost`, and keeps
+    their costs in `costs` (one array per run); later calls pass through."""
 
-    return WcaState(
-        positions=positions,
-        costs=costs,
-        parents=parents,
-        rng=state.rng,
-        d_max=max(state.d_max - state.d_max / config.max_it, 0.0),
-        iteration=state.iteration + 1,
-        history=state.history + [float(costs[0])],
-        rain_events=state.rain_events + int(raining.sum()),
-    )
+    def __init__(self, cost: Cost, rows: list[np.ndarray]):
+        self.cost = cost
+        self.rows = rows
+        self.costs: Optional[list[np.ndarray]] = None
+
+    def __call__(self, positions: np.ndarray) -> np.ndarray:
+        if self.costs is not None:
+            return self.cost(positions)
+        head, *self.costs = _score_together(self.cost, [positions, *self.rows])
+        return head
+
+
+def _check_lockstep(configs: Sequence[WcaConfig]) -> None:
+    if not configs:
+        raise ValueError("need at least one config")
+    if any(c.max_it != configs[0].max_it for c in configs):
+        raise ValueError("lockstep runs must share max_it")
+
+
+def minimize_lockstep(
+    cost: Cost, bounds: Sequence[Sequence[float]], configs: Sequence[WcaConfig]
+) -> list[tuple[np.ndarray, float, list[float]]]:
+    """minimize() for several configs at once, one cost call per generation.
+
+    Each run draws from its own generator in minimize()'s order, and the
+    generation's rows of every run are scored together: the first run's
+    initialize() and step() make the call, the others' rows ride after its
+    own. With a cost whose rows do not depend on their batch, each run's
+    result equals its minimize() result bit for bit. All configs share
+    max_it.
+    """
+    _check_lockstep(configs)
+    lb, ub = _as_bounds(bounds)
+    lead, rest = configs[0], configs[1:]
+
+    rains = [_rain(lb, ub, c) for c in rest]
+    shared = _Shared(cost, [positions for _, positions in rains])
+    states = [initialize(shared, bounds, lead)]
+    for (rng, positions), costs, c in zip(rains, shared.costs, rest):
+        states.append(_populate(cost, rng, positions, costs, lb, ub, c))
+
+    for _ in range(lead.max_it):
+        draws = [_draw(s, lb, ub, c) for s, c in zip(states[1:], rest)]
+        shared = _Shared(cost, [moved for _, moved in draws])
+        lead_state = step(states[0], shared, bounds, lead)
+        states = [lead_state] + [
+            _settle(s, raining, moved, costs, c)
+            for s, (raining, moved), costs, c in zip(states[1:], draws, shared.costs, rest)
+        ]
+    return [(s.positions[0], float(s.costs[0]), s.history) for s in states]
 
 
 def minimize(
@@ -245,10 +345,30 @@ def minimize(
     history[k] is the best cost after k iterations (k = 0 is the initial
     population best), length max_it + 1.
     """
-    state = initialize(cost, bounds, config)
-    for _ in range(config.max_it):
-        state = step(state, cost, bounds, config)
-    return state.positions[0], float(state.costs[0]), state.history
+    return minimize_lockstep(cost, bounds, [config])[0]
+
+
+def random_search_lockstep(
+    cost: Cost, bounds: Sequence[Sequence[float]], configs: Sequence[WcaConfig]
+) -> list[tuple[np.ndarray, float, list[float]]]:
+    """random_search() for several configs at once: each block draws every
+    run's n_pop rows from its own generator and scores them in one cost
+    call. All configs share max_it."""
+    _check_lockstep(configs)
+    lb, ub = _as_bounds(bounds)
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    best: list[tuple[Optional[np.ndarray], float]] = [(None, math.inf)] * len(configs)
+    histories: list[list[float]] = [[] for _ in configs]
+    for block in range(configs[0].max_it + 1):
+        draws = [lb + rng.random((c.n_pop, lb.size)) * (ub - lb) for rng, c in zip(rngs, configs)]
+        for k, (positions, costs) in enumerate(zip(draws, _score_together(cost, draws))):
+            if not np.all(np.isfinite(costs)):
+                raise ObjectiveFailure(f"non-finite cost in random-search block {block}")
+            i = int(np.argmin(costs))
+            if costs[i] < best[k][1]:
+                best[k] = (positions[i].copy(), float(costs[i]))
+            histories[k].append(best[k][1])
+    return [(x, j, history) for (x, j), history in zip(best, histories)]
 
 
 def random_search(
@@ -261,19 +381,4 @@ def random_search(
     after each block so profiles are comparable with minimize()'s. A
     non-finite cost raises ObjectiveFailure, as in step().
     """
-    lb, ub = _as_bounds(bounds)
-    rng = np.random.default_rng(config.seed)
-    best_pos: Optional[np.ndarray] = None
-    best_cost = math.inf
-    history: list[float] = []
-    for block in range(config.max_it + 1):
-        positions = lb + rng.random((config.n_pop, lb.size)) * (ub - lb)
-        costs = _evaluate(cost, positions)
-        if not np.all(np.isfinite(costs)):
-            raise ObjectiveFailure(f"non-finite cost in random-search block {block}")
-        i = int(np.argmin(costs))
-        if costs[i] < best_cost:
-            best_cost = float(costs[i])
-            best_pos = positions[i].copy()
-        history.append(best_cost)
-    return best_pos, best_cost, history
+    return random_search_lockstep(cost, bounds, [config])[0]

@@ -2,7 +2,7 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the lines as they
 happen (pytest shows them on failure regardless). The optimization
-criterion runs a real 10-repeat tuning campaign and takes a few minutes.
+criterion runs a real 10-repeat tuning campaign and takes about a minute.
 """
 
 import json

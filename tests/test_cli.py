@@ -1,13 +1,15 @@
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
-from cdmlfc import cli, defaults
+from cdmlfc import cli, defaults, wca
 from cdmlfc.cli import main
-from cdmlfc.config import build_config, default_config
+from cdmlfc.config import build_config, default_config, load_config
 from cdmlfc.errors import ConfigError
+from cdmlfc.scenarios import TuningObjective
 from cdmlfc.wca import WcaConfig
 
 
@@ -272,12 +274,12 @@ class TestCliCommands:
     def test_optimize_keeps_wca_settings_on_every_repeat(self, tmp_path, monkeypatch):
         seen = []
 
-        def fake_minimize(cost, bounds, config):
-            seen.append(config)
+        def fake_minimize_lockstep(cost, bounds, configs):
+            seen.extend(configs)
             x = np.array([*defaults.OPT_GAMMA, defaults.OPT_TAU, *defaults.OPT_KB0])
-            return x, 0.5, [0.5] * (config.max_it + 1)
+            return [(x, 0.5, [0.5] * (config.max_it + 1)) for config in configs]
 
-        monkeypatch.setattr(cli, "minimize", fake_minimize)
+        monkeypatch.setattr(cli, "minimize_lockstep", fake_minimize_lockstep)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"optimizer": {"n_pop": 12, "max_it": 3, "evap_prob": 0.25, "c": 1.5}}))
         rc = main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out"), "--repeats", "3"])
@@ -292,6 +294,75 @@ class TestCliCommands:
         assert main(["optimize", "--config", str(cfg), "--out", str(a)]) == 0
         assert main(["optimize", "--config", str(cfg), "--out", str(b)]) == 0
         assert (a / "convergence_seed0.csv").read_bytes() == (b / "convergence_seed0.csv").read_bytes()
+
+    @pytest.mark.parametrize("algorithm", ["wca", "random-search"])
+    def test_optimize_repeats_equal_their_one_repeat_runs(self, tmp_path, algorithm):
+        # the repeats run in lockstep, each seed drawing as it would alone
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"optimizer": {"n_pop": 12, "max_it": 3, "seed": 5, "objective": {"horizon": 10.0}}}))
+        common = ["optimize", "--config", str(cfg), "--algorithm", algorithm]
+        assert main([*common, "--out", str(tmp_path / "all"), "--repeats", "3"]) == 0
+        alone = {}
+        for seed in (5, 6, 7):
+            out = tmp_path / f"seed{seed}"
+            assert main([*common, "--out", str(out), "--seed", str(seed)]) == 0
+            name = f"convergence_seed{seed}.csv"
+            assert (tmp_path / "all" / name).read_bytes() == (out / name).read_bytes()
+            alone[seed] = json.loads((out / "best_gains.json").read_text())
+        best = json.loads((tmp_path / "all" / "best_gains.json").read_text())
+        first_best = min(alone.values(), key=lambda b: b["j"])  # min keeps the first seed on a tie
+        assert (best["j"], best["seed"], best["vector"]) == (first_best["j"], first_best["seed"], first_best["vector"])
+        objective = cli._tuning_objective(load_config(str(cfg)))
+        assert best["reference_j"] == float(objective.batch([objective.reference_vector()])[0])
+        summary = json.loads((tmp_path / "all" / "summary.json").read_text())
+        assert (summary["min"], summary["max"]) == (first_best["j"], max(b["j"] for b in alone.values()))
+
+    @pytest.mark.parametrize("repeats", [1, 3])
+    def test_optimize_scores_each_generation_in_one_objective_call(self, tmp_path, monkeypatch, repeats):
+        calls = {"batch": [], "initialize": [], "step": []}
+        batch, initialize, step = TuningObjective.batch, wca.initialize, wca.step
+
+        def counting(name, fn):
+            signature = inspect.signature(fn)
+
+            def wrapper(*args, **kwargs):
+                calls[name].append(signature.bind(*args, **kwargs).arguments)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(TuningObjective, "batch", counting("batch", batch))
+        monkeypatch.setattr(wca, "initialize", counting("initialize", initialize))
+        monkeypatch.setattr(wca, "step", counting("step", step))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"optimizer": {"n_pop": 12, "max_it": 3, "objective": {"horizon": 2.0}}}))
+        rc = main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out"), "--repeats", str(repeats)])
+        assert rc == 0
+        # generation 0 holds every repeat's population and the reference vector
+        assert [len(a["xs"]) for a in calls["batch"]] == [12 * repeats + 1] + [11 * repeats] * 3
+        if repeats == 1:
+            assert len(calls["initialize"]) == 1
+            assert len(calls["step"]) == 3
+            assert all(isinstance(a["state"], wca.WcaState) for a in calls["step"])
+
+    @pytest.mark.parametrize("algorithm", ["wca", "random-search"])
+    def test_optimize_non_finite_cost_in_a_later_repeat_exits_4(self, tmp_path, monkeypatch, algorithm):
+        batch = TuningObjective.batch
+        calls = []
+
+        def nan_in_the_last_row(self, xs):
+            calls.append(len(xs))
+            costs = batch(self, xs)
+            if len(calls) == 2:
+                costs[-1] = math.nan  # the last repeat's last row
+            return costs
+
+        monkeypatch.setattr(TuningObjective, "batch", nan_in_the_last_row)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"optimizer": {"n_pop": 12, "max_it": 3, "objective": {"horizon": 2.0}}}))
+        argv = ["optimize", "--config", str(cfg), "--out", str(tmp_path / "out"), "--repeats", "3"]
+        assert main([*argv, "--algorithm", algorithm]) == 4
+        assert len(calls) == 2
 
     def test_simulate_and_compare(self, tmp_path):
         rc = main(["simulate", "--out", str(tmp_path / "sim"), "--controllers", "cdm_opt,pi"])

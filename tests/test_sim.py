@@ -369,6 +369,13 @@ class TestBatchSimulator:
             order = np.roll(np.arange(len(pairs)), shift)
             np.testing.assert_array_equal(batch.run_iae([pairs[i] for i in order]), alone[order])
 
+    def test_no_lanes_give_no_costs(self):
+        batch = BatchCdmSimulator(
+            (defaults.AREA1, defaults.AREA2), defaults.TIE, defaults.NONLIN_OBJECTIVE, (STEP1, ZERO), dt=0.02, horizon=1.0
+        )
+        out = batch.run_iae([])
+        assert out.dtype == float and out.shape == (0,)
+
 
 def _on_band_edge(area, half):
     """area with R nudged so that some df gives df / R == half exactly, and that df."""

@@ -7,7 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdmlfc.errors import ObjectiveFailure
-from cdmlfc.wca import WcaConfig, assign_streams, initialize, minimize, random_search, step
+from cdmlfc.wca import (
+    WcaConfig,
+    assign_streams,
+    initialize,
+    minimize,
+    minimize_lockstep,
+    random_search,
+    random_search_lockstep,
+    step,
+)
 
 BOX2 = [(-5.12, 5.12), (-5.12, 5.12)]
 ROSEN_BOX2 = [(-2.048, 2.048), (-2.048, 2.048)]
@@ -297,3 +306,56 @@ class TestRandomSearch:
         assert len(hist) == cfg.max_it + 1
         assert all(b <= a for a, b in zip(hist, hist[1:]))
         assert cost == hist[-1] == sphere(x[None])[0]
+
+
+def rastrigin(X):
+    return np.sum(X * X - 10.0 * np.cos(2.0 * np.pi * X), axis=1)
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("fn", [sphere, rastrigin])
+    @pytest.mark.parametrize(
+        "lockstep, alone", [(minimize_lockstep, minimize), (random_search_lockstep, random_search)]
+    )
+    def test_runs_equal_their_one_config_runs(self, lockstep, alone, fn):
+        # different seeds, population sizes and settings; one cost call per generation
+        configs = [
+            WcaConfig(seed=4, n_pop=12, max_it=8),
+            WcaConfig(seed=5, n_pop=20, n_sr=3, max_it=8, evap_prob=0.5),
+            WcaConfig(seed=4, n_pop=9, max_it=8, fitness_inverted=True, c=1.5),
+        ]
+        calls = []
+
+        def batch(X):
+            calls.append(len(X))
+            return fn(X)
+
+        runs = lockstep(batch, BOX2, configs)
+        assert len(calls) == 9
+        assert calls[0] == sum(c.n_pop for c in configs)
+        for (x, j, hist), cfg in zip(runs, configs):
+            x1, j1, hist1 = alone(fn, BOX2, cfg)
+            assert np.array_equal(x, x1) and j == j1 and hist == hist1
+
+    @pytest.mark.parametrize("lockstep", [minimize_lockstep, random_search_lockstep])
+    def test_non_finite_cost_in_a_later_run_raises(self, lockstep):
+        # the last row of the second call belongs to the last run
+        calls = []
+
+        def batch(X):
+            calls.append(len(X))
+            costs = sphere(X)
+            if len(calls) == 2:
+                costs[-1] = np.nan
+            return costs
+
+        with pytest.raises(ObjectiveFailure):
+            lockstep(batch, BOX2, [WcaConfig(seed=k, n_pop=10, max_it=3) for k in range(3)])
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("lockstep", [minimize_lockstep, random_search_lockstep])
+    def test_configs_must_share_max_it(self, lockstep):
+        with pytest.raises(ValueError):
+            lockstep(sphere, BOX2, [WcaConfig(seed=0, max_it=3), WcaConfig(seed=1, max_it=4)])
+        with pytest.raises(ValueError):
+            lockstep(sphere, BOX2, [])
