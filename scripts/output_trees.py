@@ -47,6 +47,10 @@ CONFIGS = {
     "unstable_cdm_opt": {"controllers": {"cdm_opt": {"gamma": [2.5, 2, 2, 2, 2], "tau": 0.9, "k_b0": [15, 30]}}},
     # a boolean written as a string: refused with exit 2 before anything runs
     "string_bool": {"optimizer": {"fitness_inverted": "false"}},
+    # the describing-function governor dead band in the case runs
+    "backlash": {"cases": {"nonlinear": {"gdb_mode": "backlash"}}},
+    # an objective with a governor dead zone, which the candidate lanes step
+    "deadband": {"optimizer": {"n_pop": 12, "max_it": 3, "seed": 4, "objective": {"gdb_width": 0.05}}},
 }
 
 
@@ -70,6 +74,8 @@ def commands(configs: pathlib.Path) -> dict[str, list[str]]:
         "case2_unstable_cdm_opt": ["case", "2", *config("unstable_cdm_opt"), "--horizon", "10", "--controllers", "cdm_opt"],
         "case2_grc_inf": ["case", "2", "--grc", "inf", "--horizon", "20", "--controllers", "cdm_opt,pi"],
         "optimize_string_bool": ["optimize", *config("string_bool")],
+        "case2_backlash": ["case", "2", *config("backlash"), "--horizon", "20", *CONTROLLERS],
+        "optimize_deadband": ["optimize", *config("deadband")],
     }
 
 

@@ -166,8 +166,6 @@ def cmd_optimize(cfg: RunConfig, outdir: Path, repeats: int, algorithm: str, obj
         return costs[:-1]
 
     runs = runner(score, objective.bounds, [dataclasses.replace(cfg.wca, seed=seed) for seed in seeds])
-    if not reference_j:  # a runner that never scored
-        reference_j.append(float(objective.batch(reference)[0]))
 
     finals = []
     best_cost = float("inf")

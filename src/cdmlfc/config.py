@@ -283,8 +283,8 @@ def build_config(user: Optional[dict] = None, overrides: Optional[dict] = None) 
     for key, pair in opt["bounds"].items():
         path = f"optimizer.bounds.{key}"
         low, high = bounds[key] = tuple(_numbers(_pair(pair, path), path))
-        if not low < high:
-            raise ConfigError(path, "expected [low, high] with low < high")
+        if not 0.0 < low < high:
+            raise ConfigError(path, "expected [low, high] with 0 < low < high")
     opt_bounds = [bounds["gamma"]] * 5 + [bounds["tau"]] + [bounds["k_b0"]] * 2
     wca_node = {**opt, "seed": _seed(opt["seed"], "optimizer.seed")}
     wca = _record(WcaConfig, wca_node, "optimizer", ("bounds", "objective"))

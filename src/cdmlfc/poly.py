@@ -67,17 +67,6 @@ class Polynomial:
         n = max(len(self.coeffs), len(other.coeffs))
         return Polynomial(self.coeff(i) + other.coeff(i) for i in range(n))
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(self.coeff(i) - other.coeff(i) for i in range(n))
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            return poly_mul(self, other)
-        return self.scale(float(other))
-
-    __rmul__ = __mul__
-
     def scale(self, k: float) -> "Polynomial":
         return Polynomial(k * c for c in self.coeffs)
 

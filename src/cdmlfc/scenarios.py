@@ -18,7 +18,7 @@ import numpy as np
 
 from . import defaults
 from .cdm import CdmGains, synthesize
-from .errors import CdmlfcError, NonFiniteState
+from .errors import NonFiniteState, SingularSystem
 from .plant import AreaParams, NonlinearityConfig, TieLine, derive_design_plant
 from .sim import BatchCdmSimulator, SystemModel, Trajectory, simulate
 
@@ -205,10 +205,10 @@ class TuningObjective:
     """IAE objective over the 8-vector [gamma_1..5, tau, k_b0_1, k_b0_2].
 
     Controllers are synthesized on the nominal design plants; the
-    evaluation model carries the 50% governor/turbine drift. A synthesis
-    error (CdmlfcError or ValueError), unstable design, or divergent run
-    maps to the penalty 1e6 + residual; any other exception is a bug and
-    propagates.
+    evaluation model carries the 50% governor/turbine drift. A singular
+    synthesis (SingularSystem, the one error synthesize raises for positive
+    gains), unstable design, or divergent run maps to a penalty of at least
+    1e6; any other exception is a bug and propagates.
     """
 
     areas: tuple[AreaParams, AreaParams] = (defaults.AREA1, defaults.AREA2)
@@ -247,7 +247,7 @@ class TuningObjective:
                 g1, g2 = self.decode(x)
                 c1 = synthesize(self._plants[0], g1)
                 c2 = synthesize(self._plants[1], g2)
-            except (CdmlfcError, ValueError):
+            except SingularSystem:
                 costs[i] = 1e6
                 continue
             if not (c1.stable and c2.stable):

@@ -2,6 +2,8 @@
 
 Plant states (df, dPm, dPg per area, shared dPtie) integrate with classic
 RK4; the generation-rate clamp is applied inside every stage evaluation.
+Both simulators hold the state in one order, df1 df2 dpm1 dpm2 dpg1 dpg2
+dptie: a 7-tuple for one lane, the rows of a (7, lanes) array for many.
 Controllers act on ACE and run as trapezoidal (Tustin) discrete blocks
 updated once per step. Trapezoidal rather than step-invariant: the
 synthesized CDM controllers carry a derivative-filter pole two decades
@@ -31,11 +33,6 @@ LoadFn = Callable[[float], float]
 # this cap (pu); simulate then raises NonFiniteState, run_iae NaNs the lane.
 _DIVERGENCE_CAP = 1e6
 
-# The lanes layout of the plant state: row r of a (7, lanes) stacked state
-# holds entry STACKED_ROWS[r] of the one-lane state, so the rows read
-# df1 df2 | dpm1 dpm2 | dpg1 dpg2 | dptie.
-STACKED_ROWS = (0, 3, 1, 4, 2, 5, 6)
-_ONE_LANE_ROWS = tuple(STACKED_ROWS.index(i) for i in range(7))
 # the sign of dptie in each area's row: + in area 1, - in area 2
 _TIE_SIGN = np.array([[1.0], [-1.0]])
 
@@ -129,15 +126,14 @@ def plant_rhs(
 ) -> Callable:
     """The plant state derivative under held control inputs.
 
-    One lane: f(state, loads, u) with state = (df1, dpm1, dpg1, df2, dpm2,
+    One lane: f(state, loads, u) with state = (df1, df2, dpm1, dpm2, dpg1,
     dpg2, dptie), loads = (dPL1, dPL2) and u = (u1, u2) floats, returning a
     tuple in state order. With lanes=True: f(state, loads, u, out) with state
-    and out (7, lanes) arrays stacked as in STACKED_ROWS, the two areas' rows
-    side by side, loads a (2, 1) column and u (2, lanes); out is written in
-    place and returned. Both kinds do the same operations per lane. The
-    tie-line term enters area 1 with +1 and area 2 with -1, and the rate clamp
-    is applied to the turbine derivative so GRC holds inside every integrator
-    stage.
+    and out (7, lanes) arrays whose rows are in state order, loads a (2, 1)
+    column and u (2, lanes); out is written in place and returned. Both kinds
+    do the same operations per lane. The tie-line term enters area 1 with +1
+    and area 2 with -1, and the rate clamp is applied to the turbine
+    derivative so GRC holds inside every integrator stage.
     """
     a1, a2 = areas
     grc = nonlin.grc_rate
@@ -197,25 +193,30 @@ def plant_rhs(
         return x
 
     def rhs(state, loads, u):
-        df1, dpm1, dpg1, df2, dpm2, dpg2, dptie = state
+        df1, df2, dpm1, dpm2, dpg1, dpg2, dptie = state
         ddf1 = (dpm1 - loads[0] - a1.D * df1 - dptie) / a1.M
         ddf2 = (dpm2 - loads[1] - a2.D * df2 + dptie) / a2.M
         ddpm1 = clamp((dpg1 - dpm1) / a1.Tt)
         ddpm2 = clamp((dpg2 - dpm2) / a2.Tt)
         ddpg1 = (u[0] - governor(df1, ddf1, a1.R) - dpg1) / a1.Tg
         ddpg2 = (u[1] - governor(df2, ddf2, a2.R) - dpg2) / a2.Tg
-        return (ddf1, ddpm1, ddpg1, ddf2, ddpm2, ddpg2, t12 * (df1 - df2))
+        return (ddf1, ddf2, ddpm1, ddpm2, ddpg1, ddpg2, t12 * (df1 - df2))
 
     return rhs
 
 
-def rk4_step(rhs: Callable, state: tuple, loads: tuple[LoadFn, LoadFn], u: tuple, t: float, h: float) -> tuple:
-    """One classic RK4 step of rhs from t to t + h under held control u; the
-    loads are sampled at t, t + h/2 and t + h."""
-    load1, load2 = loads
-    l0 = (load1(t), load2(t))
-    lm = (load1(t + 0.5 * h), load2(t + 0.5 * h))
-    le = (load1(t + h), load2(t + h))
+def load_samples(loads: tuple[LoadFn, LoadFn], dt: float, n_steps: int) -> np.ndarray:
+    """Both simulators' load table: row k holds the (dPL1, dPL2) samples at t,
+    t + dt/2 and t + dt of the step from t = k * dt, shape (n_steps, 3, 2)."""
+    times = ((t, t + 0.5 * dt, t + dt) for t in (k * dt for k in range(n_steps)))
+    samples = (load(s) for step in times for s in step for load in loads)
+    return np.fromiter(samples, float, count=6 * n_steps).reshape(n_steps, 3, 2)
+
+
+def rk4_step(rhs: Callable, state: tuple, loads: Sequence, u: tuple, h: float) -> tuple:
+    """One classic RK4 step of rhs over h under held control u; loads holds the
+    step's (dPL1, dPL2) samples at its start, midpoint and end (a load_samples row)."""
+    l0, lm, le = loads
     k1 = rhs(state, l0, u)
     k2 = rhs(tuple(x + 0.5 * h * d for x, d in zip(state, k1)), lm, u)
     k3 = rhs(tuple(x + 0.5 * h * d for x, d in zip(state, k2)), lm, u)
@@ -229,8 +230,8 @@ def rk4_lanes_step(
     rhs: Callable, state: np.ndarray, loads: np.ndarray, u: np.ndarray, h: float, work: np.ndarray
 ) -> None:
     """rk4_step in place on a (7, lanes) stacked state under plant_rhs(lanes=True):
-    per lane, the same operations in the same order. loads holds the (2, 1) load
-    columns at t, t + h/2 and t + h; work is a (5, 7, lanes) scratch array."""
+    per lane, the same operations in the same order. loads holds the step's load
+    samples as (2, 1) columns; work is a (5, 7, lanes) scratch array."""
     k1, k2, k3, k4, x = work
     l0, lm, le = loads
     rhs(state, l0, u, k1)
@@ -328,30 +329,31 @@ def simulate(
     ctrl1 = DiscreteController(model.controllers[0], controller_dt)
     ctrl2 = DiscreteController(model.controllers[1], controller_dt)
     rhs = plant_rhs(model.areas, model.tie, model.nonlin)
-    load1, load2 = loads
+    table = load_samples(loads, dt, n_steps)
 
-    names = Trajectory.CHANNELS + ("dpm1", "dpm2")
-    out = {name: np.empty(n_steps + 1) for name in names}
+    # one row per sample, in Trajectory's field order
+    rec = np.empty((n_steps + 1, 12))
     state = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     u1 = u2 = 0.0
     for k in range(n_steps + 1):
         t = k * dt
-        df1, dpm1, dpg1, df2, dpm2, dpg2, dptie = state
+        df1, df2, dpm1, dpm2, _, _, dptie = state
         ace1 = b1 * df1 + dptie
         ace2 = b2 * df2 - dptie
         if k % decim == 0:
             u1 = ctrl1.step(ace1)
             u2 = ctrl2.step(ace2)
-        row = (t, df1, df2, dptie, ace1, ace2, u1, u2, load1(t), load2(t), dpm1, dpm2)
-        for name, val in zip(names, row):
-            out[name][k] = val
         if k == n_steps:
+            # sampled at n * dt itself, which need not equal (n - 1) * dt + dt
+            rec[k] = (t, df1, df2, dptie, ace1, ace2, u1, u2, loads[0](t), loads[1](t), dpm1, dpm2)
             break
-        state = rk4_step(rhs, state, loads, (u1, u2), t, dt)
-        if not math.isfinite(sum(state)) or abs(state[0]) > _DIVERGENCE_CAP or abs(state[3]) > _DIVERGENCE_CAP:
+        step_loads = table[k].tolist()  # Python floats: numpy scalars would slow every stage
+        rec[k] = (t, df1, df2, dptie, ace1, ace2, u1, u2, *step_loads[0], dpm1, dpm2)
+        state = rk4_step(rhs, state, step_loads, (u1, u2), dt)
+        if not math.isfinite(sum(state)) or abs(state[0]) > _DIVERGENCE_CAP or abs(state[1]) > _DIVERGENCE_CAP:
             raise NonFiniteState(t + dt, f"state={state}")
 
-    return Trajectory(**out)
+    return Trajectory(*rec.T.copy())  # one contiguous array per channel
 
 
 class BatchCdmSimulator:
@@ -362,9 +364,9 @@ class BatchCdmSimulator:
     where only the summed IAE of the frequency deviations is needed.
     Divergent candidates yield NaN.
 
-    The plant state is one (7, lanes) array in the STACKED_ROWS layout, so
-    each RK4 stage and the final combination is one whole-array operation
-    into preallocated buffers (rk4_lanes_step). Per lane these are the
+    The plant state is one (7, lanes) array, so each RK4 stage and the final
+    combination is one whole-array operation into preallocated buffers
+    (rk4_lanes_step). Per lane these are the
     operations of simulate's step, in the same order, so each lane's step
     states equal a one-lane simulate run's bit for bit. The IAE is a running
     trapezoid sum, so it agrees with a quadrature of a simulate trajectory
@@ -384,10 +386,8 @@ class BatchCdmSimulator:
         self.dt = dt
         self.bias = np.array([[frequency_bias(areas[0])], [frequency_bias(areas[1])]])
         self.rhs = plant_rhs(areas, tie, nonlin, lanes=True)
-        # rk4_step's load samples at t, t + h/2 and t + h of every step, as (2, 1) columns
-        times = ((t, t + 0.5 * dt, t + dt) for t in (k * dt for k in range(self.n_steps)))
-        samples = (load(s) for step in times for s in step for load in loads)
-        self.load_table = np.fromiter(samples, float, count=6 * self.n_steps).reshape(self.n_steps, 3, 2, 1)
+        # each step's load samples as (2, 1) columns
+        self.load_table = load_samples(loads, dt, self.n_steps)[..., None]
 
     def run_iae(self, controller_pairs: Sequence[tuple[CdmController, CdmController]]) -> np.ndarray:
         dt, n_steps = self.dt, self.n_steps
@@ -421,8 +421,8 @@ class BatchCdmSimulator:
                 x1 = ad1 @ x1 + bd1 * ace[0][:, None, None]
                 x2 = ad2 @ x2 + bd2 * ace[1][:, None, None]
                 rk4_lanes_step(self.rhs, state, self.load_table[k], u, dt, work)
-                # simulate's divergence rule, the state summed in one-lane order
-                bad = ~np.isfinite(sum(state[i] for i in _ONE_LANE_ROWS))
+                # simulate's divergence rule
+                bad = ~np.isfinite(sum(state))
                 bad |= (np.abs(state[0:2]) > _DIVERGENCE_CAP).any(axis=0)
                 if bad.any():
                     state[0, bad] = np.nan

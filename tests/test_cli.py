@@ -230,6 +230,16 @@ class TestCliCommands:
             assert f"config error: {path}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_optimize_non_positive_bound_exits_2(self, tmp_path, capsys):
+        # a position clipped to a zero bound would give CdmGains a zero gain
+        bounds = {"gamma": [0, 40], "tau": [0.1, 5], "k_b0": [1, 100]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"optimizer": {"n_pop": 12, "max_it": 1, "bounds": bounds}}))
+        rc = main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "config error: optimizer.bounds.gamma: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_case2_outputs(self, tmp_path):
         rc = main(["case", "2", "--out", str(tmp_path)])
         assert rc == 0
@@ -277,6 +287,7 @@ class TestCliCommands:
         def fake_minimize_lockstep(cost, bounds, configs):
             seen.extend(configs)
             x = np.array([*defaults.OPT_GAMMA, defaults.OPT_TAU, *defaults.OPT_KB0])
+            cost(x[None, :])  # a real runner scores generation 0
             return [(x, 0.5, [0.5] * (config.max_it + 1)) for config in configs]
 
         monkeypatch.setattr(cli, "minimize_lockstep", fake_minimize_lockstep)

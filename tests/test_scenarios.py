@@ -5,7 +5,7 @@ import pytest
 
 from cdmlfc import scenarios
 from cdmlfc.config import build_config
-from cdmlfc.errors import ConfigError, NonFiniteState, UnstableDesign
+from cdmlfc.errors import ConfigError, NonFiniteState, SingularSystem, UnstableDesign
 from cdmlfc.scenarios import (
     Composite,
     TuningObjective,
@@ -173,7 +173,7 @@ class TestTuningObjective:
         assert obj.batch(alt)[0] == pytest.approx(obj.batch(ref)[0], rel=1e-9)
 
     def test_synthesis_bug_propagates(self, monkeypatch):
-        # only synthesis errors (CdmlfcError, ValueError) become penalties
+        # only a singular synthesis (SingularSystem) becomes a penalty
         def broken(plant, gains):
             raise TypeError("bug in synthesis")
 
@@ -181,6 +181,22 @@ class TestTuningObjective:
         monkeypatch.setattr(scenarios, "synthesize", broken)
         with pytest.raises(TypeError):
             obj.batch(obj.reference_vector())[0]
+
+    def test_only_a_singular_synthesis_is_penalized(self, monkeypatch):
+        # for positive gains synthesize raises only SingularSystem; a ValueError is a bug
+        obj = TuningObjective()
+
+        def raising(error):
+            def broken(plant, gains):
+                raise error("synthesis failed")
+
+            return broken
+
+        monkeypatch.setattr(scenarios, "synthesize", raising(SingularSystem))
+        assert obj.batch(obj.reference_vector()).tolist() == [1e6]
+        monkeypatch.setattr(scenarios, "synthesize", raising(ValueError))
+        with pytest.raises(ValueError):
+            obj.batch(obj.reference_vector())
 
     def test_batch_matches_pointwise(self):
         obj = TuningObjective()

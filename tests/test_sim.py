@@ -16,7 +16,6 @@ from cdmlfc.plant import NonlinearityConfig, derive_design_plant
 from cdmlfc.poly import Polynomial
 from cdmlfc.scenarios import TuningObjective, run_case
 from cdmlfc.sim import (
-    STACKED_ROWS,
     BatchCdmSimulator,
     DiscreteController,
     IntegralSpec,
@@ -44,13 +43,28 @@ def cdm_pair():
     )
 
 
+def trapezoid_iae(traj):
+    """Summed IAE of df1 and df2 of a trajectory, by numpy's trapezoid rule."""
+    return float(np.trapezoid(np.abs(traj.df1), traj.t) + np.trapezoid(np.abs(traj.df2), traj.t))
+
+
+def running_trapezoid(traj, dt):
+    """The IAE as run_iae adds it: w * (|df1_k| + |df2_k|) in step order, with
+    w = dt inside and dt / 2 at the two ends."""
+    n = len(traj.t) - 1
+    iae = 0.0
+    for k in range(n + 1):
+        iae += (dt if 0 < k < n else 0.5 * dt) * (abs(traj.df1[k]) + abs(traj.df2[k]))
+    return iae
+
+
 def one_lane_iae(m, loads, dt, horizon):
     """Summed IAE of df1 and df2 in a one-lane simulate run; NaN where it diverges."""
     try:
         traj = simulate(m, loads, dt=dt, horizon=horizon)
     except NonFiniteState:
         return math.nan
-    return float(np.trapezoid(np.abs(traj.df1), traj.t) + np.trapezoid(np.abs(traj.df2), traj.t))
+    return trapezoid_iae(traj)
 
 
 def design_stable_pairs(rng, n):
@@ -89,25 +103,25 @@ class TestDerivatives:
     def test_grc_clamp_value(self):
         # dPg - dPm = 1 pu with Tt = 0.4 would slew at 2.5 pu/s unclamped
         m = model(nonlin=NonlinearityConfig(grc_rate=0.1 / 60.0, gdb_width=0.0))
-        d = plant_rhs(m.areas, m.tie, m.nonlin)((0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
-        assert d[1] == pytest.approx(0.1 / 60.0)
-        assert d[1] == pytest.approx(0.0016667, rel=1e-4)
+        d = plant_rhs(m.areas, m.tie, m.nonlin)((0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
+        assert d[2] == pytest.approx(0.1 / 60.0)
+        assert d[2] == pytest.approx(0.0016667, rel=1e-4)
 
     def test_dead_band_swallows_droop(self):
         m = model()  # gdb width 0.05, half width 0.025
         df1 = 0.06  # df/R = 0.02 < 0.025
         d = plant_rhs(m.areas, m.tie, m.nonlin)((df1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
-        assert d[2] == 0.0
+        assert d[4] == 0.0
 
     def test_droop_outside_dead_band(self):
         m = model()
         df1 = 0.09  # df/R = 0.03 > 0.025
         d = plant_rhs(m.areas, m.tie, m.nonlin)((df1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
-        assert d[2] == pytest.approx(-(0.03 - 0.025) / defaults.AREA1.Tg)
+        assert d[4] == pytest.approx(-(0.03 - 0.025) / defaults.AREA1.Tg)
 
     def test_tie_line_antisymmetry_inputs(self):
         m = model()
-        d = plant_rhs(m.areas, m.tie, m.nonlin)((0.001, 0.0, 0.0, -0.002, 0.0, 0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
+        d = plant_rhs(m.areas, m.tie, m.nonlin)((0.001, -0.002, 0.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
         assert d[6] == pytest.approx(2.0 * math.pi * 0.2 * 0.003)
 
 
@@ -219,8 +233,8 @@ class TestSimulate:
         # simpler: simulate and inspect using a probe on successive mech power
         # values via a custom channel is unavailable; use df-based bound instead:
         # the mechanical power is not exported, so check the clamp directly.
-        d = plant_rhs(m.areas, m.tie, m.nonlin)((0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
-        assert abs(d[1]) <= grc * (1 + 1e-9)
+        d = plant_rhs(m.areas, m.tie, m.nonlin)((0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
+        assert abs(d[2]) <= grc * (1 + 1e-9)
 
     def test_tie_line_antisymmetry_of_ace(self):
         traj = simulate(model(), (STEP1, ZERO), dt=0.01, horizon=20.0)
@@ -272,7 +286,7 @@ class TestGrcRate:
         for k in range(round(horizon / dt)):
             t = k * dt
             ace1 = b1 * state[0] + state[6]
-            ace2 = b2 * state[3] - state[6]
+            ace2 = b2 * state[1] - state[6]
             u = (c1.step(ace1), c2.step(ace2))
             loads = lambda tt: (STEP1(tt), 0.0)
             k1 = rhs(state, loads(t), u)
@@ -286,7 +300,7 @@ class TestGrcRate:
                 x + dt / 6.0 * (a + 2 * b + 2 * c + d)
                 for x, a, b, c, d in zip(state, k1, k2, k3, k4)
             )
-            max_rate = max(max_rate, abs(nxt[1] - state[1]) / dt, abs(nxt[4] - state[4]) / dt)
+            max_rate = max(max_rate, abs(nxt[2] - state[2]) / dt, abs(nxt[3] - state[3]) / dt)
             state = nxt
         assert max_rate <= grc * (1.0 + 1e-9)
 
@@ -340,18 +354,26 @@ class TestBatchSimulator:
         assert math.isfinite(out[1])
 
     @settings(max_examples=15, deadline=None)
-    @given(nonlin=st.sampled_from(NONLINEARITIES), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
-    def test_lanes_equal_one_lane_runs(self, nonlin, seed, n):
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), dt=st.sampled_from((0.01, 0.02)))
+    def test_lanes_equal_one_lane_runs(self, seed, n, dt):
         # Design-stable candidates anywhere in the tuning box. Most are unstable
         # in the two-area loop, and where the GRC clamp bounds them in a limit
         # cycle any last-bit difference between the drivers' controller
-        # products grows into the IAE, so the lanes must match bit for bit.
+        # products grows into the IAE, so the lanes must match bit for bit:
+        # each lane is the running trapezoid over its one-lane simulate run
+        # exactly, and NaN where simulate raises.
         pairs = design_stable_pairs(np.random.default_rng(seed), n)
         loads = (STEP1, ZERO)
-        batch = BatchCdmSimulator((defaults.AREA1, defaults.AREA2), defaults.TIE, nonlin, loads, dt=0.02, horizon=10.0)
-        for iae_b, pair in zip(batch.run_iae(pairs), pairs):
-            iae_s = one_lane_iae(model(nonlin=nonlin, controllers=pair), loads, dt=0.02, horizon=10.0)
-            assert iae_b == pytest.approx(iae_s, rel=1e-12, nan_ok=True)
+        for nonlin in NONLINEARITIES:
+            batch = BatchCdmSimulator((defaults.AREA1, defaults.AREA2), defaults.TIE, nonlin, loads, dt=dt, horizon=10.0)
+            for iae_b, pair in zip(batch.run_iae(pairs), pairs):
+                try:
+                    traj = simulate(model(nonlin=nonlin, controllers=pair), loads, dt=dt, horizon=10.0)
+                except NonFiniteState:
+                    assert math.isnan(iae_b)
+                    continue
+                assert iae_b == running_trapezoid(traj, dt)
+                assert iae_b == pytest.approx(trapezoid_iae(traj), rel=1e-12)
 
     @pytest.mark.parametrize("nonlin", NONLINEARITIES + [defaults.NONLIN_OBJECTIVE])
     def test_lane_value_does_not_depend_on_its_batch(self, nonlin):
@@ -396,18 +418,17 @@ class TestPlantRhs:
             for edge in (edge1, edge2)
         ]
         power = st.floats(-0.2, 0.2)  # |dPg - dPm| / Tt mostly beyond both GRC rates
-        lane = st.tuples(freq[0], power, power, freq[1], power, power, st.floats(-0.1, 0.1))
+        lane = st.tuples(freq[0], freq[1], power, power, power, power, st.floats(-0.1, 0.1))
         states = data.draw(st.lists(lane, min_size=n, max_size=n))
         loads = data.draw(st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)))
         us = data.draw(st.lists(st.tuples(power, power), min_size=n, max_size=n))
         areas = (a1, a2)
         one = plant_rhs(areas, defaults.TIE, nonlin)
         many = plant_rhs(areas, defaults.TIE, nonlin, lanes=True)
-        lanes = np.array(states).T[list(STACKED_ROWS)]
+        lanes = np.array(states).T
         stacked = many(lanes, np.array(loads)[:, None], np.array(us).T, np.empty_like(lanes))
-        in_state_order = stacked[[STACKED_ROWS.index(i) for i in range(7)]]
         for i, (state, u) in enumerate(zip(states, us)):
-            assert tuple(float(d[i]) for d in in_state_order) == one(state, loads, u)
+            assert tuple(float(d[i]) for d in stacked) == one(state, loads, u)
 
 
 REFERENCE = json.loads((pathlib.Path(__file__).parent / "data" / "engine_reference.json").read_text())
