@@ -11,6 +11,7 @@ the change kept every output, manifests included, byte for byte.
 import contextlib
 import io
 import json
+import math
 import pathlib
 import sys
 
@@ -51,6 +52,8 @@ CONFIGS = {
     "backlash": {"cases": {"nonlinear": {"gdb_mode": "backlash"}}},
     # an objective with a governor dead zone, which the candidate lanes step
     "deadband": {"optimizer": {"n_pop": 12, "max_it": 3, "seed": 4, "objective": {"gdb_width": 0.05}}},
+    # an objective without the GRC clamp: most candidate lanes diverge and are penalized
+    "no_grc": {"optimizer": {"n_pop": 12, "max_it": 3, "seed": 5, "objective": {"grc_rate": math.inf}}},
 }
 
 
@@ -76,6 +79,7 @@ def commands(configs: pathlib.Path) -> dict[str, list[str]]:
         "optimize_string_bool": ["optimize", *config("string_bool")],
         "case2_backlash": ["case", "2", *config("backlash"), "--horizon", "20", *CONTROLLERS],
         "optimize_deadband": ["optimize", *config("deadband")],
+        "optimize_no_grc": ["optimize", *config("no_grc")],
     }
 
 

@@ -67,9 +67,6 @@ class Polynomial:
         n = max(len(self.coeffs), len(other.coeffs))
         return Polynomial(self.coeff(i) + other.coeff(i) for i in range(n))
 
-    def scale(self, k: float) -> "Polynomial":
-        return Polynomial(k * c for c in self.coeffs)
-
     def __call__(self, s0: float) -> float:
         """Evaluate at s0 by Horner's rule."""
         acc = 0.0

@@ -4,6 +4,8 @@ Plant states (df, dPm, dPg per area, shared dPtie) integrate with classic
 RK4; the generation-rate clamp is applied inside every stage evaluation.
 Both simulators hold the state in one order, df1 df2 dpm1 dpm2 dpg1 dpg2
 dptie: a 7-tuple for one lane, the rows of a (7, lanes) array for many.
+The lane-batched engine binds its buffers and views once per run, so each
+of its steps writes into preallocated arrays.
 Controllers act on ACE and run as trapezoidal (Tustin) discrete blocks
 updated once per step. Trapezoidal rather than step-invariant: the
 synthesized CDM controllers carry a derivative-filter pole two decades
@@ -30,11 +32,9 @@ from .plant import AreaParams, NonlinearityConfig, TieLine, frequency_bias
 LoadFn = Callable[[float], float]
 
 # Both simulators' divergence rule: any state non-finite, or |df1| or |df2| above
-# this cap (pu); simulate then raises NonFiniteState, run_iae NaNs the lane.
+# this cap (pu); simulate then raises NonFiniteState, run_iae NaNs the lane
+# (checked once per run there: see BatchCdmSimulator).
 _DIVERGENCE_CAP = 1e6
-
-# the sign of dptie in each area's row: + in area 1, - in area 2
-_TIE_SIGN = np.array([[1.0], [-1.0]])
 
 
 @dataclass(frozen=True)
@@ -128,31 +128,97 @@ def plant_rhs(
 
     One lane: f(state, loads, u) with state = (df1, df2, dpm1, dpm2, dpg1,
     dpg2, dptie), loads = (dPL1, dPL2) and u = (u1, u2) floats, returning a
-    tuple in state order. With lanes=True: f(state, loads, u, out) with state
-    and out (7, lanes) arrays whose rows are in state order, loads a (2, 1)
-    column and u (2, lanes); out is written in place and returned. Both kinds
-    do the same operations per lane. The tie-line term enters area 1 with +1
-    and area 2 with -1, and the rate clamp is applied to the turbine
-    derivative so GRC holds inside every integrator stage.
+    tuple in state order. With lanes=True: bind(state, out) with state and
+    out (7, lanes) arrays whose rows are in state order. The binder makes the
+    row views, the parameter and constant rows and two (2, lanes) scratch
+    rows once and returns stage(loads, u), which writes the derivative at
+    state into out for loads a (2, 1) column and u (2, lanes), every term
+    through out=, so a stage creates no array. Both kinds do the same
+    operations per lane. The tie-line term enters area 1 with +1 and area 2
+    with -1, and the rate clamp is applied to the turbine derivative so GRC
+    holds inside every integrator stage.
     """
     a1, a2 = areas
     grc = nonlin.grc_rate
     half = 0.5 * nonlin.gdb_width
+    backlash = nonlin.gdb_mode == "backlash"
     t12 = 2.0 * math.pi * tie.T12
+
+    if lanes:
+        def bind(state: np.ndarray, out: np.ndarray) -> Callable[[np.ndarray, np.ndarray], None]:
+            df, dpm, dpg, dptie = state[0:2], state[2:4], state[4:6], state[6:7]
+            df1, df2 = state[0:1], state[1:2]
+            ddf, ddpm, ddpg, ddptie = out[0:2], out[2:4], out[4:6], out[6:7]
+            ddf1, ddf2, lagged = out[0:1], out[1:2], out[2:6]
+            gov, tmp = np.empty_like(df), np.empty_like(df)
+
+            # Parameters (area 1 over area 2) and constants spread over the
+            # lanes: an operation whose operands all have one shape skips
+            # numpy's broadcasting set-up, which costs more than the arithmetic.
+            def row(key):
+                return np.repeat([[getattr(a1, key)], [getattr(a2, key)]], state.shape[1], axis=1)
+
+            def const(value, rows=2):
+                return np.full((rows, state.shape[1]), value)
+
+            d, m, r = row("D"), row("M"), row("R")
+            lags = np.concatenate([row("Tt"), row("Tg")])  # divides ddpm and ddpg in one operation
+            low, high, tie_gain = const(-grc), const(grc), const(t12, 1)
+
+            # the governor's droop input df / R, passed through its dead band, into gov
+            if half == 0.0:
+                def governor():
+                    np.divide(df, r, out=gov)
+            elif backlash:
+                share, slope = const(0.8), const(0.2 / math.pi)
+
+                def governor():
+                    # describing-function approximation of the governor dead band
+                    np.divide(df, r, out=gov)
+                    np.multiply(gov, share, out=gov)
+                    np.divide(ddf, r, out=tmp)
+                    np.multiply(tmp, slope, out=tmp)
+                    np.subtract(gov, tmp, out=gov)
+            else:
+                band, zero = const(half), const(0.0)
+
+                def governor():
+                    np.divide(df, r, out=gov)
+                    np.abs(gov, out=tmp)
+                    np.subtract(tmp, band, out=tmp)
+                    np.maximum(tmp, zero, out=tmp)
+                    np.sign(gov, out=gov)
+                    np.multiply(gov, tmp, out=gov)
+
+            def stage(loads, u):
+                np.subtract(dpm, loads, out=ddf)
+                np.multiply(d, df, out=tmp)
+                np.subtract(ddf, tmp, out=ddf)
+                np.subtract(ddf1, dptie, out=ddf1)
+                np.add(ddf2, dptie, out=ddf2)
+                np.divide(ddf, m, out=ddf)
+                np.subtract(dpg, dpm, out=ddpm)
+                governor()
+                np.subtract(u, gov, out=ddpg)
+                np.subtract(ddpg, dpg, out=ddpg)
+                np.divide(lagged, lags, out=lagged)
+                np.maximum(ddpm, low, out=ddpm)
+                np.minimum(ddpm, high, out=ddpm)
+                np.subtract(df1, df2, out=ddptie)
+                np.multiply(ddptie, tie_gain, out=ddptie)
+
+            return stage
+
+        return bind
 
     # the governor's droop input df / R, passed through its dead band
     if half == 0.0:
         def governor(df, ddf, r):
             return df / r
-    elif nonlin.gdb_mode == "backlash":
+    elif backlash:
         def governor(df, ddf, r):
             # describing-function approximation of the governor dead band
             return 0.8 * (df / r) - (0.2 / math.pi) * (ddf / r)
-
-    elif lanes:
-        def governor(df, ddf, r):
-            x = df / r
-            return np.sign(x) * np.maximum(np.abs(x) - half, 0.0)
     else:
         def governor(df, ddf, r):
             x = df / r
@@ -161,29 +227,6 @@ def plant_rhs(
             if x < -half:
                 return x + half
             return 0.0
-
-    if lanes:
-        # (2, 1) parameter columns, area 1 over area 2
-        d, m, tt, tg, r = (np.array([[getattr(a1, k)], [getattr(a2, k)]]) for k in ("D", "M", "Tt", "Tg", "R"))
-
-        def stacked(state, loads, u, out):
-            df, dpm, dpg = state[0:2], state[2:4], state[4:6]
-            ddf, ddpm, ddpg, ddptie = out[0:2], out[2:4], out[4:6], out[6:7]
-            np.subtract(dpm, loads, out=ddf)
-            ddf -= d * df
-            ddf -= _TIE_SIGN * state[6:7]
-            ddf /= m
-            np.subtract(dpg, dpm, out=ddpm)
-            ddpm /= tt
-            np.minimum(np.maximum(ddpm, -grc, out=ddpm), grc, out=ddpm)
-            np.subtract(u, governor(df, ddf, r), out=ddpg)
-            ddpg -= dpg
-            ddpg /= tg
-            np.subtract(state[0:1], state[1:2], out=ddptie)
-            ddptie *= t12
-            return out
-
-        return stacked
 
     def clamp(x):
         if x > grc:
@@ -226,32 +269,39 @@ def rk4_step(rhs: Callable, state: tuple, loads: Sequence, u: tuple, h: float) -
     )
 
 
-def rk4_lanes_step(
-    rhs: Callable, state: np.ndarray, loads: np.ndarray, u: np.ndarray, h: float, work: np.ndarray
-) -> None:
-    """rk4_step in place on a (7, lanes) stacked state under plant_rhs(lanes=True):
-    per lane, the same operations in the same order. loads holds the step's load
-    samples as (2, 1) columns; work is a (5, 7, lanes) scratch array."""
-    k1, k2, k3, k4, x = work
-    l0, lm, le = loads
-    rhs(state, l0, u, k1)
-    np.multiply(k1, 0.5 * h, out=x)
-    x += state
-    rhs(x, lm, u, k2)
-    np.multiply(k2, 0.5 * h, out=x)
-    x += state
-    rhs(x, lm, u, k3)
-    np.multiply(k3, h, out=x)
-    x += state
-    rhs(x, le, u, k4)
-    # state + h / 6 * (k1 + 2 k2 + 2 k3 + k4), summed left to right
-    np.multiply(k2, 2.0, out=x)
-    x += k1
-    k3 *= 2.0
-    x += k3
-    x += k4
-    x *= h / 6.0
-    state += x
+def rk4_lanes_step(bind: Callable, state: np.ndarray, h: float) -> Callable[[np.ndarray, np.ndarray], None]:
+    """rk4_step in place on a (7, lanes) stacked state, for bind =
+    plant_rhs(lanes=True): per lane, the same operations in the same order.
+    Binds the four stages to k1-k4 and the stage buffer once and returns
+    step(loads, u), which advances state by h; loads holds the step's load
+    samples as (2, 1) columns."""
+    k1, k2, k3, k4, x = np.empty((5, *state.shape))
+    f1, f2, f3, f4 = bind(state, k1), bind(x, k2), bind(x, k3), bind(x, k4)
+    # the step's constants spread over the state, so that no operation broadcasts
+    half, whole, two, sixth = (np.full(state.shape, c) for c in (0.5 * h, h, 2.0, h / 6.0))
+
+    def step(loads, u):
+        l0, lm, le = loads
+        f1(l0, u)
+        np.multiply(k1, half, out=x)
+        np.add(x, state, out=x)
+        f2(lm, u)
+        np.multiply(k2, half, out=x)
+        np.add(x, state, out=x)
+        f3(lm, u)
+        np.multiply(k3, whole, out=x)
+        np.add(x, state, out=x)
+        f4(le, u)
+        # state + h / 6 * (k1 + 2 k2 + 2 k3 + k4), summed left to right
+        np.multiply(k2, two, out=x)
+        np.add(x, k1, out=x)
+        np.multiply(k3, two, out=k3)
+        np.add(x, k3, out=x)
+        np.add(x, k4, out=x)
+        np.multiply(x, sixth, out=x)
+        np.add(state, x, out=state)
+
+    return step
 
 
 @dataclass
@@ -364,13 +414,27 @@ class BatchCdmSimulator:
     where only the summed IAE of the frequency deviations is needed.
     Divergent candidates yield NaN.
 
-    The plant state is one (7, lanes) array, so each RK4 stage and the final
-    combination is one whole-array operation into preallocated buffers
-    (rk4_lanes_step). Per lane these are the
-    operations of simulate's step, in the same order, so each lane's step
-    states equal a one-lane simulate run's bit for bit. The IAE is a running
-    trapezoid sum, so it agrees with a quadrature of a simulate trajectory
-    only to rounding.
+    The plant state is one (7, lanes) array. run_iae binds every buffer, row
+    view, parameter and constant once per call (plant_rhs(lanes=True) and
+    rk4_lanes_step return bound stages), so a step is a fixed run of
+    whole-array operations written through out= and creates no array beyond
+    the views of its load-table row. Parameters and constants are spread over
+    the lanes, so no plant or RK4 operation broadcasts but the loads'
+    subtraction. Per lane these are the operations of
+    simulate's step, in the same order, so each lane's step states equal a
+    one-lane simulate run's bit for bit. The IAE is a running trapezoid sum,
+    so it agrees with a quadrature of a simulate trajectory only to rounding.
+
+    Divergence: simulate raises after the first step whose seven states sum
+    to a non-finite value or whose |df1| or |df2| exceeds the cap. run_iae
+    keeps a running per-lane peak of |df1| and |df2| (np.maximum propagates
+    NaN) and tests the final state once. A state that turns non-finite stays
+    non-finite, since x + h/6 * (k1 + 2 k2 + 2 k3 + k4) of an inf or NaN x is
+    inf or NaN, so a non-finite final state or a peak above the cap marks the
+    lanes simulate raises on, and their IAE is set to NaN. (The one case this
+    does not see is seven finite states whose sum overflows, which needs a
+    state above 2.5e307.) A divergent lane steps on in isolation, so the
+    other lanes keep their bits.
     """
 
     def __init__(
@@ -391,40 +455,61 @@ class BatchCdmSimulator:
 
     def run_iae(self, controller_pairs: Sequence[tuple[CdmController, CdmController]]) -> np.ndarray:
         dt, n_steps = self.dt, self.n_steps
-        if len(controller_pairs) == 0:
+        lanes = len(controller_pairs)
+        if lanes == 0:
             return np.empty(0)
 
-        # per-candidate trapezoidal controller blocks, stacked across lanes in
-        # column form so that each lane takes DiscreteController.step's products
-        blocks = []
-        for side in (0, 1):
-            ctrls = [DiscreteController(pair[side], dt) for pair in controller_pairs]
-            ad, bd, cd, dd = (np.array([getattr(c, name) for c in ctrls]) for name in ("ad", "bd", "cd", "dd"))
-            blocks.append((ad, bd[:, :, None], cd[:, None, :], dd))
-        (ad1, bd1, c1, d1), (ad2, bd2, c2, d2) = blocks
-        x1, x2 = np.zeros_like(bd1), np.zeros_like(bd2)
+        # per-candidate trapezoidal controller blocks, one per area, stacked
+        # across lanes in column form so that each lane takes
+        # DiscreteController.step's products
+        sides = [[DiscreteController(pair[side], dt) for pair in controller_pairs] for side in (0, 1)]
+        dd = np.array([[c.dd for c in ctrls] for ctrls in sides])
 
-        lanes = len(controller_pairs)
         state = np.zeros((7, lanes))
-        work = np.empty((5, 7, lanes))
-        u = np.empty((2, lanes))
+        df, dptie = state[0:2], state[6:7]
+        ace, u, tmp, prod, mag, peak = np.zeros((6, 2, lanes))
+        ace1, ace2 = ace[0:1], ace[1:2]
+        # constants spread over the lanes, as in plant_rhs(lanes=True)
+        bias = np.broadcast_to(self.bias, (2, lanes)).copy()
+        inner, end = np.full(lanes, dt), np.full(lanes, 0.5 * dt)  # trapezoid weights
+        mag1, mag2 = mag
+        blocks = []
+        for ctrls, y, prod_k in zip(sides, ace, prod):
+            ad, bd, cd = (np.array([getattr(c, name) for c in ctrls]) for name in ("ad", "bd", "cd"))
+            bd = bd[:, :, None]
+            x, adx, bdx = np.zeros((3, *bd.shape))
+            blocks.append((ad, bd, cd[:, None, :], x, adx, bdx, y.reshape(lanes, 1, 1), prod_k.reshape(lanes, 1, 1)))
+        (ad1, bd1, c1, x1, adx1, bdx1, y1, prod1), (ad2, bd2, c2, x2, adx2, bdx2, y2, prod2) = blocks
+        step = rk4_lanes_step(self.rhs, state, dt)
+        table = self.load_table
+        total = np.empty(lanes)
         iae = np.zeros(lanes)
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(n_steps + 1):
-                w = dt if 0 < k < n_steps else 0.5 * dt
-                iae += w * (np.abs(state[0]) + np.abs(state[1]))
+                np.abs(df, out=mag)
+                np.maximum(peak, mag, out=peak)
+                np.add(mag1, mag2, out=total)
+                total *= inner if 0 < k < n_steps else end
+                iae += total
                 if k == n_steps:
                     break
-                ace = self.bias * state[0:2] + _TIE_SIGN * state[6:7]
-                u[0] = -((c1 @ x1)[:, 0, 0] + d1 * ace[0])
-                u[1] = -((c2 @ x2)[:, 0, 0] + d2 * ace[1])
-                x1 = ad1 @ x1 + bd1 * ace[0][:, None, None]
-                x2 = ad2 @ x2 + bd2 * ace[1][:, None, None]
-                rk4_lanes_step(self.rhs, state, self.load_table[k], u, dt, work)
-                # simulate's divergence rule
-                bad = ~np.isfinite(sum(state))
-                bad |= (np.abs(state[0:2]) > _DIVERGENCE_CAP).any(axis=0)
-                if bad.any():
-                    state[0, bad] = np.nan
+                np.multiply(bias, df, out=ace)
+                ace1 += dptie
+                ace2 -= dptie
+                np.matmul(c1, x1, out=prod1)
+                np.matmul(c2, x2, out=prod2)
+                np.multiply(dd, ace, out=tmp)
+                np.add(prod, tmp, out=u)
+                np.negative(u, out=u)
+                np.matmul(ad1, x1, out=adx1)
+                np.multiply(bd1, y1, out=bdx1)
+                np.add(adx1, bdx1, out=x1)
+                np.matmul(ad2, x2, out=adx2)
+                np.multiply(bd2, y2, out=bdx2)
+                np.add(adx2, bdx2, out=x2)
+                step(table[k], u)
 
+        # simulate's divergence rule, checked once: see the class docstring
+        live = np.isfinite(state).all(axis=0) & (peak <= _DIVERGENCE_CAP).all(axis=0)
+        iae[~live] = np.nan
         return iae

@@ -76,7 +76,7 @@ class TestSynthesize:
 
     def test_residual_invariant_to_plant_scaling(self):
         plant = derive_design_plant(AREA1, TIE)
-        scaled = DesignPlant(N=plant.N.scale(3.7), Dp=plant.Dp.scale(3.7))
+        scaled = DesignPlant(*(Polynomial(3.7 * c for c in poly.coeffs) for poly in (plant.N, plant.Dp)))
         c1 = synthesize(plant, opt_gains(20.5126))
         c2 = synthesize(scaled, opt_gains(20.5126))
         assert c2.residual == pytest.approx(c1.residual, rel=1e-9)

@@ -12,7 +12,7 @@ from cdmlfc import defaults
 from cdmlfc.cdm import CdmController, CdmGains, synthesize
 from cdmlfc.config import build_config
 from cdmlfc.errors import CdmlfcError, ImproperController, NonFiniteState
-from cdmlfc.plant import NonlinearityConfig, derive_design_plant
+from cdmlfc.plant import NonlinearityConfig, derive_design_plant, frequency_bias
 from cdmlfc.poly import Polynomial
 from cdmlfc.scenarios import TuningObjective, run_case
 from cdmlfc.sim import (
@@ -22,7 +22,9 @@ from cdmlfc.sim import (
     PidSpec,
     SystemModel,
     Trajectory,
+    load_samples,
     plant_rhs,
+    rk4_step,
     simulate,
 )
 
@@ -225,16 +227,15 @@ class TestSimulate:
         assert np.max(np.abs(two.df1 - 2.0 * one.df1)) < 1e-9 * scale
 
     def test_grc_bound_holds_at_every_sample(self):
+        # the recorded mechanical power never slews faster than the GRC rate,
+        # and the clamp does bind in this run
         grc = 0.1 / 60.0
+        dt = 0.01
         m = model(nonlin=NonlinearityConfig(grc_rate=grc, gdb_width=0.05))
-        traj = simulate(m, (STEP1, ZERO), dt=0.01, horizon=30.0)
-        # reconstruct dPm rate from the recorded u? dPm is internal; re-run and track
-        # via the trajectory's effect: integrate the model manually instead
-        # simpler: simulate and inspect using a probe on successive mech power
-        # values via a custom channel is unavailable; use df-based bound instead:
-        # the mechanical power is not exported, so check the clamp directly.
-        d = plant_rhs(m.areas, m.tie, m.nonlin)((0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
-        assert abs(d[2]) <= grc * (1 + 1e-9)
+        traj = simulate(m, (STEP1, ZERO), dt=dt, horizon=30.0)
+        rates = np.abs(np.diff(np.stack([traj.dpm1, traj.dpm2]), axis=1)) / dt
+        assert rates.max() <= grc * (1.0 + 1e-9)
+        assert rates.max() >= 0.99 * grc
 
     def test_tie_line_antisymmetry_of_ace(self):
         traj = simulate(model(), (STEP1, ZERO), dt=0.01, horizon=20.0)
@@ -269,40 +270,22 @@ class TestSimulate:
 
 class TestGrcRate:
     def test_mechanical_power_rate_bounded(self):
-        # drive the full nonlinear model hard and track dPm sample to sample
+        # drive the full nonlinear model hard and track dPm step to step
         grc = 0.1 / 60.0
         m = model(nonlin=NonlinearityConfig(grc_rate=grc, gdb_width=0.05))
-        # reimplement the recurrence with the public pieces to expose dPm
-        from cdmlfc.sim import DiscreteController as dc
-        from cdmlfc.plant import frequency_bias
-
-        dt, horizon = 0.01, 20.0
-        c1 = dc(m.controllers[0], dt)
-        c2 = dc(m.controllers[1], dt)
-        b1, b2 = frequency_bias(m.areas[0]), frequency_bias(m.areas[1])
+        dt, n_steps = 0.01, 2000
+        ctrl1, ctrl2 = (DiscreteController(spec, dt) for spec in m.controllers)
+        b1, b2 = (frequency_bias(area) for area in m.areas)
         rhs = plant_rhs(m.areas, m.tie, m.nonlin)
         state = (0.0,) * 7
         max_rate = 0.0
-        for k in range(round(horizon / dt)):
-            t = k * dt
-            ace1 = b1 * state[0] + state[6]
-            ace2 = b2 * state[1] - state[6]
-            u = (c1.step(ace1), c2.step(ace2))
-            loads = lambda tt: (STEP1(tt), 0.0)
-            k1 = rhs(state, loads(t), u)
-            s2 = tuple(x + 0.5 * dt * d for x, d in zip(state, k1))
-            k2 = rhs(s2, loads(t + 0.5 * dt), u)
-            s3 = tuple(x + 0.5 * dt * d for x, d in zip(state, k2))
-            k3 = rhs(s3, loads(t + 0.5 * dt), u)
-            s4 = tuple(x + dt * d for x, d in zip(state, k3))
-            k4 = rhs(s4, loads(t + dt), u)
-            nxt = tuple(
-                x + dt / 6.0 * (a + 2 * b + 2 * c + d)
-                for x, a, b, c, d in zip(state, k1, k2, k3, k4)
-            )
+        for loads in load_samples((STEP1, ZERO), dt, n_steps).tolist():
+            u = (ctrl1.step(b1 * state[0] + state[6]), ctrl2.step(b2 * state[1] - state[6]))
+            nxt = rk4_step(rhs, state, loads, u, dt)
             max_rate = max(max_rate, abs(nxt[2] - state[2]) / dt, abs(nxt[3] - state[3]) / dt)
             state = nxt
         assert max_rate <= grc * (1.0 + 1e-9)
+        assert max_rate >= 0.99 * grc
 
 
 class TestBatchSimulator:
@@ -352,6 +335,25 @@ class TestBatchSimulator:
         out = batch.run_iae([(good[0], bad2), good])
         assert math.isnan(out[0])
         assert math.isfinite(out[1])
+
+    def test_nan_exactly_when_simulate_raises_near_the_crossing(self):
+        # run_iae checks divergence once, after the run, from a running peak of
+        # |df| and the final state: around the step where the area-2 unstable
+        # pair first leaves the cap, the lane must be NaN exactly at the
+        # horizons where simulate raises, and a live lane must keep its bits
+        plant2 = derive_design_plant(defaults.AREA2, defaults.TIE)
+        bad2 = CdmController.from_polynomials(Polynomial([0.0, -1.0, 1.0 / 90.0]), Polynomial([1.0, 1.0, 0.1]), plant2)
+        good = cdm_pair()
+        loads, dt = (STEP1, STEP1), 0.02
+        with pytest.raises(NonFiniteState) as raised:
+            simulate(model(nonlin=LINEAR, controllers=(good[0], bad2)), loads, dt=dt, horizon=10.0)
+        crossing = round(raised.value.time / dt)
+        for n in range(crossing - 3, crossing + 4):
+            batch = BatchCdmSimulator((defaults.AREA1, defaults.AREA2), defaults.TIE, LINEAR, loads, dt=dt, horizon=n * dt)
+            out = batch.run_iae([(good[0], bad2), good])
+            assert math.isnan(one_lane_iae(model(nonlin=LINEAR, controllers=(good[0], bad2)), loads, dt, n * dt)) == (n >= crossing)
+            assert math.isnan(out[0]) == (n >= crossing)
+            assert out[1] == running_trapezoid(simulate(model(nonlin=LINEAR, controllers=good), loads, dt=dt, horizon=n * dt), dt)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), dt=st.sampled_from((0.01, 0.02)))
@@ -426,7 +428,8 @@ class TestPlantRhs:
         one = plant_rhs(areas, defaults.TIE, nonlin)
         many = plant_rhs(areas, defaults.TIE, nonlin, lanes=True)
         lanes = np.array(states).T
-        stacked = many(lanes, np.array(loads)[:, None], np.array(us).T, np.empty_like(lanes))
+        stacked = np.empty_like(lanes)
+        many(lanes, stacked)(np.array(loads)[:, None], np.array(us).T)
         for i, (state, u) in enumerate(zip(states, us)):
             assert tuple(float(d[i]) for d in stacked) == one(state, loads, u)
 
