@@ -4,8 +4,10 @@ Plant states (df, dPm, dPg per area, shared dPtie) integrate with classic
 RK4; the generation-rate clamp is applied inside every stage evaluation.
 Both simulators hold the state in one order, df1 df2 dpm1 dpm2 dpg1 dpg2
 dptie: a 7-tuple for one lane, the rows of a (7, lanes) array for many.
-The lane-batched engine binds its buffers and views once per run, so each
-of its steps writes into preallocated arrays.
+The plant is written twice, once per driver: plant_rhs and rk4_step step
+one lane (simulate), and lanes_step steps the stacked array in place with
+the same operations per lane (BatchCdmSimulator), binding its views,
+buffers and RK4 stages once per run.
 Controllers act on ACE and run as trapezoidal (Tustin) discrete blocks
 updated once per step. Trapezoidal rather than step-invariant: the
 synthesized CDM controllers carry a derivative-filter pole two decades
@@ -118,104 +120,24 @@ class DiscreteController:
         return u
 
 
-def plant_rhs(
-    areas: tuple[AreaParams, AreaParams],
-    tie: TieLine,
-    nonlin: NonlinearityConfig,
-    lanes: bool = False,
-) -> Callable:
-    """The plant state derivative under held control inputs.
-
-    One lane: f(state, loads, u) with state = (df1, df2, dpm1, dpm2, dpg1,
-    dpg2, dptie), loads = (dPL1, dPL2) and u = (u1, u2) floats, returning a
-    tuple in state order. With lanes=True: bind(state, out) with state and
-    out (7, lanes) arrays whose rows are in state order. The binder makes the
-    row views, the parameter and constant rows and two (2, lanes) scratch
-    rows once and returns stage(loads, u), which writes the derivative at
-    state into out for loads a (2, 1) column and u (2, lanes), every term
-    through out=, so a stage creates no array. Both kinds do the same
-    operations per lane. The tie-line term enters area 1 with +1 and area 2
-    with -1, and the rate clamp is applied to the turbine derivative so GRC
-    holds inside every integrator stage.
+def plant_rhs(areas: tuple[AreaParams, AreaParams], tie: TieLine, nonlin: NonlinearityConfig) -> Callable:
+    """The plant state derivative under held control inputs: f(state, loads,
+    u) with state = (df1, df2, dpm1, dpm2, dpg1, dpg2, dptie), loads = (dPL1,
+    dPL2) and u = (u1, u2) floats, returning a tuple in state order. The
+    tie-line term enters area 1 with +1 and area 2 with -1, and the rate clamp
+    is applied to the turbine derivative so GRC holds inside every integrator
+    stage. lanes_step is the same model written for many lanes at once.
     """
     a1, a2 = areas
     grc = nonlin.grc_rate
     half = 0.5 * nonlin.gdb_width
-    backlash = nonlin.gdb_mode == "backlash"
     t12 = 2.0 * math.pi * tie.T12
-
-    if lanes:
-        def bind(state: np.ndarray, out: np.ndarray) -> Callable[[np.ndarray, np.ndarray], None]:
-            df, dpm, dpg, dptie = state[0:2], state[2:4], state[4:6], state[6:7]
-            df1, df2 = state[0:1], state[1:2]
-            ddf, ddpm, ddpg, ddptie = out[0:2], out[2:4], out[4:6], out[6:7]
-            ddf1, ddf2, lagged = out[0:1], out[1:2], out[2:6]
-            gov, tmp = np.empty_like(df), np.empty_like(df)
-
-            # Parameters (area 1 over area 2) and constants spread over the
-            # lanes: an operation whose operands all have one shape skips
-            # numpy's broadcasting set-up, which costs more than the arithmetic.
-            def row(key):
-                return np.repeat([[getattr(a1, key)], [getattr(a2, key)]], state.shape[1], axis=1)
-
-            def const(value, rows=2):
-                return np.full((rows, state.shape[1]), value)
-
-            d, m, r = row("D"), row("M"), row("R")
-            lags = np.concatenate([row("Tt"), row("Tg")])  # divides ddpm and ddpg in one operation
-            low, high, tie_gain = const(-grc), const(grc), const(t12, 1)
-
-            # the governor's droop input df / R, passed through its dead band, into gov
-            if half == 0.0:
-                def governor():
-                    np.divide(df, r, out=gov)
-            elif backlash:
-                share, slope = const(0.8), const(0.2 / math.pi)
-
-                def governor():
-                    # describing-function approximation of the governor dead band
-                    np.divide(df, r, out=gov)
-                    np.multiply(gov, share, out=gov)
-                    np.divide(ddf, r, out=tmp)
-                    np.multiply(tmp, slope, out=tmp)
-                    np.subtract(gov, tmp, out=gov)
-            else:
-                band, zero = const(half), const(0.0)
-
-                def governor():
-                    np.divide(df, r, out=gov)
-                    np.abs(gov, out=tmp)
-                    np.subtract(tmp, band, out=tmp)
-                    np.maximum(tmp, zero, out=tmp)
-                    np.sign(gov, out=gov)
-                    np.multiply(gov, tmp, out=gov)
-
-            def stage(loads, u):
-                np.subtract(dpm, loads, out=ddf)
-                np.multiply(d, df, out=tmp)
-                np.subtract(ddf, tmp, out=ddf)
-                np.subtract(ddf1, dptie, out=ddf1)
-                np.add(ddf2, dptie, out=ddf2)
-                np.divide(ddf, m, out=ddf)
-                np.subtract(dpg, dpm, out=ddpm)
-                governor()
-                np.subtract(u, gov, out=ddpg)
-                np.subtract(ddpg, dpg, out=ddpg)
-                np.divide(lagged, lags, out=lagged)
-                np.maximum(ddpm, low, out=ddpm)
-                np.minimum(ddpm, high, out=ddpm)
-                np.subtract(df1, df2, out=ddptie)
-                np.multiply(ddptie, tie_gain, out=ddptie)
-
-            return stage
-
-        return bind
 
     # the governor's droop input df / R, passed through its dead band
     if half == 0.0:
         def governor(df, ddf, r):
             return df / r
-    elif backlash:
+    elif nonlin.gdb_mode == "backlash":
         def governor(df, ddf, r):
             # describing-function approximation of the governor dead band
             return 0.8 * (df / r) - (0.2 / math.pi) * (ddf / r)
@@ -269,24 +191,100 @@ def rk4_step(rhs: Callable, state: tuple, loads: Sequence, u: tuple, h: float) -
     )
 
 
-def rk4_lanes_step(bind: Callable, state: np.ndarray, h: float) -> Callable[[np.ndarray, np.ndarray], None]:
-    """rk4_step in place on a (7, lanes) stacked state, for bind =
-    plant_rhs(lanes=True): per lane, the same operations in the same order.
-    Binds the four stages to k1-k4 and the stage buffer once and returns
-    step(loads, u), which advances state by h; loads holds the step's load
-    samples as (2, 1) columns."""
-    k1, k2, k3, k4, x = np.empty((5, *state.shape))
-    f1, f2, f3, f4 = bind(state, k1), bind(x, k2), bind(x, k3), bind(x, k4)
+def lanes_step(
+    areas: tuple[AreaParams, AreaParams], tie: TieLine, nonlin: NonlinearityConfig, state: np.ndarray, h: float
+) -> Callable[[np.ndarray, np.ndarray], None]:
+    """rk4_step of plant_rhs in place on a (7, lanes) state whose rows are in
+    state order: per lane, the same operations in the same order.
+
+    Binds the derivative's row views, the parameter and constant rows, two
+    (2, lanes) scratch rows and the four RK4 stages (k1-k4 and the stage
+    buffer) once and returns step(loads, u), which advances state by h for
+    loads a load_samples row as (2, 1) columns and u (2, lanes). Every term
+    writes through out=, so a step creates no array beyond views.
+    """
+    a1, a2 = areas
+    lanes = state.shape[1]
+    grc = nonlin.grc_rate
+    half = 0.5 * nonlin.gdb_width
+
+    # Parameters (area 1 over area 2) and constants spread over the lanes: an
+    # operation whose operands all have one shape skips numpy's broadcasting
+    # set-up, which costs more than the arithmetic.
+    def row(key):
+        return np.repeat([[getattr(a1, key)], [getattr(a2, key)]], lanes, axis=1)
+
+    def const(value, rows=2):
+        return np.full((rows, lanes), value)
+
+    d, m, r = row("D"), row("M"), row("R")
+    lags = np.concatenate([row("Tt"), row("Tg")])  # divides ddpm and ddpg in one operation
+    low, high, tie_gain = const(-grc), const(grc), const(2.0 * math.pi * tie.T12, 1)
+    gov, tmp = np.empty((2, 2, lanes))
+
+    # the governor's droop input df / R, passed through its dead band, into gov
+    if half == 0.0:
+        def governor(df, ddf):
+            np.divide(df, r, out=gov)
+    elif nonlin.gdb_mode == "backlash":
+        share, slope = const(0.8), const(0.2 / math.pi)
+
+        def governor(df, ddf):
+            # describing-function approximation of the governor dead band
+            np.divide(df, r, out=gov)
+            np.multiply(gov, share, out=gov)
+            np.divide(ddf, r, out=tmp)
+            np.multiply(tmp, slope, out=tmp)
+            np.subtract(gov, tmp, out=gov)
+    else:
+        band, zero = const(half), const(0.0)
+
+        def governor(df, ddf):
+            np.divide(df, r, out=gov)
+            np.abs(gov, out=tmp)
+            np.subtract(tmp, band, out=tmp)
+            np.maximum(tmp, zero, out=tmp)
+            np.sign(gov, out=gov)
+            np.multiply(gov, tmp, out=gov)
+
+    def stage(s, out):
+        """rhs(loads, u) writing the derivative at s into out."""
+        df, dpm, dpg, dptie = s[0:2], s[2:4], s[4:6], s[6:7]
+        df1, df2 = s[0:1], s[1:2]
+        ddf, ddpm, ddpg, ddptie = out[0:2], out[2:4], out[4:6], out[6:7]
+        ddf1, ddf2, lagged = out[0:1], out[1:2], out[2:6]
+
+        def rhs(loads, u):
+            np.subtract(dpm, loads, out=ddf)
+            np.multiply(d, df, out=tmp)
+            np.subtract(ddf, tmp, out=ddf)
+            np.subtract(ddf1, dptie, out=ddf1)
+            np.add(ddf2, dptie, out=ddf2)
+            np.divide(ddf, m, out=ddf)
+            np.subtract(dpg, dpm, out=ddpm)
+            governor(df, ddf)
+            np.subtract(u, gov, out=ddpg)
+            np.subtract(ddpg, dpg, out=ddpg)
+            np.divide(lagged, lags, out=lagged)
+            np.maximum(ddpm, low, out=ddpm)
+            np.minimum(ddpm, high, out=ddpm)
+            np.subtract(df1, df2, out=ddptie)
+            np.multiply(ddptie, tie_gain, out=ddptie)
+
+        return rhs
+
+    k1, k2, k3, k4, x = np.empty((5, 7, lanes))
+    f1, f2, f3, f4 = stage(state, k1), stage(x, k2), stage(x, k3), stage(x, k4)
     # the step's constants spread over the state, so that no operation broadcasts
-    half, whole, two, sixth = (np.full(state.shape, c) for c in (0.5 * h, h, 2.0, h / 6.0))
+    mid, whole, two, sixth = (np.full(state.shape, c) for c in (0.5 * h, h, 2.0, h / 6.0))
 
     def step(loads, u):
         l0, lm, le = loads
         f1(l0, u)
-        np.multiply(k1, half, out=x)
+        np.multiply(k1, mid, out=x)
         np.add(x, state, out=x)
         f2(lm, u)
-        np.multiply(k2, half, out=x)
+        np.multiply(k2, mid, out=x)
         np.add(x, state, out=x)
         f3(lm, u)
         np.multiply(k3, whole, out=x)
@@ -414,14 +412,15 @@ class BatchCdmSimulator:
     where only the summed IAE of the frequency deviations is needed.
     Divergent candidates yield NaN.
 
-    The plant state is one (7, lanes) array. run_iae binds every buffer, row
-    view, parameter and constant once per call (plant_rhs(lanes=True) and
-    rk4_lanes_step return bound stages), so a step is a fixed run of
-    whole-array operations written through out= and creates no array beyond
-    the views of its load-table row. Parameters and constants are spread over
-    the lanes, so no plant or RK4 operation broadcasts but the loads'
-    subtraction. Per lane these are the operations of
-    simulate's step, in the same order, so each lane's step states equal a
+    run_iae holds the plant state as one (7, lanes) array, stepped by
+    lanes_step, and both areas' controllers as one bank of (2, lanes, ...)
+    arrays, so a controller update is one whole-array operation per term for
+    both areas. Every buffer, view, parameter and constant is made once per
+    call, so a step is a fixed run of operations written through out= that
+    creates no array beyond the views of its load-table row. Parameters and
+    constants are spread over the lanes, so no plant or RK4 operation
+    broadcasts but the loads' subtraction. Per lane these are the operations
+    of simulate's step, in the same order, so each lane's step states equal a
     one-lane simulate run's bit for bit. The IAE is a running trapezoid sum,
     so it agrees with a quadrature of a simulate trajectory only to rounding.
 
@@ -448,39 +447,41 @@ class BatchCdmSimulator:
     ):
         self.n_steps = _n_steps(horizon, dt)
         self.dt = dt
+        self.plant = (areas, tie, nonlin)
         self.bias = np.array([[frequency_bias(areas[0])], [frequency_bias(areas[1])]])
-        self.rhs = plant_rhs(areas, tie, nonlin, lanes=True)
         # each step's load samples as (2, 1) columns
         self.load_table = load_samples(loads, dt, self.n_steps)[..., None]
 
     def run_iae(self, controller_pairs: Sequence[tuple[CdmController, CdmController]]) -> np.ndarray:
+        """The IAE of each (area 1, area 2) controller pair, NaN where it diverges.
+
+        All controllers of a call share one state-space order, as synthesize's
+        default degrees give, so that both areas stack into one bank.
+        """
         dt, n_steps = self.dt, self.n_steps
         lanes = len(controller_pairs)
         if lanes == 0:
             return np.empty(0)
 
-        # per-candidate trapezoidal controller blocks, one per area, stacked
-        # across lanes in column form so that each lane takes
-        # DiscreteController.step's products
-        sides = [[DiscreteController(pair[side], dt) for pair in controller_pairs] for side in (0, 1)]
-        dd = np.array([[c.dd for c in ctrls] for ctrls in sides])
+        # the trapezoidal controllers as one bank, area by lane, in column form
+        # so that each lane takes DiscreteController.step's products
+        bank = [[DiscreteController(pair[side], dt) for pair in controller_pairs] for side in (0, 1)]
+        ad, bd, cd, dd = (
+            np.array([[getattr(c, key) for c in side] for side in bank]) for key in ("ad", "bd", "cd", "dd")
+        )
+        bd, cd = bd[..., None], cd[..., None, :]
+        x, adx, bdx = np.zeros((3, *bd.shape))
 
         state = np.zeros((7, lanes))
         df, dptie = state[0:2], state[6:7]
         ace, u, tmp, prod, mag, peak = np.zeros((6, 2, lanes))
         ace1, ace2 = ace[0:1], ace[1:2]
-        # constants spread over the lanes, as in plant_rhs(lanes=True)
+        y, prod_k = ace.reshape(2, lanes, 1, 1), prod.reshape(2, lanes, 1, 1)
+        # constants spread over the lanes, as in lanes_step
         bias = np.broadcast_to(self.bias, (2, lanes)).copy()
         inner, end = np.full(lanes, dt), np.full(lanes, 0.5 * dt)  # trapezoid weights
         mag1, mag2 = mag
-        blocks = []
-        for ctrls, y, prod_k in zip(sides, ace, prod):
-            ad, bd, cd = (np.array([getattr(c, name) for c in ctrls]) for name in ("ad", "bd", "cd"))
-            bd = bd[:, :, None]
-            x, adx, bdx = np.zeros((3, *bd.shape))
-            blocks.append((ad, bd, cd[:, None, :], x, adx, bdx, y.reshape(lanes, 1, 1), prod_k.reshape(lanes, 1, 1)))
-        (ad1, bd1, c1, x1, adx1, bdx1, y1, prod1), (ad2, bd2, c2, x2, adx2, bdx2, y2, prod2) = blocks
-        step = rk4_lanes_step(self.rhs, state, dt)
+        step = lanes_step(*self.plant, state, dt)
         table = self.load_table
         total = np.empty(lanes)
         iae = np.zeros(lanes)
@@ -496,17 +497,13 @@ class BatchCdmSimulator:
                 np.multiply(bias, df, out=ace)
                 ace1 += dptie
                 ace2 -= dptie
-                np.matmul(c1, x1, out=prod1)
-                np.matmul(c2, x2, out=prod2)
+                np.matmul(cd, x, out=prod_k)
                 np.multiply(dd, ace, out=tmp)
                 np.add(prod, tmp, out=u)
                 np.negative(u, out=u)
-                np.matmul(ad1, x1, out=adx1)
-                np.multiply(bd1, y1, out=bdx1)
-                np.add(adx1, bdx1, out=x1)
-                np.matmul(ad2, x2, out=adx2)
-                np.multiply(bd2, y2, out=bdx2)
-                np.add(adx2, bdx2, out=x2)
+                np.matmul(ad, x, out=adx)
+                np.multiply(bd, y, out=bdx)
+                np.add(adx, bdx, out=x)
                 step(table[k], u)
 
         # simulate's divergence rule, checked once: see the class docstring

@@ -22,6 +22,7 @@ from cdmlfc.sim import (
     PidSpec,
     SystemModel,
     Trajectory,
+    lanes_step,
     load_samples,
     plant_rhs,
     rk4_step,
@@ -409,10 +410,12 @@ def _on_band_edge(area, half):
     return replace(area, R=r), half * r
 
 
-class TestPlantRhs:
+class TestLanesStep:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), nonlin=st.sampled_from(NONLINEARITIES), n=st.integers(1, 6))
-    def test_lanes_equal_the_one_lane_rhs(self, data, nonlin, n):
+    def test_one_step_equals_rk4_step_of_plant_rhs(self, data, nonlin, n):
+        # the two writings of the plant, one per driver, take equal steps bit
+        # for bit, at the dead band's edges and with the rate clamp active
         half = 0.025  # the dead band half width of NONLINEARITIES
         (a1, edge1), (a2, edge2) = (_on_band_edge(a, half) for a in (defaults.AREA1, defaults.AREA2))
         freq = [
@@ -422,16 +425,15 @@ class TestPlantRhs:
         power = st.floats(-0.2, 0.2)  # |dPg - dPm| / Tt mostly beyond both GRC rates
         lane = st.tuples(freq[0], freq[1], power, power, power, power, st.floats(-0.1, 0.1))
         states = data.draw(st.lists(lane, min_size=n, max_size=n))
-        loads = data.draw(st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)))
+        load = st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05))
+        loads = data.draw(st.tuples(load, load, load))  # the step's start, midpoint and end
         us = data.draw(st.lists(st.tuples(power, power), min_size=n, max_size=n))
-        areas = (a1, a2)
-        one = plant_rhs(areas, defaults.TIE, nonlin)
-        many = plant_rhs(areas, defaults.TIE, nonlin, lanes=True)
-        lanes = np.array(states).T
-        stacked = np.empty_like(lanes)
-        many(lanes, stacked)(np.array(loads)[:, None], np.array(us).T)
+        areas, h = (a1, a2), 0.01
+        rhs = plant_rhs(areas, defaults.TIE, nonlin)
+        stacked = np.array(states).T.copy()
+        lanes_step(areas, defaults.TIE, nonlin, stacked, h)(np.array(loads)[..., None], np.array(us).T.copy())
         for i, (state, u) in enumerate(zip(states, us)):
-            assert tuple(float(d[i]) for d in stacked) == one(state, loads, u)
+            assert tuple(float(x[i]) for x in stacked) == rk4_step(rhs, state, loads, u, h)
 
 
 REFERENCE = json.loads((pathlib.Path(__file__).parent / "data" / "engine_reference.json").read_text())
