@@ -71,6 +71,7 @@ def commands(configs: pathlib.Path) -> dict[str, list[str]]:
         "case2_dt0.005": ["case", "2", "--dt", "0.005", "--horizon", "20", *CONTROLLERS],
         "optimize": ["optimize", *config("optimize"), "--repeats", "2"],
         "optimize_random": ["optimize", *config("optimize"), "--algorithm", "random-search"],
+        "optimize_random_repeats": ["optimize", *config("optimize"), "--algorithm", "random-search", "--repeats", "2"],
         "custom_compare": ["compare", *config("custom"), *CONTROLLERS],
         "case2_custom_model": ["case", "2", *config("custom_model"), *CONTROLLERS],
         "sweep_custom_model": ["sweep", *config("custom_model"), *CONTROLLERS],

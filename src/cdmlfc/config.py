@@ -278,6 +278,10 @@ def build_config(user: Optional[dict] = None, overrides: Optional[dict] = None) 
         path = f"controllers.cdm_classic.{key}"
         polys = _pair(controllers["cdm_classic"][key], path)
         classic.append(tuple(Polynomial(_numbers(c, f"{path}[{i}]")) for i, c in enumerate(polys)))
+    for i, (ac, bc) in enumerate(zip(*classic)):
+        if ac.degree < 1 or bc.degree > ac.degree:
+            path = f"controllers.cdm_classic.{'ac' if ac.degree < 1 else 'bc'}[{i}]"
+            raise ConfigError(path, f"needs degree(ac) >= 1 and degree(bc) <= degree(ac), got {ac.degree}, {bc.degree}")
 
     bounds = {}
     for key, pair in opt["bounds"].items():

@@ -18,9 +18,9 @@ whose first population misses the good basin cannot leave it.
 
 Every entry point takes one batch cost function, cost(X) -> costs, where X
 is an (n, d) array of positions and costs has length n. minimize_lockstep
-and random_search_lockstep run several configs (seeds) side by side and
-score each generation of all of them in one cost call; minimize and
-random_search are their one-config forms.
+runs several configs (seeds) side by side, one cost call per generation
+of all of them; minimize is its one-config form. random_search scores its
+whole budget in one cost call, once per config in random_search_lockstep.
 
 Determinism contract: one generator seeded from config.seed drives every
 draw in a fixed order, so identical (cost, bounds, config) reproduce
@@ -351,24 +351,9 @@ def minimize(
 def random_search_lockstep(
     cost: Cost, bounds: Sequence[Sequence[float]], configs: Sequence[WcaConfig]
 ) -> list[tuple[np.ndarray, float, list[float]]]:
-    """random_search() for several configs at once: each block draws every
-    run's n_pop rows from its own generator and scores them in one cost
-    call. All configs share max_it."""
+    """random_search() once per config; all configs share max_it."""
     _check_lockstep(configs)
-    lb, ub = _as_bounds(bounds)
-    rngs = [np.random.default_rng(c.seed) for c in configs]
-    best: list[tuple[Optional[np.ndarray], float]] = [(None, math.inf)] * len(configs)
-    histories: list[list[float]] = [[] for _ in configs]
-    for block in range(configs[0].max_it + 1):
-        draws = [lb + rng.random((c.n_pop, lb.size)) * (ub - lb) for rng, c in zip(rngs, configs)]
-        for k, (positions, costs) in enumerate(zip(draws, _score_together(cost, draws))):
-            if not np.all(np.isfinite(costs)):
-                raise ObjectiveFailure(f"non-finite cost in random-search block {block}")
-            i = int(np.argmin(costs))
-            if costs[i] < best[k][1]:
-                best[k] = (positions[i].copy(), float(costs[i]))
-            histories[k].append(best[k][1])
-    return [(x, j, history) for (x, j), history in zip(best, histories)]
+    return [random_search(cost, bounds, c) for c in configs]
 
 
 def random_search(
@@ -377,8 +362,18 @@ def random_search(
     """Seeded uniform random search with the same evaluation budget.
 
     Sanity baseline standing in for the out-of-scope GA/PSO comparisons:
-    (max_it + 1) blocks of n_pop draws, history tracking the best-so-far
-    after each block so profiles are comparable with minimize()'s. A
-    non-finite cost raises ObjectiveFailure, as in step().
+    (max_it + 1) blocks of n_pop draws, all scored in one cost call, history
+    tracking the best-so-far after each block so profiles are comparable
+    with minimize()'s. The best is the first row, block by block, that
+    reaches the minimum. A non-finite cost raises ObjectiveFailure naming
+    its first block, as in step().
     """
-    return random_search_lockstep(cost, bounds, [config])[0]
+    lb, ub = _as_bounds(bounds)
+    rng = np.random.default_rng(config.seed)
+    positions = lb + rng.random(((config.max_it + 1) * config.n_pop, lb.size)) * (ub - lb)
+    costs = _evaluate(cost, positions).reshape(config.max_it + 1, config.n_pop)
+    bad = ~np.isfinite(costs).all(axis=1)
+    if bad.any():
+        raise ObjectiveFailure(f"non-finite cost in random-search block {int(np.argmax(bad))}")
+    i = int(np.argmin(costs))
+    return positions[i], float(costs.flat[i]), np.minimum.accumulate(costs.min(axis=1)).tolist()

@@ -230,6 +230,20 @@ class TestCliCommands:
             assert f"config error: {path}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_improper_classic_cdm_set_exits_2(self, tmp_path, capsys):
+        ac, bc = (default_config()["controllers"]["cdm_classic"][k] for k in ("ac", "bc"))
+        for user, path in (
+            ({"ac": ac, "bc": [[40.0, 69.0, 100.0, 1.0], bc[1]]}, "controllers.cdm_classic.bc[0]"),
+            ({"ac": [[0.0], ac[1]], "bc": [[1.0], bc[1]]}, "controllers.cdm_classic.ac[0]"),
+            ({"ac": [ac[0], [5.0]], "bc": bc}, "controllers.cdm_classic.ac[1]"),
+        ):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"controllers": {"cdm_classic": user}}))
+            argv = ["compare", "--horizon", "2", "--controllers", "cdm", "--config", str(cfg)]
+            assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+            assert f"config error: {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_optimize_non_positive_bound_exits_2(self, tmp_path, capsys):
         # a position clipped to a zero bound would give CdmGains a zero gain
         bounds = {"gamma": [0, 40], "tau": [0.1, 5], "k_b0": [1, 100]}
@@ -356,6 +370,22 @@ class TestCliCommands:
             assert len(calls["step"]) == 3
             assert all(isinstance(a["state"], wca.WcaState) for a in calls["step"])
 
+    def test_case1_makes_max_it_plus_two_objective_calls(self, tmp_path, monkeypatch):
+        batch = TuningObjective.batch
+        calls = []
+
+        def counting(self, xs):
+            calls.append(len(xs))
+            return batch(self, xs)
+
+        monkeypatch.setattr(TuningObjective, "batch", counting)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"optimizer": {"n_pop": 12, "max_it": 3, "objective": {"horizon": 2.0}}}))
+        assert main(["case", "1", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        # WCA: generation 0 with the reference vector, then max_it generations;
+        # random search: its whole (max_it + 1) x n_pop budget in one call
+        assert calls == [12 + 1] + [11] * 3 + [4 * 12]
+
     @pytest.mark.parametrize("algorithm", ["wca", "random-search"])
     def test_optimize_non_finite_cost_in_a_later_repeat_exits_4(self, tmp_path, monkeypatch, algorithm):
         batch = TuningObjective.batch
@@ -365,7 +395,9 @@ class TestCliCommands:
             calls.append(len(xs))
             costs = batch(self, xs)
             if len(calls) == 2:
-                costs[-1] = math.nan  # the last repeat's last row
+                # WCA's call 2 is generation 1 of every repeat, random search's the
+                # whole second repeat: the last row is that call's last repeat's
+                costs[-1] = math.nan
             return costs
 
         monkeypatch.setattr(TuningObjective, "batch", nan_in_the_last_row)

@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -300,6 +301,45 @@ class TestRandomSearch:
         with pytest.raises(ObjectiveFailure):
             random_search(half_nan, BOX2, WcaConfig(seed=0, max_it=3))
 
+    def test_ties_keep_the_first_row_block_by_block(self):
+        cfg = WcaConfig(seed=2, n_pop=10, max_it=20)
+
+        def floored(X):
+            return np.floor(sphere(X) / 4.0)
+
+        # a plain per-block loop: a later block's best replaces only a strictly lower cost
+        rng = np.random.default_rng(cfg.seed)
+        lb, ub = np.array(BOX2).T
+        best_x, best_j, history, block_minima = None, math.inf, [], []
+        for _ in range(cfg.max_it + 1):
+            X = lb + rng.random((cfg.n_pop, 2)) * (ub - lb)
+            costs = floored(X)
+            i = int(np.argmin(costs))
+            if costs[i] < best_j:
+                best_x, best_j = X[i], float(costs[i])
+            history.append(best_j)
+            block_minima.append(costs.min())
+        assert block_minima.count(min(block_minima)) >= 2  # the minimum is tied across blocks
+
+        x, j, hist = random_search(floored, BOX2, cfg)
+        assert np.array_equal(x, best_x) and j == best_j and hist == history
+
+    @pytest.mark.parametrize("block", [0, 2, 4])
+    def test_non_finite_cost_names_its_block(self, block):
+        cfg = WcaConfig(seed=0, n_pop=10, max_it=4)
+        scored = []  # rows scored so far, over every call
+
+        def nan_in_block(X):
+            costs = sphere(X)
+            row = block * cfg.n_pop + 3 - len(scored)
+            if 0 <= row < len(X):
+                costs[row] = np.nan
+            scored.extend(X)
+            return costs
+
+        with pytest.raises(ObjectiveFailure, match=f"block {block}$"):
+            random_search(nan_in_block, BOX2, cfg)
+
     def test_history_tracks_block_minima(self):
         cfg = WcaConfig(seed=1, n_pop=10, max_it=4)
         x, cost, hist = random_search(sphere, BOX2, cfg)
@@ -318,7 +358,7 @@ class TestLockstep:
         "lockstep, alone", [(minimize_lockstep, minimize), (random_search_lockstep, random_search)]
     )
     def test_runs_equal_their_one_config_runs(self, lockstep, alone, fn):
-        # different seeds, population sizes and settings; one cost call per generation
+        # different seeds, population sizes and settings
         configs = [
             WcaConfig(seed=4, n_pop=12, max_it=8),
             WcaConfig(seed=5, n_pop=20, n_sr=3, max_it=8, evap_prob=0.5),
@@ -331,15 +371,21 @@ class TestLockstep:
             return fn(X)
 
         runs = lockstep(batch, BOX2, configs)
-        assert len(calls) == 9
-        assert calls[0] == sum(c.n_pop for c in configs)
+        if lockstep is minimize_lockstep:
+            # one call per generation; generation 0 holds every run's population
+            assert len(calls) == 9
+            assert calls[0] == sum(c.n_pop for c in configs)
+        else:
+            # one call per run, of its whole budget
+            assert calls == [(c.max_it + 1) * c.n_pop for c in configs]
         for (x, j, hist), cfg in zip(runs, configs):
             x1, j1, hist1 = alone(fn, BOX2, cfg)
             assert np.array_equal(x, x1) and j == j1 and hist == hist1
 
     @pytest.mark.parametrize("lockstep", [minimize_lockstep, random_search_lockstep])
     def test_non_finite_cost_in_a_later_run_raises(self, lockstep):
-        # the last row of the second call belongs to the last run
+        # WCA's second call is generation 1 of every run, its last row the
+        # last run's; random search's second call is the whole second run
         calls = []
 
         def batch(X):
