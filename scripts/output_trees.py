@@ -2,8 +2,9 @@
 
     PYTHONPATH=src python3 scripts/output_trees.py OUT
 
-Each command runs through `cdmlfc.cli.main` into OUT/<name>; its stdout and
-exit code go to OUT/<name>/stdout.txt and OUT/<name>/exit_code.txt. Run it
+Each command runs through `cdmlfc.cli.main` into OUT/<name>; its stdout,
+stderr and exit code go to OUT/<name>/stdout.txt, OUT/<name>/stderr.txt and
+OUT/<name>/exit_code.txt. Run it
 on two checkouts and `diff -r` the two OUT directories: an empty diff means
 the change kept every output, manifests included, byte for byte.
 """
@@ -46,6 +47,8 @@ CONFIGS = {
     },
     # a CDM design whose loop is not Hurwitz in either area: refused with exit 3
     "unstable_cdm_opt": {"controllers": {"cdm_opt": {"gamma": [2.5, 2, 2, 2, 2], "tau": 0.9, "k_b0": [15, 30]}}},
+    # a CDM design stable in both areas whose two-area loop diverges without the GRC clamp: exit 5
+    "divergent_cdm_opt": {"controllers": {"cdm_opt": {"gamma": [2.6, 5.3, 4.84, 3.96, 4.48], "tau": 2.17, "k_b0": [20, 40]}}},
     # a boolean written as a string: refused with exit 2 before anything runs
     "string_bool": {"optimizer": {"fitness_inverted": "false"}},
     # the describing-function governor dead band in the case runs
@@ -77,6 +80,7 @@ def commands(configs: pathlib.Path) -> dict[str, list[str]]:
         "sweep_custom_model": ["sweep", *config("custom_model"), *CONTROLLERS],
         "case2_unstable_cdm_opt": ["case", "2", *config("unstable_cdm_opt"), "--horizon", "10", "--controllers", "cdm_opt"],
         "case2_grc_inf": ["case", "2", "--grc", "inf", "--horizon", "20", "--controllers", "cdm_opt,pi"],
+        "case2_grc_inf_divergent": ["case", "2", *config("divergent_cdm_opt"), "--grc", "inf", "--horizon", "10", "--controllers", "cdm_opt"],
         "optimize_string_bool": ["optimize", *config("string_bool")],
         "case2_backlash": ["case", "2", *config("backlash"), "--horizon", "20", *CONTROLLERS],
         "optimize_deadband": ["optimize", *config("deadband")],
@@ -91,11 +95,12 @@ def run(out: pathlib.Path) -> None:
         (configs / f"{name}.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
     for name, argv in commands(configs).items():
         target = out / name
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             rc = main(argv + ["--out", str(target)])
         target.mkdir(parents=True, exist_ok=True)
         (target / "stdout.txt").write_text(stdout.getvalue())
+        (target / "stderr.txt").write_text(stderr.getvalue())
         (target / "exit_code.txt").write_text(f"{rc}\n")
         print(f"{name}: exit {rc}")
 

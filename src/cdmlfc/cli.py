@@ -77,6 +77,18 @@ def _controller_names(args) -> list[str]:
     return names
 
 
+def _refuse_solver_flags(args) -> None:
+    """optimize and case 1 simulate only the tuning objective's model, which
+    --dt, --horizon and --grc do not reach: refuse them there."""
+    if not (args.command == "optimize" or (args.command == "case" and args.case_id == 1)):
+        return
+    what = "optimize" if args.command == "optimize" else "case 1"
+    for flag, key in (("--dt", "dt"), ("--horizon", "horizon"), ("--grc", "grc_rate")):
+        if getattr(args, flag[2:]) is not None:
+            message = f"does not apply to {what}, whose runs use the objective's model"
+            raise ConfigError(flag, f"{message}; set optimizer.objective.{key} in --config")
+
+
 def _tuning_objective(cfg: RunConfig) -> TuningObjective:
     settings = cfg.objective_settings
     return TuningObjective(
@@ -344,6 +356,7 @@ def main(argv=None) -> int:
         overrides["optimizer.fitness_inverted"] = True
 
     try:
+        _refuse_solver_flags(args)
         cfg = load_config(args.config, overrides)
         controllers = _controller_names(args)
         if getattr(args, "repeats", 1) < 1:

@@ -20,7 +20,7 @@ from . import defaults
 from .cdm import CdmGains, synthesize
 from .errors import NonFiniteState, SingularSystem
 from .plant import AreaParams, NonlinearityConfig, TieLine, derive_design_plant
-from .sim import BatchCdmSimulator, SystemModel, Trajectory, simulate
+from .sim import BatchCdmSimulator, LoadTable, SystemModel, Trajectory, simulate
 
 if TYPE_CHECKING:
     from .config import RunConfig
@@ -344,16 +344,19 @@ def run_scenario(
     cfg: RunConfig,
     nonlin: NonlinearityConfig,
     controllers: Sequence[str],
+    loads: Optional[LoadTable] = None,
 ) -> CaseReport:
     """Simulate and score each named controller set (`cfg.controller_pair`, all resolved before
     anything runs) on one scenario (case 0 the configured one, 6 a sweep cell): the definition's
     loads over cfg's run horizon, on cfg's areas with its area overrides, cfg's tie line and
-    solver steps, and `nonlin`."""
+    solver steps, and `nonlin`. Every set runs on one table of the loads: `loads` if given (a
+    sweep's cells share `scenario_loads` of one definition), else sampled here."""
     what = {0: "the scenario (scenario.horizon)", 6: "the sweep"}.get(case_id, f"case {case_id}")
     horizon = cfg.run_horizon(definition.horizon, what)
     pairs = [(name, cfg.controller_pair(name)) for name in controllers]
     areas = tuple(replace(area, **overrides) for area, overrides in zip(cfg.areas, definition.area_overrides))
-    loads = tuple(realize(p, horizon) for p in definition.loads)
+    if loads is None:
+        loads = scenario_loads(definition, cfg, horizon)
     results = []
     for name, pair in pairs:
         model = SystemModel(areas, cfg.tie, nonlin, pair)
@@ -375,6 +378,11 @@ def run_scenario(
             "loads": [profile_to_json(p) for p in definition.loads],
         },
     )
+
+
+def scenario_loads(definition: CaseDefinition, cfg: RunConfig, horizon: float) -> LoadTable:
+    """The definition's loads over horizon, sampled on cfg's solver step."""
+    return LoadTable.sample(tuple(realize(p, horizon) for p in definition.loads), cfg.dt, horizon)
 
 
 def run_case(case_id: int, cfg: RunConfig, controllers: Sequence[str]) -> CaseReport:
@@ -433,13 +441,15 @@ def sensitivity_sweep(specs: Sequence[SweepSpec], cfg: RunConfig, controllers: S
     case2 = replace(case_definition(2), horizon=defaults.CASE_HORIZONS[6])
     for name in controllers:  # a design-unstable set is refused before any cell runs
         cfg.controller_pair(name)
+    horizon = cfg.run_horizon(case2.horizon, "the sweep")
+    loads = scenario_loads(case2, cfg, horizon)  # the cells differ only in their plants
 
     def run_cell(area_overrides: tuple[dict, dict]) -> dict:
         cell = replace(case2, area_overrides=area_overrides)
         out = {}
         for name in controllers:
             try:
-                out[name] = run_scenario(6, cell, cfg, cfg.cases_nonlin, [name]).results[0].metrics
+                out[name] = run_scenario(6, cell, cfg, cfg.cases_nonlin, [name], loads).results[0].metrics
             except NonFiniteState:
                 out[name] = None
         return out
@@ -459,7 +469,7 @@ def sensitivity_sweep(specs: Sequence[SweepSpec], cfg: RunConfig, controllers: S
         run_params={
             "dt": cfg.dt,
             "controller_dt": cfg.controller_dt,
-            "horizon": cfg.run_horizon(case2.horizon, "the sweep"),
+            "horizon": horizon,
             **asdict(cfg.cases_nonlin),
         },
     )

@@ -8,6 +8,14 @@ The plant is written twice, once per driver: plant_rhs and rk4_step step
 one lane (simulate), and lanes_step steps the stacked array in place with
 the same operations per lane (BatchCdmSimulator), binding its views,
 buffers and RK4 stages once per run.
+The scalar step works on named floats: plant_rhs binds the area parameters
+as locals and tests the rate clamp and the dead band inline, and rk4_step
+unpacks the state and each stage once and writes every stage and the final
+sum out per state, with no per-stage tuple building. simulate records each
+sample's twelve floats into one flat array('d'), and takes its loads either
+as functions, sampled into a load_samples table per run, or as a LoadTable
+sampled once and shared by every run on the same grid (a scenario's
+controller sets, a sweep's cells).
 Controllers act on ACE and run as trapezoidal (Tustin) discrete blocks
 updated once per step. Trapezoidal rather than step-invariant: the
 synthesized CDM controllers carry a derivative-filter pole two decades
@@ -22,6 +30,7 @@ baseline), so positive ACE commands a generation decrease.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -129,42 +138,35 @@ def plant_rhs(areas: tuple[AreaParams, AreaParams], tie: TieLine, nonlin: Nonlin
     stage. lanes_step is the same model written for many lanes at once.
     """
     a1, a2 = areas
+    d1, d2, m1, m2, r1, r2 = a1.D, a2.D, a1.M, a2.M, a1.R, a2.R
+    tt1, tt2, tg1, tg2 = a1.Tt, a2.Tt, a1.Tg, a2.Tg
     grc = nonlin.grc_rate
     half = 0.5 * nonlin.gdb_width
+    # the governor's dead band: none at zero width, else a static dead zone or
+    # the describing-function approximation of backlash
+    backlash = half != 0.0 and nonlin.gdb_mode == "backlash"
+    zone = half != 0.0 and not backlash
+    slope = 0.2 / math.pi
     t12 = 2.0 * math.pi * tie.T12
-
-    # the governor's droop input df / R, passed through its dead band
-    if half == 0.0:
-        def governor(df, ddf, r):
-            return df / r
-    elif nonlin.gdb_mode == "backlash":
-        def governor(df, ddf, r):
-            # describing-function approximation of the governor dead band
-            return 0.8 * (df / r) - (0.2 / math.pi) * (ddf / r)
-    else:
-        def governor(df, ddf, r):
-            x = df / r
-            if x > half:
-                return x - half
-            if x < -half:
-                return x + half
-            return 0.0
-
-    def clamp(x):
-        if x > grc:
-            return grc
-        if x < -grc:
-            return -grc
-        return x
 
     def rhs(state, loads, u):
         df1, df2, dpm1, dpm2, dpg1, dpg2, dptie = state
-        ddf1 = (dpm1 - loads[0] - a1.D * df1 - dptie) / a1.M
-        ddf2 = (dpm2 - loads[1] - a2.D * df2 + dptie) / a2.M
-        ddpm1 = clamp((dpg1 - dpm1) / a1.Tt)
-        ddpm2 = clamp((dpg2 - dpm2) / a2.Tt)
-        ddpg1 = (u[0] - governor(df1, ddf1, a1.R) - dpg1) / a1.Tg
-        ddpg2 = (u[1] - governor(df2, ddf2, a2.R) - dpg2) / a2.Tg
+        ddf1 = (dpm1 - loads[0] - d1 * df1 - dptie) / m1
+        ddf2 = (dpm2 - loads[1] - d2 * df2 + dptie) / m2
+        ddpm1 = (dpg1 - dpm1) / tt1
+        ddpm1 = grc if ddpm1 > grc else -grc if ddpm1 < -grc else ddpm1
+        ddpm2 = (dpg2 - dpm2) / tt2
+        ddpm2 = grc if ddpm2 > grc else -grc if ddpm2 < -grc else ddpm2
+        # the governor's droop input df / R, passed through its dead band
+        g1, g2 = df1 / r1, df2 / r2
+        if zone:
+            g1 = g1 - half if g1 > half else g1 + half if g1 < -half else 0.0
+            g2 = g2 - half if g2 > half else g2 + half if g2 < -half else 0.0
+        elif backlash:
+            g1 = 0.8 * g1 - slope * (ddf1 / r1)
+            g2 = 0.8 * g2 - slope * (ddf2 / r2)
+        ddpg1 = (u[0] - g1 - dpg1) / tg1
+        ddpg2 = (u[1] - g2 - dpg2) / tg2
         return (ddf1, ddf2, ddpm1, ddpm2, ddpg1, ddpg2, t12 * (df1 - df2))
 
     return rhs
@@ -178,16 +180,52 @@ def load_samples(loads: tuple[LoadFn, LoadFn], dt: float, n_steps: int) -> np.nd
     return np.fromiter(samples, float, count=6 * n_steps).reshape(n_steps, 3, 2)
 
 
+@dataclass(frozen=True)
+class LoadTable:
+    """A pair of load functions sampled once for every simulate run on one
+    grid: the functions, the step dt and their load_samples table."""
+
+    fns: tuple[LoadFn, LoadFn]
+    dt: float
+    samples: np.ndarray
+
+    @classmethod
+    def sample(cls, loads: tuple[LoadFn, LoadFn], dt: float, horizon: float) -> LoadTable:
+        return cls(tuple(loads), dt, load_samples(loads, dt, _n_steps(horizon, dt)))
+
+
 def rk4_step(rhs: Callable, state: tuple, loads: Sequence, u: tuple, h: float) -> tuple:
     """One classic RK4 step of rhs over h under held control u; loads holds the
-    step's (dPL1, dPL2) samples at its start, midpoint and end (a load_samples row)."""
+    step's (dPL1, dPL2) samples at its start, midpoint and end (a load_samples row).
+    Each stage is x + (h / 2) * k (x + h * k for the last) per state, and the
+    step x + (h / 6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right."""
     l0, lm, le = loads
-    k1 = rhs(state, l0, u)
-    k2 = rhs(tuple(x + 0.5 * h * d for x, d in zip(state, k1)), lm, u)
-    k3 = rhs(tuple(x + 0.5 * h * d for x, d in zip(state, k2)), lm, u)
-    k4 = rhs(tuple(x + h * d for x, d in zip(state, k3)), le, u)
-    return tuple(
-        x + h / 6.0 * (d1 + 2.0 * d2 + 2.0 * d3 + d4) for x, d1, d2, d3, d4 in zip(state, k1, k2, k3, k4)
+    x1, x2, x3, x4, x5, x6, x7 = state
+    half, sixth = 0.5 * h, h / 6.0
+    a1, a2, a3, a4, a5, a6, a7 = rhs(state, l0, u)
+    b1, b2, b3, b4, b5, b6, b7 = rhs(
+        (x1 + half * a1, x2 + half * a2, x3 + half * a3, x4 + half * a4,
+         x5 + half * a5, x6 + half * a6, x7 + half * a7),
+        lm,
+        u,
+    )
+    c1, c2, c3, c4, c5, c6, c7 = rhs(
+        (x1 + half * b1, x2 + half * b2, x3 + half * b3, x4 + half * b4,
+         x5 + half * b5, x6 + half * b6, x7 + half * b7),
+        lm,
+        u,
+    )
+    d1, d2, d3, d4, d5, d6, d7 = rhs(
+        (x1 + h * c1, x2 + h * c2, x3 + h * c3, x4 + h * c4, x5 + h * c5, x6 + h * c6, x7 + h * c7), le, u
+    )
+    return (
+        x1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+        x2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+        x3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+        x4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
+        x5 + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5),
+        x6 + sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6),
+        x7 + sixth * (a7 + 2.0 * b7 + 2.0 * c7 + d7),
     )
 
 
@@ -326,8 +364,16 @@ class Trajectory:
     CHANNELS = ("t", "df1", "df2", "dptie", "ace1", "ace2", "u1", "u2", "dpl1", "dpl2")
 
     def to_csv(self, path) -> None:
-        cols = [getattr(self, name) for name in self.CHANNELS]
-        np.savetxt(path, np.column_stack(cols), fmt="%.9g", delimiter=",", header=",".join(self.CHANNELS), comments="")
+        """One header line, then one row per sample of the channels as %.9g,
+        comma-separated: np.savetxt's bytes, formatted from Python floats
+        (tolist), which is faster than from numpy scalars, a row at a time, so
+        that few float objects are alive at once."""
+        data = np.column_stack([getattr(self, name) for name in self.CHANNELS])
+        row = ",".join(["%.9g"] * len(self.CHANNELS)) + "\n"
+        with open(path, "w") as fh:
+            fh.write(",".join(self.CHANNELS) + "\n")
+            for values in data:
+                fh.write(row % tuple(values.tolist()))
 
 
 def horizon_steps(horizon: float, dt: float) -> int:
@@ -353,13 +399,15 @@ def _n_steps(horizon: float, dt: float) -> int:
 
 def simulate(
     model: SystemModel,
-    loads: tuple[LoadFn, LoadFn],
+    loads: Union[tuple[LoadFn, LoadFn], LoadTable],
     dt: float = 0.01,
     horizon: float = 60.0,
     controller_dt: float | None = None,
 ) -> Trajectory:
     """Simulate the closed two-area loop over [0, horizon].
 
+    loads is the (dPL1, dPL2) pair of load functions, or a LoadTable of them
+    sampled on this dt and horizon, which runs on one grid can share.
     controller_dt fixes the digital controllers' sample time independently
     of the integrator step (it must be an integer multiple of dt; default:
     equal to dt). Refining dt with controller_dt held therefore tests pure
@@ -371,16 +419,21 @@ def simulate(
     decim = sample_steps(controller_dt, dt)
     if not decim:
         raise ValueError("controller_dt must be a positive integer multiple of dt")
+    if not isinstance(loads, LoadTable):
+        loads = LoadTable.sample(loads, dt, horizon)
+    elif loads.dt != dt or len(loads.samples) != n_steps:
+        raise ValueError("the load table was sampled on another dt or horizon")
 
     a1, a2 = model.areas
     b1, b2 = frequency_bias(a1), frequency_bias(a2)
-    ctrl1 = DiscreteController(model.controllers[0], controller_dt)
-    ctrl2 = DiscreteController(model.controllers[1], controller_dt)
+    step1 = DiscreteController(model.controllers[0], controller_dt).step
+    step2 = DiscreteController(model.controllers[1], controller_dt).step
     rhs = plant_rhs(model.areas, model.tie, model.nonlin)
-    table = load_samples(loads, dt, n_steps)
+    table = loads.samples
 
-    # one row per sample, in Trajectory's field order
-    rec = np.empty((n_steps + 1, 12))
+    # the samples in Trajectory's field order, twelve floats each
+    rec = array("d")
+    record = rec.extend
     state = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     u1 = u2 = 0.0
     for k in range(n_steps + 1):
@@ -389,19 +442,20 @@ def simulate(
         ace1 = b1 * df1 + dptie
         ace2 = b2 * df2 - dptie
         if k % decim == 0:
-            u1 = ctrl1.step(ace1)
-            u2 = ctrl2.step(ace2)
+            u1 = step1(ace1)
+            u2 = step2(ace2)
         if k == n_steps:
             # sampled at n * dt itself, which need not equal (n - 1) * dt + dt
-            rec[k] = (t, df1, df2, dptie, ace1, ace2, u1, u2, loads[0](t), loads[1](t), dpm1, dpm2)
+            record((t, df1, df2, dptie, ace1, ace2, u1, u2, loads.fns[0](t), loads.fns[1](t), dpm1, dpm2))
             break
         step_loads = table[k].tolist()  # Python floats: numpy scalars would slow every stage
-        rec[k] = (t, df1, df2, dptie, ace1, ace2, u1, u2, *step_loads[0], dpm1, dpm2)
+        l1, l2 = step_loads[0]
+        record((t, df1, df2, dptie, ace1, ace2, u1, u2, l1, l2, dpm1, dpm2))
         state = rk4_step(rhs, state, step_loads, (u1, u2), dt)
         if not math.isfinite(sum(state)) or abs(state[0]) > _DIVERGENCE_CAP or abs(state[1]) > _DIVERGENCE_CAP:
             raise NonFiniteState(t + dt, f"state={state}")
 
-    return Trajectory(*rec.T.copy())  # one contiguous array per channel
+    return Trajectory(*np.frombuffer(rec).reshape(n_steps + 1, 12).T.copy())  # one contiguous array per channel
 
 
 class BatchCdmSimulator:

@@ -505,6 +505,18 @@ class TestCliCommands:
         assert "--repeats" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", [["optimize"], ["case", "1"]])
+    @pytest.mark.parametrize(
+        "flag, value, key", [("--dt", "0.005", "dt"), ("--horizon", "10", "horizon"), ("--grc", "0.001", "grc_rate")]
+    )
+    def test_solver_flags_refused_where_only_the_objective_runs(self, tmp_path, capsys, command, flag, value, key):
+        # these flags set model.*, cases.* and solver.*, which the objective's model never reads
+        rc = main([*command, flag, value, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert flag in err and f"optimizer.objective.{key}" in err
+        assert not (tmp_path / "out").exists()
+
     def test_disturbance_time_outside_the_horizon_exits_2(self, tmp_path, capsys):
         for when in (100.0, 10.0, -5.0):
             cfg = tmp_path / "cfg.json"

@@ -19,6 +19,7 @@ from cdmlfc.sim import (
     BatchCdmSimulator,
     DiscreteController,
     IntegralSpec,
+    LoadTable,
     PidSpec,
     SystemModel,
     Trajectory,
@@ -267,6 +268,128 @@ class TestSimulate:
         b = simulate(m, (STEP1, ZERO), dt=0.005, horizon=30.0, controller_dt=0.01)
         for ch in ("df1", "df2", "dptie", "ace1", "ace2"):
             assert np.max(np.abs(getattr(a, ch) - getattr(b, ch)[::2])) < 1e-4
+
+
+def reference_plant_rhs(areas, tie, nonlin):
+    """plant_rhs as first written, with its clamp and governor as calls."""
+    a1, a2 = areas
+    grc = nonlin.grc_rate
+    half = 0.5 * nonlin.gdb_width
+    t12 = 2.0 * math.pi * tie.T12
+    if half == 0.0:
+        def governor(df, ddf, r):
+            return df / r
+    elif nonlin.gdb_mode == "backlash":
+        def governor(df, ddf, r):
+            return 0.8 * (df / r) - (0.2 / math.pi) * (ddf / r)
+    else:
+        def governor(df, ddf, r):
+            x = df / r
+            if x > half:
+                return x - half
+            if x < -half:
+                return x + half
+            return 0.0
+
+    def clamp(x):
+        if x > grc:
+            return grc
+        if x < -grc:
+            return -grc
+        return x
+
+    def rhs(state, loads, u):
+        df1, df2, dpm1, dpm2, dpg1, dpg2, dptie = state
+        ddf1 = (dpm1 - loads[0] - a1.D * df1 - dptie) / a1.M
+        ddf2 = (dpm2 - loads[1] - a2.D * df2 + dptie) / a2.M
+        ddpm1 = clamp((dpg1 - dpm1) / a1.Tt)
+        ddpm2 = clamp((dpg2 - dpm2) / a2.Tt)
+        ddpg1 = (u[0] - governor(df1, ddf1, a1.R) - dpg1) / a1.Tg
+        ddpg2 = (u[1] - governor(df2, ddf2, a2.R) - dpg2) / a2.Tg
+        return (ddf1, ddf2, ddpm1, ddpm2, ddpg1, ddpg2, t12 * (df1 - df2))
+
+    return rhs
+
+
+def reference_rk4_step(rhs, state, loads, u, h):
+    """rk4_step as first written, stage by stage over zipped tuples."""
+    l0, lm, le = loads
+    k1 = rhs(state, l0, u)
+    k2 = rhs(tuple(x + 0.5 * h * d for x, d in zip(state, k1)), lm, u)
+    k3 = rhs(tuple(x + 0.5 * h * d for x, d in zip(state, k2)), lm, u)
+    k4 = rhs(tuple(x + h * d for x, d in zip(state, k3)), le, u)
+    return tuple(
+        x + h / 6.0 * (d1 + 2.0 * d2 + 2.0 * d3 + d4) for x, d1, d2, d3, d4 in zip(state, k1, k2, k3, k4)
+    )
+
+
+def reference_simulate(m, loads, dt, horizon, controller_dt):
+    """simulate's loop as first written, returning Trajectory's twelve channels
+    as the rows of one array."""
+    n_steps = round(horizon / dt)
+    decim = round(controller_dt / dt)
+    b1, b2 = (frequency_bias(area) for area in m.areas)
+    ctrl1, ctrl2 = (DiscreteController(spec, controller_dt) for spec in m.controllers)
+    rhs = reference_plant_rhs(m.areas, m.tie, m.nonlin)
+    table = load_samples(loads, dt, n_steps)
+    rec = np.empty((n_steps + 1, 12))
+    state = (0.0,) * 7
+    u1 = u2 = 0.0
+    for k in range(n_steps + 1):
+        t = k * dt
+        df1, df2, dpm1, dpm2, _, _, dptie = state
+        ace1 = b1 * df1 + dptie
+        ace2 = b2 * df2 - dptie
+        if k % decim == 0:
+            u1 = ctrl1.step(ace1)
+            u2 = ctrl2.step(ace2)
+        if k == n_steps:
+            rec[k] = (t, df1, df2, dptie, ace1, ace2, u1, u2, loads[0](t), loads[1](t), dpm1, dpm2)
+            break
+        step_loads = table[k].tolist()
+        rec[k] = (t, df1, df2, dptie, ace1, ace2, u1, u2, *step_loads[0], dpm1, dpm2)
+        state = reference_rk4_step(rhs, state, step_loads, (u1, u2), dt)
+        if not math.isfinite(sum(state)) or abs(state[0]) > 1e6 or abs(state[1]) > 1e6:
+            raise NonFiniteState(t + dt, f"state={state}")
+    return rec.T
+
+
+class TestScalarEngine:
+    CHANNELS = Trajectory.CHANNELS + ("dpm1", "dpm2")
+
+    @pytest.mark.parametrize("nonlin", NONLINEARITIES)
+    @pytest.mark.parametrize("name", ["cdm_opt", "cdm", "pid", "pi"])
+    def test_channels_equal_the_reference_loop(self, nonlin, name):
+        # every recorded channel bit for bit against the reference writing, with
+        # the controllers sampled every other step, under loads that change
+        # inside steps (a sine) and at sample times (steps in both areas)
+        m = model(nonlin=nonlin, controllers=build_config().controller_pair(name))
+        loads = (lambda t: STEP1(t) + 0.004 * math.sin(0.7 * t), lambda t: -0.006 if t >= 4.0 else 0.0)
+        want = reference_simulate(m, loads, 0.01, 15.0, 0.02)
+        traj = simulate(m, loads, dt=0.01, horizon=15.0, controller_dt=0.02)
+        for channel, column in zip(self.CHANNELS, want):
+            assert np.array_equal(getattr(traj, channel), column), channel
+
+    def test_divergence_time_and_state_equal_the_reference_loop(self):
+        m = model(nonlin=LINEAR, controllers=(IntegralSpec(-80.0), IntegralSpec(-80.0)))
+        with pytest.raises(NonFiniteState) as want:
+            reference_simulate(m, (STEP1, ZERO), 0.01, 60.0, 0.02)
+        with pytest.raises(NonFiniteState) as got:
+            simulate(m, (STEP1, ZERO), dt=0.01, horizon=60.0, controller_dt=0.02)
+        assert (got.value.time, str(got.value)) == (want.value.time, str(want.value))
+
+    def test_shared_load_table_gives_the_same_run(self):
+        m = model()
+        loads = (STEP1, lambda t: 0.002 * math.sin(t))
+        table = LoadTable.sample(loads, 0.01, 10.0)
+        for channel in self.CHANNELS:
+            assert np.array_equal(
+                getattr(simulate(m, table, dt=0.01, horizon=10.0), channel),
+                getattr(simulate(m, loads, dt=0.01, horizon=10.0), channel),
+            )
+        for dt, horizon in ((0.005, 10.0), (0.01, 5.0)):
+            with pytest.raises(ValueError):
+                simulate(m, table, dt=dt, horizon=horizon)
 
 
 class TestGrcRate:
