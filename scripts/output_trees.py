@@ -81,6 +81,8 @@ def commands(configs: pathlib.Path) -> dict[str, list[str]]:
         "case2_unstable_cdm_opt": ["case", "2", *config("unstable_cdm_opt"), "--horizon", "10", "--controllers", "cdm_opt"],
         "case2_grc_inf": ["case", "2", "--grc", "inf", "--horizon", "20", "--controllers", "cdm_opt,pi"],
         "case2_grc_inf_divergent": ["case", "2", *config("divergent_cdm_opt"), "--grc", "inf", "--horizon", "10", "--controllers", "cdm_opt"],
+        "sweep_grc_inf_divergent": ["sweep", *config("divergent_cdm_opt"), "--grc", "inf", "--controllers", "cdm_opt,pi"],
+        "design_solver_flags": ["design", "--dt", "0.005"],
         "optimize_string_bool": ["optimize", *config("string_bool")],
         "case2_backlash": ["case", "2", *config("backlash"), "--horizon", "20", *CONTROLLERS],
         "optimize_deadband": ["optimize", *config("deadband")],

@@ -23,7 +23,9 @@ from .cdm import synthesize
 from .config import RunConfig, load_config
 from .errors import ConfigError, NonFiniteState, ObjectiveFailure, SingularSystem, UnstableDesign
 from .plant import derive_design_plant
-from .scenarios import CaseReport, SweepReport, TuningObjective, run_case, run_scenario, sensitivity_sweep, table6_specs
+from .scenarios import (
+    PENALTY_FLOOR, CaseReport, SweepReport, TuningObjective, run_case, run_scenario, sensitivity_sweep, table6_specs
+)
 from .wca import minimize_lockstep, random_search, random_search_lockstep
 
 
@@ -78,13 +80,15 @@ def _controller_names(args) -> list[str]:
 
 
 def _refuse_solver_flags(args) -> None:
-    """optimize and case 1 simulate only the tuning objective's model, which
-    --dt, --horizon and --grc do not reach: refuse them there."""
-    if not (args.command == "optimize" or (args.command == "case" and args.case_id == 1)):
-        return
-    what = "optimize" if args.command == "optimize" else "case 1"
-    for flag, key in (("--dt", "dt"), ("--horizon", "horizon"), ("--grc", "grc_rate")):
-        if getattr(args, flag[2:]) is not None:
+    """Refuse the run flags a command would ignore: design runs nothing, and optimize and case 1
+    simulate only the tuning objective's model, which --dt, --horizon and --grc do not reach."""
+    what = "case 1" if args.command == "case" and args.case_id == 1 else args.command
+    for flag, key in (("--seed", None), ("--dt", "dt"), ("--horizon", "horizon"), ("--grc", "grc_rate")):
+        if getattr(args, flag[2:]) is None:
+            continue
+        if what == "design":
+            raise ConfigError(flag, "does not apply to design, which synthesizes the controllers and runs nothing")
+        if key is not None and what in ("optimize", "case 1"):
             message = f"does not apply to {what}, whose runs use the objective's model"
             raise ConfigError(flag, f"{message}; set optimizer.objective.{key} in --config")
 
@@ -190,7 +194,7 @@ def cmd_optimize(cfg: RunConfig, outdir: Path, repeats: int, algorithm: str, obj
         if cost < best_cost:
             best_cost, best_vec, best_seed = cost, position.copy(), seed
 
-    if best_cost >= 1e6:
+    if best_cost >= PENALTY_FLOOR:
         print("optimization never found a stable design (all penalties)", file=sys.stderr)
         return 4
 

@@ -194,6 +194,8 @@ def evaluate(traj: Trajectory, t0: float = 0.0) -> Metrics:
 # ---------------------------------------------------------------------------
 # tuning objective
 
+PENALTY_FLOOR = 1e6  # the least cost TuningObjective gives a penalized candidate
+
 
 def case1_load() -> Composite:
     """1% steps in both areas at t = 1 s and t = 30 s."""
@@ -208,7 +210,7 @@ class TuningObjective:
     evaluation model carries the 50% governor/turbine drift. A singular
     synthesis (SingularSystem, the one error synthesize raises for positive
     gains), unstable design, or divergent run maps to a penalty of at least
-    1e6; any other exception is a bug and propagates.
+    PENALTY_FLOOR; any other exception is a bug and propagates.
     """
 
     areas: tuple[AreaParams, AreaParams] = (defaults.AREA1, defaults.AREA2)
@@ -248,10 +250,10 @@ class TuningObjective:
                 c1 = synthesize(self._plants[0], g1)
                 c2 = synthesize(self._plants[1], g2)
             except SingularSystem:
-                costs[i] = 1e6
+                costs[i] = PENALTY_FLOOR
                 continue
             if not (c1.stable and c2.stable):
-                costs[i] = 1e6 + c1.residual + c2.residual
+                costs[i] = PENALTY_FLOOR + c1.residual + c2.residual
                 continue
             pairs.append((c1, c2))
             live.append(i)
@@ -261,7 +263,7 @@ class TuningObjective:
                 if math.isfinite(iae[j]):
                     costs[i] = float(iae[j])
                 else:
-                    costs[i] = 1e6 + pairs[j][0].residual + pairs[j][1].residual
+                    costs[i] = PENALTY_FLOOR + pairs[j][0].residual + pairs[j][1].residual
         return costs
 
 
@@ -320,7 +322,6 @@ class ControllerResult:
 class CaseReport:
     case_id: int
     description: str
-    controllers: list[str]
     results: list[ControllerResult]
     ranking: list[str]  # lexicographic by (IAE, ISE)
     model_snapshot: dict
@@ -330,7 +331,7 @@ class CaseReport:
         return {
             "case_id": self.case_id,
             "description": self.description,
-            "controllers": self.controllers,
+            "controllers": [r.name for r in self.results],
             "ranking": self.ranking,
             "model_snapshot": self.model_snapshot,
             "run_params": self.run_params,
@@ -339,24 +340,16 @@ class CaseReport:
 
 
 def run_scenario(
-    case_id: int,
-    definition: CaseDefinition,
-    cfg: RunConfig,
-    nonlin: NonlinearityConfig,
-    controllers: Sequence[str],
-    loads: Optional[LoadTable] = None,
+    case_id: int, definition: CaseDefinition, cfg: RunConfig, nonlin: NonlinearityConfig, controllers: Sequence[str]
 ) -> CaseReport:
     """Simulate and score each named controller set (`cfg.controller_pair`, all resolved before
-    anything runs) on one scenario (case 0 the configured one, 6 a sweep cell): the definition's
-    loads over cfg's run horizon, on cfg's areas with its area overrides, cfg's tie line and
-    solver steps, and `nonlin`. Every set runs on one table of the loads: `loads` if given (a
-    sweep's cells share `scenario_loads` of one definition), else sampled here."""
-    what = {0: "the scenario (scenario.horizon)", 6: "the sweep"}.get(case_id, f"case {case_id}")
-    horizon = cfg.run_horizon(definition.horizon, what)
+    anything runs) on one scenario (case 0 the configured one): the definition's loads over cfg's
+    run horizon, sampled once for every set, on cfg's areas with its area overrides, cfg's tie
+    line and solver steps, and `nonlin`."""
+    horizon = cfg.run_horizon(definition.horizon, f"case {case_id}" if case_id else "the scenario (scenario.horizon)")
     pairs = [(name, cfg.controller_pair(name)) for name in controllers]
     areas = tuple(replace(area, **overrides) for area, overrides in zip(cfg.areas, definition.area_overrides))
-    if loads is None:
-        loads = scenario_loads(definition, cfg, horizon)
+    loads = scenario_loads(definition, cfg, horizon)
     results = []
     for name, pair in pairs:
         model = SystemModel(areas, cfg.tie, nonlin, pair)
@@ -365,7 +358,6 @@ def run_scenario(
     return CaseReport(
         case_id=case_id,
         description=definition.description,
-        controllers=[r.name for r in results],
         results=results,
         ranking=[r.name for r in sorted(results, key=lambda r: (r.metrics.iae, r.metrics.ise))],
         model_snapshot={"area1": asdict(areas[0]), "area2": asdict(areas[1]), "T12": cfg.tie.T12, **asdict(nonlin)},
@@ -433,35 +425,38 @@ def table6_specs() -> list[SweepSpec]:
 def sensitivity_sweep(specs: Sequence[SweepSpec], cfg: RunConfig, controllers: Sequence[str]) -> SweepReport:
     """Robustness sweep: nominal controllers against perturbed plants.
 
-    Every cell is case 2's step on cfg's model in its case regime.
-    Controllers stay frozen at their nominal design; only the simulated
-    plant drifts. One shared nominal row plus one row per (parameter,
-    delta) pair; a controller pair that diverges in a cell scores None.
+    Every cell is case 2's step, on one table of its loads, on cfg's model in
+    its case regime. Controllers stay frozen at their nominal design, resolved
+    before any cell runs; only the simulated plant drifts. One shared nominal
+    row plus one row per (parameter, delta) pair; a controller pair that
+    diverges in a cell scores None.
     """
-    case2 = replace(case_definition(2), horizon=defaults.CASE_HORIZONS[6])
-    for name in controllers:  # a design-unstable set is refused before any cell runs
-        cfg.controller_pair(name)
-    horizon = cfg.run_horizon(case2.horizon, "the sweep")
-    loads = scenario_loads(case2, cfg, horizon)  # the cells differ only in their plants
+    case2 = case_definition(2)
+    pairs = {name: cfg.controller_pair(name) for name in controllers}
+    horizon = cfg.run_horizon(defaults.CASE_HORIZONS[6], "the sweep")
+    loads = scenario_loads(case2, cfg, horizon)
 
-    def run_cell(area_overrides: tuple[dict, dict]) -> dict:
-        cell = replace(case2, area_overrides=area_overrides)
+    def run_cell(areas: tuple[AreaParams, AreaParams]) -> dict:
         out = {}
-        for name in controllers:
+        for name, pair in pairs.items():
+            model = SystemModel(areas, cfg.tie, cfg.cases_nonlin, pair)
             try:
-                out[name] = run_scenario(6, cell, cfg, cfg.cases_nonlin, [name], loads).results[0].metrics
+                traj = simulate(model, loads, dt=cfg.dt, horizon=horizon, controller_dt=cfg.controller_dt)
             except NonFiniteState:
                 out[name] = None
+            else:
+                out[name] = evaluate(traj, t0=case2.disturbance_time)
         return out
 
-    rows = [SweepRow(parameter="nominal", delta=0.0, value=math.nan, metrics=run_cell(({}, {})))]
+    rows = [SweepRow(parameter="nominal", delta=0.0, value=math.nan, metrics=run_cell(cfg.areas))]
     for spec in specs:
         area_key, _, field_name = spec.parameter.partition(".")
         i = ("area1", "area2").index(area_key)
         for delta in spec.deltas:
             value = getattr(cfg.areas[i], field_name) * (1.0 + delta)
-            overrides = ({field_name: value}, {}) if i == 0 else ({}, {field_name: value})
-            rows.append(SweepRow(parameter=spec.parameter, delta=delta, value=value, metrics=run_cell(overrides)))
+            areas = list(cfg.areas)
+            areas[i] = replace(areas[i], **{field_name: value})
+            rows.append(SweepRow(parameter=spec.parameter, delta=delta, value=value, metrics=run_cell(tuple(areas))))
 
     return SweepReport(
         rows=rows,

@@ -517,6 +517,14 @@ class TestCliCommands:
         assert flag in err and f"optimizer.objective.{key}" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "3"), ("--dt", "0.005"), ("--horizon", "10"), ("--grc", "0.001")])
+    def test_run_flags_refused_by_design(self, tmp_path, capsys, flag, value):
+        # design synthesizes the controllers and runs nothing these flags reach
+        rc = main(["design", flag, value, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_disturbance_time_outside_the_horizon_exits_2(self, tmp_path, capsys):
         for when in (100.0, 10.0, -5.0):
             cfg = tmp_path / "cfg.json"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cdmlfc import scenarios
-from cdmlfc.config import build_config
+from cdmlfc.config import RunConfig, build_config
 from cdmlfc.errors import ConfigError, NonFiniteState, SingularSystem, UnstableDesign
 from cdmlfc.scenarios import (
     Composite,
@@ -325,6 +325,21 @@ class TestSensitivitySweep:
         sweep = sensitivity_sweep([SweepSpec("area1.Tt", (-0.25, 0.25))], cfg, ["pi", "pid"])
         assert [r.metrics["pi"] is None for r in sweep.rows] == [False, False, True]
         assert all(r.metrics["pid"] is not None for r in sweep.rows)
+
+    def test_sets_and_horizon_resolved_once(self, monkeypatch):
+        cfg = build_config(overrides={"solver.horizon": 5.0})
+        calls = {"controller_pair": 0, "run_horizon": 0}
+        for method in calls:
+            original = getattr(RunConfig, method)
+
+            def counted(self, *args, _method=method, _original=original):
+                calls[_method] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(RunConfig, method, counted)
+        sweep = sensitivity_sweep(table6_specs(), cfg, ["cdm_opt", "cdm", "pid", "pi"])
+        assert len(sweep.rows) == 17
+        assert calls == {"controller_pair": 4, "run_horizon": 1}
 
     def test_invalid_parameter_rejected(self):
         with pytest.raises(ValueError):
