@@ -16,9 +16,12 @@ import math
 import pathlib
 import sys
 
+from cdmlfc import defaults
 from cdmlfc.cli import main
+from cdmlfc.poly import Polynomial, poly_mul
 
 CONTROLLERS = ["--controllers", "cdm_opt,cdm,pid,pi"]
+LIFT = Polynomial([1.0, 0.01])  # times (1 + 0.01 s): one more controller order, the same transfer function
 
 CONFIGS = {
     "case1": {"optimizer": {"n_pop": 12, "max_it": 4}},
@@ -51,6 +54,15 @@ CONFIGS = {
     "divergent_cdm_opt": {"controllers": {"cdm_opt": {"gamma": [2.6, 5.3, 4.84, 3.96, 4.48], "tau": 2.17, "k_b0": [20, 40]}}},
     # a boolean written as a string: refused with exit 2 before anything runs
     "string_bool": {"optimizer": {"fitness_inverted": "false"}},
+    # the classic CDM set at order 3, whose controllers step by DiscreteController's row loop
+    "order3_cdm_classic": {
+        "controllers": {
+            "cdm_classic": {
+                key: [list(poly_mul(p, LIFT).coeffs) for p in polys]
+                for key, polys in (("ac", defaults.CLASSIC_AC), ("bc", defaults.CLASSIC_BC))
+            }
+        }
+    },
     # the describing-function governor dead band in the case runs
     "backlash": {"cases": {"nonlinear": {"gdb_mode": "backlash"}}},
     # an objective with a governor dead zone, which the candidate lanes step
@@ -84,6 +96,7 @@ def commands(configs: pathlib.Path) -> dict[str, list[str]]:
         "sweep_grc_inf_divergent": ["sweep", *config("divergent_cdm_opt"), "--grc", "inf", "--controllers", "cdm_opt,pi"],
         "design_solver_flags": ["design", "--dt", "0.005"],
         "optimize_string_bool": ["optimize", *config("string_bool")],
+        "case2_order3_cdm_classic": ["case", "2", *config("order3_cdm_classic"), "--horizon", "20", "--controllers", "cdm,pi"],
         "case2_backlash": ["case", "2", *config("backlash"), "--horizon", "20", *CONTROLLERS],
         "optimize_deadband": ["optimize", *config("deadband")],
         "optimize_no_grc": ["optimize", *config("no_grc")],

@@ -227,14 +227,6 @@ def cmd_optimize(cfg: RunConfig, outdir: Path, repeats: int, algorithm: str, obj
     return 0
 
 
-def _scenario_report(cfg: RunConfig, controllers: list[str]) -> CaseReport:
-    """Run the configured scenario (`scenario.*`, the model, the solver) for each controller set."""
-    horizon = cfg.run_horizon(cfg.scenario.horizon, "the scenario (scenario.horizon)")
-    if not 0.0 <= cfg.scenario.disturbance_time < horizon:
-        raise ConfigError("scenario.disturbance_time", f"must lie in [0, {horizon:g}), the run horizon")
-    return run_scenario(0, cfg.scenario, cfg, cfg.nonlin, controllers)
-
-
 def _write_trajectories(outdir: Path, report: CaseReport) -> None:
     for res in report.results:
         res.trajectory.to_csv(outdir / f"trajectory_{res.name}.csv")
@@ -247,7 +239,7 @@ def _write_report(outdir: Path, report: CaseReport) -> None:
 
 
 def cmd_simulate(cfg: RunConfig, outdir: Path, controllers: list[str]) -> int:
-    report = _scenario_report(cfg, controllers)
+    report = run_scenario(0, cfg.scenario, cfg, cfg.nonlin, controllers)
     _write_trajectories(outdir, report)
     _write_json(outdir / "metrics.json", {res.name: res.metrics.to_json() for res in report.results})
     print(f"simulated {len(controllers)} controller set(s) over {report.run_params['horizon']:g} s")
@@ -289,7 +281,7 @@ def cmd_sweep(cfg: RunConfig, outdir: Path, controllers: list[str]) -> int:
 
 
 def cmd_compare(cfg: RunConfig, outdir: Path, controllers: list[str]) -> int:
-    report = _scenario_report(cfg, controllers)
+    report = run_scenario(0, cfg.scenario, cfg, cfg.nonlin, controllers)
     _write_report(outdir, report)
     print(f"compare: ranking by (IAE, ISE): {' < '.join(report.ranking)}")
     return 0

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import defaults
 from .cdm import CdmGains, synthesize
-from .errors import NonFiniteState, SingularSystem
+from .errors import ConfigError, NonFiniteState, SingularSystem
 from .plant import AreaParams, NonlinearityConfig, TieLine, derive_design_plant
 from .sim import BatchCdmSimulator, LoadTable, SystemModel, Trajectory, simulate
 
@@ -79,13 +79,21 @@ def realize(profile: Optional[LoadProfile], horizon: float) -> LoadFn:
     if isinstance(profile, UniformRandom):
         n_seg = int(math.ceil(horizon / profile.hold)) + 1
         rng = np.random.default_rng(profile.seed)
-        values = rng.uniform(-profile.amplitude, profile.amplitude, size=n_seg)
+        values = rng.uniform(-profile.amplitude, profile.amplitude, size=n_seg).tolist()
         hold = profile.hold
         last = n_seg - 1
-        return lambda t: float(values[min(int(t / hold), last)])
+        return lambda t: values[min(int(t / hold), last)]
     if isinstance(profile, Composite):
         fns = [realize(p, horizon) for p in profile.parts]
-        return lambda t: sum(fn(t) for fn in fns)
+
+        def total(t: float) -> float:
+            # left to right from 0.0, as sum() adds on Python 3.11 (compensated from 3.12)
+            acc = 0.0
+            for fn in fns:
+                acc += fn(t)
+            return acc
+
+        return total
     raise TypeError(f"unknown load profile {type(profile).__name__}")
 
 
@@ -345,8 +353,11 @@ def run_scenario(
     """Simulate and score each named controller set (`cfg.controller_pair`, all resolved before
     anything runs) on one scenario (case 0 the configured one): the definition's loads over cfg's
     run horizon, sampled once for every set, on cfg's areas with its area overrides, cfg's tie
-    line and solver steps, and `nonlin`."""
+    line and solver steps, and `nonlin`. The configured scenario's disturbance time must lie
+    inside its run horizon (ConfigError otherwise)."""
     horizon = cfg.run_horizon(definition.horizon, f"case {case_id}" if case_id else "the scenario (scenario.horizon)")
+    if not case_id and not 0.0 <= definition.disturbance_time < horizon:
+        raise ConfigError("scenario.disturbance_time", f"must lie in [0, {horizon:g}), the run horizon")
     pairs = [(name, cfg.controller_pair(name)) for name in controllers]
     areas = tuple(replace(area, **overrides) for area, overrides in zip(cfg.areas, definition.area_overrides))
     loads = scenario_loads(definition, cfg, horizon)

@@ -17,11 +17,16 @@ as functions, sampled into a load_samples table per run, or as a LoadTable
 sampled once and shared by every run on the same grid (a scenario's
 controller sets, a sweep's cells).
 Controllers act on ACE and run as trapezoidal (Tustin) discrete blocks
-updated once per step. Trapezoidal rather than step-invariant: the
-synthesized CDM controllers carry a derivative-filter pole two decades
-above the sample rate, and a ZOH hold turns that into a grossly
-over-weighted discrete derivative that destabilizes the loop, while the
-bilinear map preserves the continuous closed-loop dynamics at dt = 0.01.
+updated once per sample, in plain float arithmetic in both drivers: the
+realization rows S = [[Cd, Dd], [Ad, Bd]] applied to [x; y], each product
+rounded on its own, each row summed left to right, no BLAS call and no
+fused multiply-add per step. So the per-step arithmetic does not depend on
+the CPU kernel numpy's BLAS picks; the Tustin coefficients come from LAPACK
+solves, once per controller, and may. Trapezoidal rather than
+step-invariant: the synthesized CDM controllers carry a derivative-filter
+pole two decades above the sample rate, and a ZOH hold turns that into a
+grossly over-weighted discrete derivative that destabilizes the loop, while
+the bilinear map preserves the continuous closed-loop dynamics at dt = 0.01.
 Sign convention, documented once: the control signal is
 u = -(Bc/Ac) * ACE (and u = -Ki * integral(ACE) for the integral
 baseline), so positive ACE commands a generation decrease.
@@ -116,17 +121,66 @@ def tustin_discretize(
 class DiscreteController:
     """Trapezoidal per-sample stepper for any controller kind: step(y_k) returns
     u_k and moves the state. Raises ImproperController for an improper CDM
-    controller."""
+    controller.
+
+    A step applies the realization rows S = [[cd, dd], [ad, bd]] (`rows`) to
+    z = [x; y]: w_i = S_i0 z_0 + S_i1 z_1 + ..., each product rounded on its
+    own and each row summed left to right, then u = -w_0 and x <- w_1..w_n.
+    The step runs on Python floats with no BLAS call and no fused
+    multiply-add, so its bits do not depend on the CPU kernel.
+    """
 
     def __init__(self, spec: ControllerSpec, dt: float):
         a, b, c, d = _continuous_realization(spec)
         self.ad, self.bd, self.cd, self.dd = tustin_discretize(a, b, c, d, dt)
-        self.x = np.zeros(a.shape[0])
+        self.rows = np.block([[self.cd, self.dd], [self.ad, self.bd[:, None]]]).tolist()
+        self.step = controller_step(self.rows)
 
-    def step(self, y: float) -> float:
-        u = -(float(self.cd @ self.x) + self.dd * y)
-        self.x = self.ad @ self.x + self.bd * y
-        return u
+
+def controller_step(rows: list[list[float]], unrolled: bool = True) -> Callable[[float], float]:
+    """DiscreteController's step(y) -> u over the realization rows S, from a zero
+    state. Orders 1 and 2 (pi; pid and CDM at synthesize's default degrees)
+    are unrolled into one expression per row; any other order, or unrolled
+    False, sums the rows in a loop. Both give the same bits. The loop does not
+    use sum() (compensated from Python 3.12) or math.fsum (exact)."""
+    n = len(rows) - 1
+    if unrolled and n == 1:
+        (c0, d), (a00, b0) = rows
+        x0 = 0.0
+
+        def step(y: float) -> float:
+            nonlocal x0
+            u = -(c0 * x0 + d * y)
+            x0 = a00 * x0 + b0 * y
+            return u
+
+        return step
+    if unrolled and n == 2:
+        (c0, c1, d), (a00, a01, b0), (a10, a11, b1) = rows
+        x0 = x1 = 0.0
+
+        def step(y: float) -> float:
+            nonlocal x0, x1
+            u = -(c0 * x0 + c1 * x1 + d * y)
+            x0, x1 = a00 * x0 + a01 * x1 + b0 * y, a10 * x0 + a11 * x1 + b1 * y
+            return u
+
+        return step
+
+    z = [0.0] * (n + 1)  # [x; y]
+
+    def step(y: float) -> float:
+        z[n] = y
+        w = []
+        for row in rows:
+            acc = row[0] * z[0]
+            for j in range(1, n + 1):
+                acc += row[j] * z[j]
+            w.append(acc)
+        z[:n] = w[1:]
+        return -w[0]
+
+    return step
 
 
 def plant_rhs(areas: tuple[AreaParams, AreaParams], tie: TieLine, nonlin: NonlinearityConfig) -> Callable:
@@ -467,16 +521,20 @@ class BatchCdmSimulator:
     Divergent candidates yield NaN.
 
     run_iae holds the plant state as one (7, lanes) array, stepped by
-    lanes_step, and both areas' controllers as one bank of (2, lanes, ...)
-    arrays, so a controller update is one whole-array operation per term for
-    both areas. Every buffer, view, parameter and constant is made once per
-    call, so a step is a fixed run of operations written through out= that
-    creates no array beyond the views of its load-table row. Parameters and
-    constants are spread over the lanes, so no plant or RK4 operation
-    broadcasts but the loads' subtraction. Per lane these are the operations
-    of simulate's step, in the same order, so each lane's step states equal a
-    one-lane simulate run's bit for bit. The IAE is a running trapezoid sum,
-    so it agrees with a quadrature of a simulate trajectory only to rounding.
+    lanes_step, and both areas' controllers as one bank: the columns of their
+    realization rows S as (n + 1, 2, lanes) arrays. A controller update is
+    DiscreteController.step's arithmetic on elementwise ufuncs, per column j
+    of S: w = S[:, 0] z_0, then w += S[:, j] z_j, then u = -w_0 and x <- w_1..n,
+    with ACE written straight into z's last row; so each product is rounded
+    on its own and each row summed left to right, with no BLAS call. Every
+    buffer, view, parameter and constant is made once per call, so a step is
+    a fixed run of operations written through out= that creates no array
+    beyond the views of its load-table row. Parameters and constants are
+    spread over the lanes, so no plant or RK4 operation broadcasts but the
+    loads' subtraction. Per lane these are the operations of simulate's
+    step, in the same order, so each lane's step states equal a one-lane
+    simulate run's bit for bit. The IAE is a running trapezoid sum, so it
+    agrees with a quadrature of a simulate trajectory only to rounding.
 
     Divergence: simulate raises after the first step whose seven states sum
     to a non-finite value or whose |df1| or |df2| exceeds the cap. run_iae
@@ -517,26 +575,26 @@ class BatchCdmSimulator:
         if lanes == 0:
             return np.empty(0)
 
-        # the trapezoidal controllers as one bank, area by lane, in column form
-        # so that each lane takes DiscreteController.step's products
-        bank = [[DiscreteController(pair[side], dt) for pair in controller_pairs] for side in (0, 1)]
-        ad, bd, cd, dd = (
-            np.array([[getattr(c, key) for c in side] for side in bank]) for key in ("ad", "bd", "cd", "dd")
-        )
-        bd, cd = bd[..., None], cd[..., None, :]
-        x, adx, bdx = np.zeros((3, *bd.shape))
+        # the trapezoidal controllers as one bank: column j of every area's and
+        # lane's rows S as cols[j], shape (n + 1, 2, lanes), and z = [x; ace]
+        # as z[0..n], each a (2, lanes) row, so that each lane takes
+        # DiscreteController.step's products and row sums
+        rows = np.array([[DiscreteController(pair[side], dt).rows for pair in controller_pairs] for side in (0, 1)])
+        cols = np.ascontiguousarray(rows.transpose(3, 2, 0, 1))
+        z, w, prod = np.zeros((3, len(cols), 2, lanes))
+        x, ace = z[:-1], z[-1]
 
         state = np.zeros((7, lanes))
         df, dptie = state[0:2], state[6:7]
-        ace, u, tmp, prod, mag, peak = np.zeros((6, 2, lanes))
+        u, mag, peak = np.zeros((3, 2, lanes))
         ace1, ace2 = ace[0:1], ace[1:2]
-        y, prod_k = ace.reshape(2, lanes, 1, 1), prod.reshape(2, lanes, 1, 1)
         # constants spread over the lanes, as in lanes_step
         bias = np.broadcast_to(self.bias, (2, lanes)).copy()
         inner, end = np.full(lanes, dt), np.full(lanes, 0.5 * dt)  # trapezoid weights
         mag1, mag2 = mag
         step = lanes_step(*self.plant, state, dt)
         table = self.load_table
+        later = list(zip(cols[1:], z[1:]))
         total = np.empty(lanes)
         iae = np.zeros(lanes)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -551,13 +609,12 @@ class BatchCdmSimulator:
                 np.multiply(bias, df, out=ace)
                 ace1 += dptie
                 ace2 -= dptie
-                np.matmul(cd, x, out=prod_k)
-                np.multiply(dd, ace, out=tmp)
-                np.add(prod, tmp, out=u)
-                np.negative(u, out=u)
-                np.matmul(ad, x, out=adx)
-                np.multiply(bd, y, out=bdx)
-                np.add(adx, bdx, out=x)
+                np.multiply(cols[0], z[0], out=w)
+                for col, zj in later:
+                    np.multiply(col, zj, out=prod)
+                    np.add(w, prod, out=w)
+                np.negative(w[0], out=u)
+                np.copyto(x, w[1:])
                 step(table[k], u)
 
         # simulate's divergence rule, checked once: see the class docstring

@@ -120,7 +120,9 @@ def assign_streams(costs: Sequence[float], n_raindrops: int, fitness_inverted: b
             weights[i] = float(n_sr - rank)
     else:
         weights = [abs(c) for c in costs]
-    total = sum(weights)
+    total = 0.0  # left to right, as sum() adds on Python 3.11 (compensated from 3.12)
+    for w in weights:
+        total += w
     if total == 0.0:
         quotas = [n_raindrops / n_sr] * n_sr
     else:

@@ -1,6 +1,10 @@
 import inspect
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -606,3 +610,26 @@ class TestCliCommands:
             rc = main(argv + ["--horizon", "10", "--config", str(cfg), "--out", str(out)])
             assert rc == 3, argv
             assert not (out / "report.csv").exists() and not (out / "sweep.csv").exists()
+
+
+def test_case_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
+    # The controllers step in plain float arithmetic, not through numpy's
+    # small matrix products, whose OpenBLAS kernels fuse a multiply-add on
+    # some CPU types and not on others. So case 2's pid and pi outputs are the
+    # same bytes under the default kernel and under OPENBLAS_CORETYPE=Nehalem,
+    # which is set in the child process only. Where numpy's BLAS ignores the
+    # variable, both runs take one kernel and this passes trivially.
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    trees = []
+    for coretype in (None, "Nehalem"):
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        out = tmp_path / (coretype or "default")
+        argv = ["case", "2", "--controllers", "pid,pi", "--out", str(out)]
+        run = subprocess.run([sys.executable, "-m", "cdmlfc.cli", *argv], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        trees.append({path.relative_to(out): path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()})
+    assert trees[0].keys() == trees[1].keys()
+    assert [name for name in trees[0] if trees[0][name] != trees[1][name]] == []

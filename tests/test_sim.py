@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from cdmlfc import defaults
@@ -13,7 +13,7 @@ from cdmlfc.cdm import CdmController, CdmGains, synthesize
 from cdmlfc.config import build_config
 from cdmlfc.errors import CdmlfcError, ImproperController, NonFiniteState
 from cdmlfc.plant import NonlinearityConfig, derive_design_plant, frequency_bias
-from cdmlfc.poly import Polynomial
+from cdmlfc.poly import Polynomial, poly_mul
 from cdmlfc.scenarios import TuningObjective, run_case
 from cdmlfc.sim import (
     BatchCdmSimulator,
@@ -23,6 +23,7 @@ from cdmlfc.sim import (
     PidSpec,
     SystemModel,
     Trajectory,
+    controller_step,
     lanes_step,
     load_samples,
     plant_rhs,
@@ -87,6 +88,16 @@ def design_stable_pairs(rng, n):
         if all(c.stable for c in pair):
             pairs.append(pair)
     return pairs
+
+
+def lifted(pair, a=0.01):
+    """pair at order 3: each area's Ac and Bc times (1 + a s), so the transfer
+    function is unchanged and the design loop gains a stable pole at -1/a."""
+    lift = Polynomial([1.0, a])
+    return tuple(
+        CdmController.from_polynomials(poly_mul(c.Ac, lift), poly_mul(c.Bc, lift), derive_design_plant(area, defaults.TIE))
+        for c, area in zip(pair, (defaults.AREA1, defaults.AREA2))
+    )
 
 
 def model(nonlin=None, controllers=None):
@@ -203,6 +214,61 @@ class TestDiscretizeController:
             z = np.exp(1j * w * dt)
             discrete = ctrl.cd @ np.linalg.solve(z * np.eye(len(ctrl.bd)) - ctrl.ad, ctrl.bd) + ctrl.dd
             assert discrete == pytest.approx(response(2.0 / dt * (z - 1.0) / (z + 1.0)), rel=1e-9)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        kind=st.sampled_from(("integral", "pid", "cdm", "cdm3", "rows")),
+        dt=st.sampled_from((0.005, 0.01, 0.02)),
+    )
+    def test_unrolled_steps_equal_the_row_loop(self, data, kind, dt):
+        # the unrolled order-1 (pi) and order-2 (pid, CDM) steps, the generic
+        # row loop and numpy's elementwise row sums (no BLAS) give the same
+        # bits, signed zeros included; order 3 runs the loop in both. Raw
+        # rows of orders 1-3 fill the entries that the realizations hold at
+        # zero (the Tustin Ad of an integrating controller is triangular).
+        gain = st.floats(0.01, 10.0)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if kind == "rows":
+            order = data.draw(st.integers(1, 3))
+            rows = rng.uniform(-1.0, 1.0, (order + 1, order + 1)).tolist()
+            step = controller_step(rows)
+        elif kind == "integral":
+            spec, order = IntegralSpec(data.draw(gain)), 1
+        elif kind == "pid":
+            spec, order = PidSpec(data.draw(gain), data.draw(gain), data.draw(gain), tf=data.draw(st.floats(0.005, 0.5))), 2
+        else:
+            x = data.draw(st.tuples(*(st.floats(lo, hi) for lo, hi in defaults.OPT_BOUNDS)))
+            try:
+                pair = tuple(
+                    synthesize(derive_design_plant(area, defaults.TIE), CdmGains(x[:5], x[5], x[6 + i]))
+                    for i, area in enumerate((defaults.AREA1, defaults.AREA2))
+                )
+            except (CdmlfcError, ValueError):
+                reject()
+            if kind == "cdm3":
+                pair = lifted(pair, data.draw(st.floats(0.001, 0.1)))
+            spec = pair[data.draw(st.integers(0, 1))]
+            order = spec.Ac.degree
+            if order != (3 if kind == "cdm3" else 2) or spec.Bc.degree > order:
+                reject()  # the polynomial product trimmed a leading coefficient
+        if kind != "rows":
+            ctrl = DiscreteController(spec, dt)
+            rows, step = ctrl.rows, ctrl.step
+            assert len(rows) == order + 1
+        loop = controller_step(rows, unrolled=False)
+        rows = np.array(rows)
+        z = np.zeros(order + 1)
+        ys = [-0.0, 0.0] + data.draw(st.lists(st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0])), max_size=20))
+        ys += rng.uniform(-1.0, 1.0, 20).tolist()
+        for y in ys:
+            z[-1] = y
+            w = rows[:, 0] * z[0]
+            for j in range(1, order + 1):
+                w = w + rows[:, j] * z[j]
+            z[:-1] = w[1:]
+            want = float(-w[0]).hex()
+            assert (step(y).hex(), loop(y).hex()) == (want, want)
 
 
 class TestSimulate:
@@ -480,15 +546,21 @@ class TestBatchSimulator:
             assert out[1] == running_trapezoid(simulate(model(nonlin=LINEAR, controllers=good), loads, dt=dt, horizon=n * dt), dt)
 
     @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), dt=st.sampled_from((0.01, 0.02)))
-    def test_lanes_equal_one_lane_runs(self, seed, n, dt):
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), dt=st.sampled_from((0.01, 0.02)), order=st.sampled_from((2, 3)))
+    @example(seed=0, n=2, dt=0.01, order=3)
+    def test_lanes_equal_one_lane_runs(self, seed, n, dt, order):
         # Design-stable candidates anywhere in the tuning box. Most are unstable
         # in the two-area loop, and where the GRC clamp bounds them in a limit
         # cycle any last-bit difference between the drivers' controller
         # products grows into the IAE, so the lanes must match bit for bit:
         # each lane is the running trapezoid over its one-lane simulate run
-        # exactly, and NaN where simulate raises.
+        # exactly, and NaN where simulate raises. At order 3 (the candidates
+        # and the default cdm_classic pair lifted) simulate steps the
+        # controllers by DiscreteController's row loop.
         pairs = design_stable_pairs(np.random.default_rng(seed), n)
+        if order == 3:
+            classic = build_config().controller_pair("cdm")
+            pairs = [lifted(pair) for pair in pairs + [classic]]
         loads = (STEP1, ZERO)
         for nonlin in NONLINEARITIES:
             batch = BatchCdmSimulator((defaults.AREA1, defaults.AREA2), defaults.TIE, nonlin, loads, dt=dt, horizon=10.0)
@@ -566,7 +638,11 @@ class TestEngineReference:
     """Outputs recorded by scripts/engine_reference.py: the case indices before
     the one-lane and lane-batched simulators shared one plant model and one
     RK4 step, the objective costs once both drivers stepped each controller
-    with the same products."""
+    in plain float arithmetic (each product rounded on its own, each row
+    summed left to right, no BLAS). That re-recording kept the case indices,
+    which moved by at most 1.5e-15 relative, and moved one of the 17 live
+    costs, a limit cycle held by the rate clamp that amplifies last-bit
+    differences."""
 
     @pytest.mark.parametrize("case_id", sorted(REFERENCE["cases"]))
     def test_case_indices(self, case_id):
