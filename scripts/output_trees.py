@@ -96,6 +96,7 @@ def commands(configs: pathlib.Path) -> dict[str, list[str]]:
         "sweep_grc_inf_divergent": ["sweep", *config("divergent_cdm_opt"), "--grc", "inf", "--controllers", "cdm_opt,pi"],
         "design_solver_flags": ["design", "--dt", "0.005"],
         "optimize_string_bool": ["optimize", *config("string_bool")],
+        "optimize_random_fitness_inverted": ["optimize", "--algorithm", "random-search", "--fitness-inverted"],
         "case2_order3_cdm_classic": ["case", "2", *config("order3_cdm_classic"), "--horizon", "20", "--controllers", "cdm,pi"],
         "case2_backlash": ["case", "2", *config("backlash"), "--horizon", "20", *CONTROLLERS],
         "optimize_deadband": ["optimize", *config("deadband")],

@@ -80,9 +80,12 @@ def _controller_names(args) -> list[str]:
 
 
 def _refuse_solver_flags(args) -> None:
-    """Refuse the run flags a command would ignore: design runs nothing, and optimize and case 1
-    simulate only the tuning objective's model, which --dt, --horizon and --grc do not reach."""
+    """Refuse the run flags a command would ignore: design runs nothing, optimize and case 1
+    simulate only the tuning objective's model, which --dt, --horizon and --grc do not reach,
+    and random search allocates no streams for --fitness-inverted to weigh."""
     what = "case 1" if args.command == "case" and args.case_id == 1 else args.command
+    if getattr(args, "fitness_inverted", False) and args.algorithm == "random-search":
+        raise ConfigError("--fitness-inverted", "does not apply to random-search, which allocates no streams")
     for flag, key in (("--seed", None), ("--dt", "dt"), ("--horizon", "horizon"), ("--grc", "grc_rate")):
         if getattr(args, flag[2:]) is None:
             continue

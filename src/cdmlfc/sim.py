@@ -52,6 +52,11 @@ LoadFn = Callable[[float], float]
 # (checked once per run there: see BatchCdmSimulator).
 _DIVERGENCE_CAP = 1e6
 
+# run_iae's |df| history block: the steps recorded between two folds into the
+# running peak and IAE (see BatchCdmSimulator). At 64 a fold's nine calls come
+# to a seventh of a call per step, and the block holds 1 KB per lane.
+_FOLD_ROWS = 64
+
 
 @dataclass(frozen=True)
 class IntegralSpec:
@@ -292,8 +297,11 @@ def lanes_step(
     Binds the derivative's row views, the parameter and constant rows, two
     (2, lanes) scratch rows and the four RK4 stages (k1-k4 and the stage
     buffer) once and returns step(loads, u), which advances state by h for
-    loads a load_samples row as (2, 1) columns and u (2, lanes). Every term
-    writes through out=, so a step creates no array beyond views.
+    u (2, lanes) and loads the step's start, midpoint and end samples: a
+    load_samples row as (2, 1) columns, or three (2, lanes) rows, which
+    spare the loads' subtraction numpy's broadcasting set-up. Every term
+    writes through out=, so a step creates no array beyond the views of
+    unpacking loads (none for a tuple of rows).
     """
     a1, a2 = areas
     lanes = state.shape[1]
@@ -302,7 +310,7 @@ def lanes_step(
 
     # Parameters (area 1 over area 2) and constants spread over the lanes: an
     # operation whose operands all have one shape skips numpy's broadcasting
-    # set-up, which costs more than the arithmetic.
+    # set-up, which costs more than the arithmetic (about 2x a same-shape call).
     def row(key):
         return np.repeat([[getattr(a1, key)], [getattr(a2, key)]], lanes, axis=1)
 
@@ -522,30 +530,44 @@ class BatchCdmSimulator:
 
     run_iae holds the plant state as one (7, lanes) array, stepped by
     lanes_step, and both areas' controllers as one bank: the columns of their
-    realization rows S as (n + 1, 2, lanes) arrays. A controller update is
-    DiscreteController.step's arithmetic on elementwise ufuncs, per column j
-    of S: w = S[:, 0] z_0, then w += S[:, j] z_j, then u = -w_0 and x <- w_1..n,
-    with ACE written straight into z's last row; so each product is rounded
-    on its own and each row summed left to right, with no BLAS call. Every
-    buffer, view, parameter and constant is made once per call, so a step is
-    a fixed run of operations written through out= that creates no array
-    beyond the views of its load-table row. Parameters and constants are
-    spread over the lanes, so no plant or RK4 operation broadcasts but the
-    loads' subtraction. Per lane these are the operations of simulate's
-    step, in the same order, so each lane's step states equal a one-lane
-    simulate run's bit for bit. The IAE is a running trapezoid sum, so it
-    agrees with a quadrature of a simulate trajectory only to rounding.
+    realization rows S as (n + 1, 2, lanes) arrays, with the output row
+    [cd, dd] stored negated. A controller update is DiscreteController.step's
+    arithmetic on elementwise ufuncs, per column j of S: w = S[:, 0] z_0,
+    then w += S[:, j] z_j, then x <- w_1..n, with ACE written straight into
+    z's last row; so each product is rounded on its own and each row summed
+    left to right, with no BLAS call. Negating a row negates each product
+    and each partial sum exactly under round-to-nearest, so w_0 is u = -(cd x
+    + dd y) itself, up to the sign of a zero, which no nonzero value of the
+    plant depends on. Every buffer, view, parameter and constant is made once
+    per call, so a step is a fixed run of operations written through out=
+    that creates no array. Parameters and constants are spread over the
+    lanes, and so are the loads: the call copies a load-table row into one
+    (3, 2, lanes) buffer only on the steps where the row changes (a few for
+    a step load), so no plant or RK4 operation broadcasts. Per lane these
+    are the operations of simulate's step, in the same order, so each lane's
+    step states equal a one-lane simulate run's bit for bit.
+
+    The step loop does only the plant step and the controller update: each
+    step copies df into the next row of a fixed block of _FOLD_ROWS history
+    rows, and each full block, and the last partial one, folds into the
+    running peak of |df1| and |df2| and the IAE in a few in-place
+    vectorized calls. The fold weighs each row as (|df1| + |df2|) * w, with
+    w = dt inside and dt / 2 at the two ends, and adds the rows to the
+    carried IAE in step order with np.add.accumulate (never a pairwise sum),
+    so each lane's IAE is the running trapezoid over its one-lane simulate
+    run exactly; it agrees with a quadrature of that trajectory only to
+    rounding.
 
     Divergence: simulate raises after the first step whose seven states sum
     to a non-finite value or whose |df1| or |df2| exceeds the cap. run_iae
-    keeps a running per-lane peak of |df1| and |df2| (np.maximum propagates
-    NaN) and tests the final state once. A state that turns non-finite stays
-    non-finite, since x + h/6 * (k1 + 2 k2 + 2 k3 + k4) of an inf or NaN x is
-    inf or NaN, so a non-finite final state or a peak above the cap marks the
-    lanes simulate raises on, and their IAE is set to NaN. (The one case this
-    does not see is seven finite states whose sum overflows, which needs a
-    state above 2.5e307.) A divergent lane steps on in isolation, so the
-    other lanes keep their bits.
+    keeps a per-lane peak of |df1| and |df2| (np.maximum and its reduction
+    propagate NaN) and tests the final state once. A state that turns
+    non-finite stays non-finite, since x + h/6 * (k1 + 2 k2 + 2 k3 + k4) of
+    an inf or NaN x is inf or NaN, so a non-finite final state or a peak
+    above the cap marks the lanes simulate raises on, and their IAE is set
+    to NaN. (The one case this does not see is seven finite states whose sum
+    overflows, which needs a state above 2.5e307.) A divergent lane steps on
+    in isolation, so the other lanes keep their bits.
     """
 
     def __init__(
@@ -561,8 +583,11 @@ class BatchCdmSimulator:
         self.dt = dt
         self.plant = (areas, tie, nonlin)
         self.bias = np.array([[frequency_bias(areas[0])], [frequency_bias(areas[1])]])
-        # each step's load samples as (2, 1) columns
-        self.load_table = load_samples(loads, dt, self.n_steps)[..., None]
+        # each step's load samples as (2, 1) columns, kept for the steps whose row differs from the last
+        table = load_samples(loads, dt, self.n_steps)[..., None]
+        changed = np.ones(self.n_steps, bool)
+        changed[1:] = (table[1:] != table[:-1]).any(axis=(1, 2, 3))
+        self.load_changes = {k: table[k] for k in np.flatnonzero(changed).tolist()}
 
     def run_iae(self, controller_pairs: Sequence[tuple[CdmController, CdmController]]) -> np.ndarray:
         """The IAE of each (area 1, area 2) controller pair, NaN where it diverges.
@@ -576,46 +601,65 @@ class BatchCdmSimulator:
             return np.empty(0)
 
         # the trapezoidal controllers as one bank: column j of every area's and
-        # lane's rows S as cols[j], shape (n + 1, 2, lanes), and z = [x; ace]
-        # as z[0..n], each a (2, lanes) row, so that each lane takes
-        # DiscreteController.step's products and row sums
+        # lane's rows S, output row negated, as cols[j], shape (n + 1, 2,
+        # lanes), and z = [x; ace] as z[0..n], each a (2, lanes) row, so that
+        # each lane takes DiscreteController.step's products and row sums
         rows = np.array([[DiscreteController(pair[side], dt).rows for pair in controller_pairs] for side in (0, 1)])
+        np.negative(rows[:, :, 0], out=rows[:, :, 0])
         cols = np.ascontiguousarray(rows.transpose(3, 2, 0, 1))
         z, w, prod = np.zeros((3, len(cols), 2, lanes))
-        x, ace = z[:-1], z[-1]
+        x, ace, u, new_x = z[:-1], z[-1], w[0], w[1:]
+        c0, z0, later = cols[0], z[0], list(zip(cols[1:], z[1:]))
 
         state = np.zeros((7, lanes))
         df, dptie = state[0:2], state[6:7]
-        u, mag, peak = np.zeros((3, 2, lanes))
         ace1, ace2 = ace[0:1], ace[1:2]
-        # constants spread over the lanes, as in lanes_step
+        # constants and loads spread over the lanes, as in lanes_step
         bias = np.broadcast_to(self.bias, (2, lanes)).copy()
-        inner, end = np.full(lanes, dt), np.full(lanes, 0.5 * dt)  # trapezoid weights
-        mag1, mag2 = mag
+        loads = np.empty((3, 2, lanes))
+        stage_loads = tuple(loads)
+        changes = self.load_changes
         step = lanes_step(*self.plant, state, dt)
-        table = self.load_table
-        later = list(zip(cols[1:], z[1:]))
-        total = np.empty(lanes)
+
+        # |df| history, folded block by block into the peak and the IAE
+        history = np.empty((2, _FOLD_ROWS, lanes))
+        records = [history[:, i] for i in range(_FOLD_ROWS)]
+        weighted = np.empty((_FOLD_ROWS, lanes))
+        top, peak = np.zeros((2, 2, lanes))
         iae = np.zeros(lanes)
+
+        def fold(m, ends):
+            """Fold the records 0..m-1 into peak and iae in step order: the
+            first `ends` of them (a run's first or last) weighted dt / 2, the rest dt."""
+            mag, sums = history[:, :m], weighted[:m]
+            np.abs(mag, out=mag)
+            np.maximum.reduce(mag, axis=1, out=top)
+            np.maximum(peak, top, out=peak)
+            np.add(mag[0], mag[1], out=sums)
+            np.multiply(sums[:ends], 0.5 * dt, out=sums[:ends])
+            np.multiply(sums[ends:], dt, out=sums[ends:])
+            np.add(sums[0], iae, out=sums[0])
+            np.add.accumulate(sums, axis=0, out=sums)
+            np.copyto(iae, sums[-1])
+
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(n_steps + 1):
-                np.abs(df, out=mag)
-                np.maximum(peak, mag, out=peak)
-                np.add(mag1, mag2, out=total)
-                total *= inner if 0 < k < n_steps else end
-                iae += total
-                if k == n_steps:
-                    break
-                np.multiply(bias, df, out=ace)
-                ace1 += dptie
-                ace2 -= dptie
-                np.multiply(cols[0], z[0], out=w)
-                for col, zj in later:
-                    np.multiply(col, zj, out=prod)
-                    np.add(w, prod, out=w)
-                np.negative(w[0], out=u)
-                np.copyto(x, w[1:])
-                step(table[k], u)
+            for k0 in range(0, n_steps, _FOLD_ROWS):
+                for k, record in zip(range(k0, min(k0 + _FOLD_ROWS, n_steps)), records):
+                    np.copyto(record, df)
+                    if k in changes:
+                        np.copyto(loads, changes[k])
+                    np.multiply(bias, df, out=ace)
+                    ace1 += dptie
+                    ace2 -= dptie
+                    np.multiply(c0, z0, out=w)
+                    for col, zj in later:
+                        np.multiply(col, zj, out=prod)
+                        np.add(w, prod, out=w)
+                    np.copyto(x, new_x)
+                    step(stage_loads, u)
+                fold(k + 1 - k0, ends=1 if k0 == 0 else 0)
+            np.copyto(records[0], df)
+            fold(1, ends=1)  # the final state
 
         # simulate's divergence rule, checked once: see the class docstring
         live = np.isfinite(state).all(axis=0) & (peak <= _DIVERGENCE_CAP).all(axis=0)

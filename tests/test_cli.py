@@ -529,6 +529,14 @@ class TestCliCommands:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_fitness_inverted_refused_by_random_search(self, tmp_path, capsys):
+        # the flag weighs WCA's stream allocation; random search allocates no streams
+        rc = main(["optimize", "--algorithm", "random-search", "--fitness-inverted", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--fitness-inverted" in err and "random-search" in err and "no streams" in err
+        assert not (tmp_path / "out").exists()
+
     def test_disturbance_time_outside_the_horizon_exits_2(self, tmp_path, capsys):
         for when in (100.0, 10.0, -5.0):
             cfg = tmp_path / "cfg.json"

@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from cdmlfc.plant import NonlinearityConfig, derive_design_plant, frequency_bias
 from cdmlfc.poly import Polynomial, poly_mul
 from cdmlfc.scenarios import TuningObjective, run_case
 from cdmlfc.sim import (
+    _FOLD_ROWS,
     BatchCdmSimulator,
     DiscreteController,
     IntegralSpec,
@@ -595,6 +597,92 @@ class TestBatchSimulator:
         )
         out = batch.run_iae([])
         assert out.dtype == float and out.shape == (0,)
+
+
+def objective_pair(objective):
+    """The objective's reference vector as a controller pair, synthesized on its design plants."""
+    plants = [derive_design_plant(area, objective.tie) for area in objective.areas]
+    return tuple(synthesize(plant, gains) for plant, gains in zip(plants, objective.decode(objective.reference_vector())))
+
+
+class TestIaeFold:
+    """run_iae records |df| into a block of _FOLD_ROWS history rows and folds
+    each full block, and the last partial one, into the peak and the IAE."""
+
+    @pytest.mark.parametrize("n", [1, _FOLD_ROWS - 1, _FOLD_ROWS, _FOLD_ROWS + 1, 2 * _FOLD_ROWS + 1])
+    def test_iae_is_the_running_trapezoid_at_block_edges(self, n):
+        # on the objective's model (case-1 load at 1 s, inside the first block
+        # for n > 50), each lane's IAE is its one-lane running trapezoid bit for
+        # bit, in a batch and alone (one lane: no inner axis for numpy to sum pairwise)
+        objective = TuningObjective()
+        pairs = [objective_pair(objective)] + design_stable_pairs(np.random.default_rng(3), 2)
+        dt = objective.dt
+        batch = BatchCdmSimulator(objective.eval_areas, objective.tie, objective.nonlin, objective.eval_loads, dt, n * dt)
+        assert batch.n_steps == n
+        costs = np.concatenate([batch.run_iae(pairs)] + [batch.run_iae([pair]) for pair in pairs])
+        for iae, pair in zip(costs, pairs + pairs):
+            m = SystemModel(objective.eval_areas, objective.tie, objective.nonlin, pair)
+            try:
+                traj = simulate(m, objective.eval_loads, dt=dt, horizon=n * dt)
+            except NonFiniteState:
+                assert math.isnan(iae)
+                continue
+            assert iae == running_trapezoid(traj, dt)
+
+    @pytest.mark.parametrize("row", [_FOLD_ROWS // 2, _FOLD_ROWS - 1])
+    def test_nan_exactly_when_simulate_raises_at_a_block_row(self, row):
+        # On the linear model a load pulse on one step's midpoint sample, sized
+        # between the cap over the response's largest and second largest |df|,
+        # drives the default pair over the cap on exactly one record, which a
+        # whole-step delay puts on the given row of a block: inside it, or its
+        # last row. Past that record every state is finite and under the cap,
+        # so only the fold's peak marks the lane.
+        pairs = [cdm_pair(), build_config().controller_pair("cdm")]
+        dt = 0.02
+
+        def pulse(delay, size):
+            start = (delay + 0.25) * dt
+            return (lambda t: size if start <= t < start + 0.5 * dt else 0.0), ZERO
+
+        unit = simulate(model(nonlin=LINEAR, controllers=pairs[0]), pulse(0, 1.0), dt=dt, horizon=4.0)
+        mag = np.maximum(np.abs(unit.df1), np.abs(unit.df2))
+        second, top = np.sort(mag)[-2:]
+        assert second < 0.99 * top
+        size = 2.0 * 1e6 / (top + second)
+        loads = pulse((row - int(np.argmax(mag))) % _FOLD_ROWS, size)
+        with pytest.raises(NonFiniteState) as raised:
+            simulate(model(nonlin=LINEAR, controllers=pairs[0]), loads, dt=dt, horizon=8.0)
+        first = round(raised.value.time / dt)
+        assert first % _FOLD_ROWS == row
+        for n in (first - 1, first, first + 1, first + _FOLD_ROWS):
+            batch = BatchCdmSimulator((defaults.AREA1, defaults.AREA2), defaults.TIE, LINEAR, loads, dt=dt, horizon=n * dt)
+            for iae, pair in zip(batch.run_iae(pairs), pairs):
+                try:
+                    traj = simulate(model(nonlin=LINEAR, controllers=pair), loads, dt=dt, horizon=n * dt)
+                except NonFiniteState:
+                    assert pair is not pairs[0] or n >= first
+                    assert math.isnan(iae)
+                    continue
+                assert pair is not pairs[0] or n < first
+                assert iae == running_trapezoid(traj, dt)
+
+    def test_memory_does_not_grow_with_the_horizon(self):
+        # 50 lanes over the objective's 3000 steps: a full-length |df| history
+        # alone would take 2.4 MB
+        objective = TuningObjective()
+        batch = BatchCdmSimulator(
+            objective.eval_areas, objective.tie, objective.nonlin, objective.eval_loads, objective.dt, objective.horizon
+        )
+        assert batch.n_steps == 3000
+        pairs = [objective_pair(objective)] * 50
+        tracemalloc.start()
+        try:
+            iae = batch.run_iae(pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(iae).all()
+        assert peak < 512 * 1024
 
 
 def _on_band_edge(area, half):
