@@ -1,0 +1,335 @@
+"""The closed loop's affine step maps, on which simulate takes its linear
+stretches in closed form.
+
+While the generation-rate clamp is idle and the governor dead band is closed
+(or linear: no band, or the describing-function backlash), one step of the
+loop that simulate runs with controller_dt = dt is affine,
+
+    z' = F z + G w,
+
+with z the seven plant states in state order followed by area 1's and area
+2's controller states, and w the step's load_samples row read as six values
+(dPL1, dPL2 at the step's start, midpoint and end). The plant steps by
+classic RK4 under the control u held over the step, which the controllers
+compute from the state before their update. Under a closed dead zone the
+droop term is 0; with no band, or under backlash, the droop is linear.
+
+step_maps builds F and G, the control rows and the affine arguments of the
+clamp and the dead zone at each of the four RK4 stages, for a leading axis
+of lanes (controller pairs on one plant). block_table turns them into the
+coefficients of chosen affine rows after 0..B steps under one load row,
+z_j = F^j z_0 + sum_{i<j} F^i G w, built by doubling, and sum_rows adds
+their products up. Every matrix product is elementwise, each product
+rounded on its own and summed in a fixed order: no BLAS or LAPACK call, so
+no result depends on the CPU kernel. closed_form_run runs simulate's loop
+on them (simulate(..., closed_form=True)).
+"""
+
+from __future__ import annotations
+
+import math
+from array import array
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+from .plant import AreaParams, NonlinearityConfig, TieLine, frequency_bias
+from .sim import (
+    _DIVERGENCE_CAP,
+    DiscreteController,
+    LoadTable,
+    SystemModel,
+    Trajectory,
+    controller_step,
+    load_row_changes,
+    plant_rhs,
+    rk4_step,
+)
+
+# closed_form_run's block length in steps: measured at 25, 50 and 100 on cases 2-5
+_BLOCK = 50
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over the last two axes, leading axes broadcast, with no BLAS call:
+    each product rounded on its own, summed in inner-index order."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for k in range(1, a.shape[-1]):
+        out += a[..., :, k : k + 1] * b[..., k : k + 1, :]
+    return out
+
+
+def sum_rows(y: np.ndarray) -> np.ndarray:
+    """y's sum over its first axis, in place in y, in one fixed order: a
+    halving tree (row i + row m - h + i for the first h = m // 2 of m rows)."""
+    m = len(y)
+    while m > 1:
+        h = m // 2
+        np.add(y[:h], y[m - h : m], out=y[:h])
+        m -= h
+    return y[0]
+
+
+def _rk4_maps(
+    areas: tuple[AreaParams, AreaParams], tie: TieLine, nonlin: NonlinearityConfig, h: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One RK4 step of plant_rhs in its linear mode as matrices over v =
+    [state (7); u (2); loads at the step's start, midpoint and end (6)]: the
+    step map (7, 15), and the mode arguments (K, 15) with their limits (K,):
+    each area's clamp argument (dpg - dpm) / Tt at the four stages when the
+    rate is finite, then its droop input df / R at the four stages under a
+    dead zone of nonzero width."""
+    half = 0.5 * nonlin.gdb_width
+    zone = half != 0.0 and nonlin.gdb_mode == "deadzone"
+    backlash = half != 0.0 and nonlin.gdb_mode == "backlash"
+    e = np.eye(11)  # unit rows over [state; u; the stage's loads]
+    rhs = np.zeros((7, 11))
+    for i, (area, tie_sign) in enumerate(zip(areas, (-1.0, 1.0))):
+        rhs[i] = (e[2 + i] - e[9 + i] - area.D * e[i] + tie_sign * e[6]) / area.M
+        rhs[2 + i] = (e[4 + i] - e[2 + i]) / area.Tt
+        droop = 0.0 if zone else e[i] / area.R
+        if backlash:
+            droop = 0.8 * droop - (0.2 / math.pi) * (rhs[i] / area.R)
+        rhs[4 + i] = (e[7 + i] - droop - e[4 + i]) / area.Tg
+    rhs[6] = 2.0 * math.pi * tie.T12 * (e[0] - e[1])
+
+    def derivative(x, sample):
+        """rhs at the stage state x (7, 15) under load sample 0, 1 or 2."""
+        k = _matmul(rhs[:, :7], x)
+        k[:, 7:9] += rhs[:, 7:9]
+        k[:, 9 + 2 * sample : 11 + 2 * sample] += rhs[:, 9:]
+        return k
+
+    x1 = np.eye(7, 15)
+    k1 = derivative(x1, 0)
+    x2 = x1 + 0.5 * h * k1
+    k2 = derivative(x2, 1)
+    x3 = x1 + 0.5 * h * k2
+    k3 = derivative(x3, 1)
+    x4 = x1 + h * k3
+    k4 = derivative(x4, 2)
+    phi = x1 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    modes, limits = [], []
+    if math.isfinite(nonlin.grc_rate):
+        for i in (0, 1):
+            modes += [k[2 + i] for k in (k1, k2, k3, k4)]
+            limits += [nonlin.grc_rate] * 4
+    if zone:
+        for i, area in enumerate(areas):
+            modes += [x[i] / area.R for x in (x1, x2, x3, x4)]
+            limits += [half] * 4
+    return phi, np.array(modes).reshape(-1, 15), np.array(limits)
+
+
+@dataclass(frozen=True)
+class StepMaps:
+    """The closed loop's one-step affine map for `lanes` controller pairs on
+    one plant, z' = F z + G w (see the module docstring for z and w), with z
+    of size n = 7 + n1 + n2.
+
+    f (lanes, n, n) and g (lanes, n, 6) are the map; u (lanes, 2, n) gives
+    both areas' control signals from z; modes (lanes, K, n + 6) gives, from
+    [z; w], the clamp and dead-zone arguments at each RK4 stage of the step,
+    and the step is in the linear mode while each lies within its limit
+    (K,) in magnitude.
+    """
+
+    f: np.ndarray
+    g: np.ndarray
+    u: np.ndarray
+    modes: np.ndarray
+    limits: np.ndarray
+
+
+def step_maps(
+    areas: tuple[AreaParams, AreaParams],
+    tie: TieLine,
+    nonlin: NonlinearityConfig,
+    rows1: np.ndarray,
+    rows2: np.ndarray,
+    h: float,
+) -> StepMaps:
+    """The step maps of the closed loop whose controllers step by the
+    realization rows rows1 (lanes, n1 + 1, n1 + 1) in area 1 and rows2 in
+    area 2 (DiscreteController.rows, stacked over the lanes), each once per
+    plant step h, on ACE = B df +- dptie."""
+    lanes, n1, n2 = len(rows1), rows1.shape[-1] - 1, rows2.shape[-1] - 1
+    n = 7 + n1 + n2
+    phi, modes, limits = _rk4_maps(areas, tie, nonlin, h)
+    ace = np.zeros((2, n))
+    ace[0, 0], ace[0, 6] = frequency_bias(areas[0]), 1.0
+    ace[1, 1], ace[1, 6] = frequency_bias(areas[1]), -1.0
+    ctrl = ((rows1, 7, n1), (rows2, 7 + n1, n2))
+
+    # u_i = -(c_i x_i + d_i ace_i)
+    u = np.zeros((lanes, 2, n))
+    for i, (rows, at, order) in enumerate(ctrl):
+        u[:, i] = -rows[:, 0, order:] * ace[i]
+        u[:, i, at : at + order] = -rows[:, 0, :order]
+
+    def close(x):
+        """Rows x over v as rows over [z; w], per lane."""
+        out = np.zeros((lanes, len(x), n + 6))
+        out[:, :, :7] = x[:, :7]
+        out[:, :, :n] += _matmul(x[:, 7:9], u)
+        out[:, :, n:] = x[:, 9:]
+        return out
+
+    plant = close(phi)
+    f = np.zeros((lanes, n, n))
+    f[:, :7] = plant[:, :, :n]
+    # x_i' = A_i x_i + B_i ace_i
+    for i, (rows, at, order) in enumerate(ctrl):
+        f[:, at : at + order] = rows[:, 1:, order:] * ace[i]
+        f[:, at : at + order, at : at + order] = rows[:, 1:, :order]
+    g = np.zeros((lanes, n, 6))
+    g[:, :7] = plant[:, :, n:]
+    return StepMaps(f, g, u, close(modes), limits)
+
+
+def block_table(maps: StepMaps, observe: np.ndarray, length: int) -> np.ndarray:
+    """The coefficients of the affine rows observe (lanes, R, n + 6) over
+    [z; w] after 0..length steps under one load row w: entry [l, c, j, r] is
+    row r's coefficient of [z_0; w]'s entry c after j steps, in lane l, so
+    that row r after j steps is the sum over c of table[l, c, j, r] [z_0; w]_c.
+
+    Built by doubling on the step map of [z; w], S = [[F, G], [0, I]]: the
+    rows after m + j steps are the rows after j steps times S^m."""
+    lanes, n = maps.f.shape[:2]
+    power = np.zeros((lanes, n + 6, n + 6))  # S^m
+    power[:, :n, :n], power[:, :n, n:], power[:, n:, n:] = maps.f, maps.g, np.eye(6)
+    table = np.empty((lanes, length + 1, observe.shape[1], n + 6))
+    table[:, 0] = observe
+    table[:, 1] = _matmul(observe, power)
+    m = 1
+    while m < length:
+        j = min(m, length - m)
+        table[:, m + 1 : m + j + 1] = _matmul(table[:, 1 : j + 1], power[:, None])
+        m += j
+        if m < length:
+            power = _matmul(power, power)
+    return np.ascontiguousarray(table.transpose(0, 3, 1, 2))
+
+
+def closed_form_run(model: SystemModel, loads: LoadTable, dt: float, n_steps: int) -> Optional[Trajectory]:
+    """simulate's run over n_steps of dt with its controllers sampled every
+    step, taking its linear stretches in closed form; None where an exact
+    step diverges.
+
+    The run splits where the load row changes (load_row_changes). A stretch
+    of two or more equal rows is cut into blocks of up to _BLOCK steps, and
+    each block is first predicted in closed form from its start state
+    through block_table: every recorded channel, the state after each
+    step, and the clamp and dead-zone arguments at all four RK4 stages of
+    each step and of one step past the block. The prediction stands if each
+    argument lies within its limit and every value is finite, with |df1|
+    and |df2| within the divergence cap. Otherwise, and over one-step
+    stretches (a load that changes every step, such as a sine), the steps
+    run exactly as simulate runs them (rk4_step and the controllers' rows)
+    from the block's start state, so they equal simulate's steps bit for bit
+    from that state; the closed form resumes from the block's end state.
+    """
+    samples = loads.samples
+    # stretches (k0, k1, closed) of equal load rows, closed if longer than a step; a run of
+    # one-step stretches merges into one exact stretch, which starts where the run does
+    changes = load_row_changes(samples)
+    closed = np.diff(changes, append=n_steps) > 1
+    first = closed.copy()
+    first[0] = True
+    first[1:] |= closed[:-1]
+    starts = changes[first]
+    stretches = list(zip(starts.tolist(), np.append(starts[1:], n_steps).tolist(), closed[first].tolist()))
+
+    a1, a2 = model.areas
+    b1, b2 = frequency_bias(a1), frequency_bias(a2)
+    rows1, rows2 = (DiscreteController(spec, dt).rows for spec in model.controllers)
+    n1 = len(rows1) - 1
+    n = 7 + n1 + len(rows2) - 1
+    rhs = plant_rhs(model.areas, model.tie, model.nonlin)
+
+    # the channels in Trajectory's field order, one row each
+    rec = np.empty((12, n_steps + 1))
+    rec[0] = np.arange(n_steps + 1) * dt
+    rec[8:10, :-1] = samples[:, 0].T
+    z = np.zeros(n)  # the state at the start of the next block: the plant's, then both controllers'
+
+    def exact(k0: int, k1: int) -> bool:
+        """simulate's steps k0..k1-1 from z, recorded, their end state left in
+        z; False where a step diverges."""
+        start = z.tolist()
+        state = tuple(start[:7])
+        step1, step2 = controller_step(rows1, x=start[7 : 7 + n1]), controller_step(rows2, x=start[7 + n1 :])
+        part = array("d")
+        record = part.extend
+        for k in range(k0, k1):
+            t = k * dt
+            df1, df2, dpm1, dpm2, _, _, dptie = state
+            ace1 = b1 * df1 + dptie
+            ace2 = b2 * df2 - dptie
+            u1 = step1(ace1)
+            u2 = step2(ace2)
+            step_loads = samples[k].tolist()
+            l1, l2 = step_loads[0]
+            record((t, df1, df2, dptie, ace1, ace2, u1, u2, l1, l2, dpm1, dpm2))
+            state = rk4_step(rhs, state, step_loads, (u1, u2), dt)
+            if not math.isfinite(sum(state)) or abs(state[0]) > _DIVERGENCE_CAP or abs(state[1]) > _DIVERGENCE_CAP:
+                return False
+        rec[:, k0:k1] = np.frombuffer(part).reshape(k1 - k0, 12).T
+        z[:] = list(state) + step1.state() + step2.state()
+        return True
+
+    if any(closed for _, _, closed in stretches):
+        maps = step_maps(model.areas, model.tie, model.nonlin, np.array([rows1]), np.array([rows2]), dt)
+        # observed rows over [z; w]: z, ace1, ace2, u1, u2, the mode arguments
+        observe = np.zeros((n + 4 + len(maps.limits), n + 6))
+        observe[:n, :n] = np.eye(n)
+        observe[n, [0, 6]] = b1, 1.0
+        observe[n + 1, [1, 6]] = b2, -1.0
+        observe[n + 2 : n + 4, :n] = maps.u[0]
+        observe[n + 4 :] = maps.modes[0]
+        table = block_table(maps, observe[None], _BLOCK)[0]
+        on_z, on_w = table[:n], table[n:]
+        prod, load_prod = np.empty_like(on_z), np.empty_like(on_w)
+        z_col = z[:, None, None]
+        # what a prediction must keep within, row by row: |df| the cap, every value finite, each mode its limit
+        bound = np.full(len(observe), np.finfo(float).max)
+        bound[:2] = _DIVERGENCE_CAP
+        bound[n + 4 :] = maps.limits
+    # the channels df1 df2 dptie ace1 ace2 u1 u2 dpm1 dpm2: their rows of rec, and of the observed rows
+    channels, observed = [1, 2, 3, 4, 5, 6, 7, 10, 11], [0, 1, 6, n, n + 1, n + 2, n + 3, 2, 3]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b, closed in stretches:
+            if not closed:
+                if not exact(a, b):
+                    return None
+                continue
+            # the load's part of every prediction in the stretch
+            np.multiply(on_w, samples[a].reshape(6, 1, 1), out=load_prod)
+            load_part = sum_rows(load_prod)
+            for k0 in range(a, b, _BLOCK):
+                k1 = min(k0 + _BLOCK, b)
+                steps = k1 - k0
+                y = prod[:, : steps + 1]
+                np.multiply(on_z[:, : steps + 1], z_col, out=y)
+                y = sum_rows(y)
+                y += load_part[: steps + 1]
+                # rows 0..steps: the state after every step checked, each mode also one step past the block
+                if (np.abs(y) <= bound).all():
+                    rec[channels, k0:k1] = y[:steps, observed].T
+                    z[:] = y[steps, :n]
+                elif not exact(k0, k1):
+                    return None
+
+    # the final sample, at n * dt itself, as simulate records it
+    end = z.tolist()
+    df1, df2, dpm1, dpm2, _, _, dptie = end[:7]
+    ace1 = b1 * df1 + dptie
+    ace2 = b2 * df2 - dptie
+    u1 = controller_step(rows1, x=end[7 : 7 + n1])(ace1)
+    u2 = controller_step(rows2, x=end[7 + n1 :])(ace2)
+    t = n_steps * dt
+    rec[1:, n_steps] = (df1, df2, dptie, ace1, ace2, u1, u2, loads.fns[0](t), loads.fns[1](t), dpm1, dpm2)
+    return Trajectory(*rec)

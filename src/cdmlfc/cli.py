@@ -363,6 +363,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    if args.command == "optimize" and args.algorithm == "random-search" and cfg.wca.fitness_inverted:
+        # the flag is refused above, so the key came from --config, which WCA runs may share: run on
+        note = "optimizer.fitness_inverted does not apply to random-search, which allocates no streams; ignored"
+        print(f"note: {note}", file=sys.stderr)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -142,16 +142,20 @@ class DiscreteController:
         self.step = controller_step(self.rows)
 
 
-def controller_step(rows: list[list[float]], unrolled: bool = True) -> Callable[[float], float]:
-    """DiscreteController's step(y) -> u over the realization rows S, from a zero
-    state. Orders 1 and 2 (pi; pid and CDM at synthesize's default degrees)
+def controller_step(
+    rows: list[list[float]], unrolled: bool = True, x: Optional[Sequence[float]] = None
+) -> Callable[[float], float]:
+    """DiscreteController's step(y) -> u over the realization rows S, from the
+    state x (zero by default); the step's state() gives its current state.
+    Orders 1 and 2 (pi; pid and CDM at synthesize's default degrees)
     are unrolled into one expression per row; any other order, or unrolled
     False, sums the rows in a loop. Both give the same bits. The loop does not
     use sum() (compensated from Python 3.12) or math.fsum (exact)."""
     n = len(rows) - 1
+    x = [0.0] * n if x is None else [float(v) for v in x]
     if unrolled and n == 1:
         (c0, d), (a00, b0) = rows
-        x0 = 0.0
+        (x0,) = x
 
         def step(y: float) -> float:
             nonlocal x0
@@ -159,10 +163,11 @@ def controller_step(rows: list[list[float]], unrolled: bool = True) -> Callable[
             x0 = a00 * x0 + b0 * y
             return u
 
+        step.state = lambda: [x0]
         return step
     if unrolled and n == 2:
         (c0, c1, d), (a00, a01, b0), (a10, a11, b1) = rows
-        x0 = x1 = 0.0
+        x0, x1 = x
 
         def step(y: float) -> float:
             nonlocal x0, x1
@@ -170,9 +175,10 @@ def controller_step(rows: list[list[float]], unrolled: bool = True) -> Callable[
             x0, x1 = a00 * x0 + a01 * x1 + b0 * y, a10 * x0 + a11 * x1 + b1 * y
             return u
 
+        step.state = lambda: [x0, x1]
         return step
 
-    z = [0.0] * (n + 1)  # [x; y]
+    z = x + [0.0]  # [x; y]
 
     def step(y: float) -> float:
         z[n] = y
@@ -185,6 +191,7 @@ def controller_step(rows: list[list[float]], unrolled: bool = True) -> Callable[
         z[:n] = w[1:]
         return -w[0]
 
+    step.state = lambda: z[:n]
     return step
 
 
@@ -237,6 +244,14 @@ def load_samples(loads: tuple[LoadFn, LoadFn], dt: float, n_steps: int) -> np.nd
     times = ((t, t + 0.5 * dt, t + dt) for t in (k * dt for k in range(n_steps)))
     samples = (load(s) for step in times for s in step for load in loads)
     return np.fromiter(samples, float, count=6 * n_steps).reshape(n_steps, 3, 2)
+
+
+def load_row_changes(samples: np.ndarray) -> np.ndarray:
+    """The steps whose load_samples row differs from the previous step's, step 0
+    first: where the loads both simulators hold over a step change."""
+    changed = np.ones(len(samples), bool)
+    changed[1:] = (samples[1:] != samples[:-1]).any(axis=(1, 2))
+    return np.flatnonzero(changed)
 
 
 @dataclass(frozen=True)
@@ -465,6 +480,7 @@ def simulate(
     dt: float = 0.01,
     horizon: float = 60.0,
     controller_dt: float | None = None,
+    closed_form: bool = False,
 ) -> Trajectory:
     """Simulate the closed two-area loop over [0, horizon].
 
@@ -474,6 +490,12 @@ def simulate(
     of the integrator step (it must be an integer multiple of dt; default:
     equal to dt). Refining dt with controller_dt held therefore tests pure
     integrator convergence, with the control sequence unchanged.
+
+    closed_form takes the run's linear stretches in closed form and steps
+    the rest exactly (affine.closed_form_run); it needs controller_dt = dt. Its
+    channels lie within about 1e-13 of their peak magnitude of the exact
+    run's. A run whose exact steps diverge there runs again here from t = 0,
+    so that it raises this loop's NonFiniteState.
     """
     n_steps = _n_steps(horizon, dt)
     if controller_dt is None:
@@ -485,6 +507,14 @@ def simulate(
         loads = LoadTable.sample(loads, dt, horizon)
     elif loads.dt != dt or len(loads.samples) != n_steps:
         raise ValueError("the load table was sampled on another dt or horizon")
+    if closed_form:
+        if decim != 1:
+            raise ValueError("closed_form needs controller_dt = dt")
+        from .affine import closed_form_run  # which imports this module
+
+        traj = closed_form_run(model, loads, dt, n_steps)
+        if traj is not None:
+            return traj
 
     a1, a2 = model.areas
     b1, b2 = frequency_bias(a1), frequency_bias(a2)
@@ -584,10 +614,9 @@ class BatchCdmSimulator:
         self.plant = (areas, tie, nonlin)
         self.bias = np.array([[frequency_bias(areas[0])], [frequency_bias(areas[1])]])
         # each step's load samples as (2, 1) columns, kept for the steps whose row differs from the last
-        table = load_samples(loads, dt, self.n_steps)[..., None]
-        changed = np.ones(self.n_steps, bool)
-        changed[1:] = (table[1:] != table[:-1]).any(axis=(1, 2, 3))
-        self.load_changes = {k: table[k] for k in np.flatnonzero(changed).tolist()}
+        samples = load_samples(loads, dt, self.n_steps)
+        table = samples[..., None]
+        self.load_changes = {k: table[k] for k in load_row_changes(samples).tolist()}
 
     def run_iae(self, controller_pairs: Sequence[tuple[CdmController, CdmController]]) -> np.ndarray:
         """The IAE of each (area 1, area 2) controller pair, NaN where it diverges.

@@ -537,6 +537,25 @@ class TestCliCommands:
         assert "--fitness-inverted" in err and "random-search" in err and "no streams" in err
         assert not (tmp_path / "out").exists()
 
+    def test_fitness_inverted_in_the_config_noted_by_random_search(self, tmp_path, capsys):
+        # a config shared with WCA runs may carry the key: random search names
+        # it on stderr, runs on and writes what it writes without the key
+        settings = {"n_pop": 8, "n_sr": 2, "max_it": 1, "objective": {"horizon": 1.0}}
+        outputs = []
+        for inverted in (False, True):
+            cfg = tmp_path / f"cfg{inverted}.json"
+            cfg.write_text(json.dumps({"optimizer": {**settings, "fitness_inverted": inverted}}))
+            out = tmp_path / f"out{inverted}"
+            rc = main(["optimize", "--algorithm", "random-search", "--config", str(cfg), "--out", str(out)])
+            assert rc == 0
+            captured = capsys.readouterr()
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+            outputs.append((captured.out, files))
+            notes = [line for line in captured.err.splitlines() if "optimizer.fitness_inverted" in line]
+            assert len(notes) == (1 if inverted else 0)
+        assert "random-search" in notes[0] and "ignored" in notes[0]
+        assert outputs[0] == outputs[1]
+
     def test_disturbance_time_outside_the_horizon_exits_2(self, tmp_path, capsys):
         for when in (100.0, 10.0, -5.0):
             cfg = tmp_path / "cfg.json"
@@ -623,10 +642,13 @@ class TestCliCommands:
 def test_case_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
     # The controllers step in plain float arithmetic, not through numpy's
     # small matrix products, whose OpenBLAS kernels fuse a multiply-add on
-    # some CPU types and not on others. So case 2's pid and pi outputs are the
-    # same bytes under the default kernel and under OPENBLAS_CORETYPE=Nehalem,
-    # which is set in the child process only. Where numpy's BLAS ignores the
-    # variable, both runs take one kernel and this passes trivially.
+    # some CPU types and not on others, and the closed form builds and applies
+    # its step maps with elementwise products only. So the pid and pi outputs
+    # of case 2 and of case 4, whose piecewise-constant loads run mostly in
+    # closed form, are the same bytes under the default kernel and under
+    # OPENBLAS_CORETYPE=Nehalem, which is set in the child process only. Where
+    # numpy's BLAS ignores the variable, both runs take one kernel and this
+    # passes trivially.
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     trees = []
     for coretype in (None, "Nehalem"):
@@ -635,9 +657,10 @@ def test_case_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
         if coretype:
             env["OPENBLAS_CORETYPE"] = coretype
         out = tmp_path / (coretype or "default")
-        argv = ["case", "2", "--controllers", "pid,pi", "--out", str(out)]
-        run = subprocess.run([sys.executable, "-m", "cdmlfc.cli", *argv], env=env, capture_output=True, text=True)
-        assert run.returncode == 0, run.stderr
+        for case in ("2", "4"):
+            argv = ["case", case, "--controllers", "pid,pi", "--out", str(out / case)]
+            run = subprocess.run([sys.executable, "-m", "cdmlfc.cli", *argv], env=env, capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
         trees.append({path.relative_to(out): path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()})
     assert trees[0].keys() == trees[1].keys()
     assert [name for name in trees[0] if trees[0][name] != trees[1][name]] == []
