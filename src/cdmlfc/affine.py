@@ -21,33 +21,26 @@ coefficients of chosen affine rows after 0..B steps under one load row,
 z_j = F^j z_0 + sum_{i<j} F^i G w, built by doubling, and sum_rows adds
 their products up. Every matrix product is elementwise, each product
 rounded on its own and summed in a fixed order: no BLAS or LAPACK call, so
-no result depends on the CPU kernel. closed_form_run runs simulate's loop
-on them (simulate(..., closed_form=True)).
+no result depends on the CPU kernel. block_predictor predicts a block of
+simulate's steps from them and checks the prediction; simulate
+(closed_form=True) steps exactly wherever the check fails.
+
+_rk4_maps writes the plant a third time, as matrices of its linear mode,
+beside sim's plant_rhs and lanes_step. This module imports nothing from
+sim, which imports it only for a closed-form run.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .plant import AreaParams, NonlinearityConfig, TieLine, frequency_bias
-from .sim import (
-    _DIVERGENCE_CAP,
-    DiscreteController,
-    LoadTable,
-    SystemModel,
-    Trajectory,
-    controller_step,
-    load_row_changes,
-    plant_rhs,
-    rk4_step,
-)
 
-# closed_form_run's block length in steps: measured at 25, 50 and 100 on cases 2-5
+# the length in steps of simulate's closed-form blocks: measured at 25, 50 and 100 on cases 2-5
 _BLOCK = 50
 
 
@@ -213,123 +206,54 @@ def block_table(maps: StepMaps, observe: np.ndarray, length: int) -> np.ndarray:
     return np.ascontiguousarray(table.transpose(0, 3, 1, 2))
 
 
-def closed_form_run(model: SystemModel, loads: LoadTable, dt: float, n_steps: int) -> Optional[Trajectory]:
-    """simulate's run over n_steps of dt with its controllers sampled every
-    step, taking its linear stretches in closed form; None where an exact
-    step diverges.
+def block_predictor(model, rows1: list, rows2: list, dt: float, cap: float) -> Callable:
+    """The closed form of simulate's blocks for the SystemModel model, whose
+    controllers step every plant step dt by the realization rows rows1 and
+    rows2 (DiscreteController.rows): under(w) for a load_samples row w
+    returns predict(z, steps), which predicts the next steps (at most
+    _BLOCK) under w from the state z, in z's order.
 
-    The run splits where the load row changes (load_row_changes). A stretch
-    of two or more equal rows is cut into blocks of up to _BLOCK steps, and
-    each block is first predicted in closed form from its start state
-    through block_table: every recorded channel, the state after each
-    step, and the clamp and dead-zone arguments at all four RK4 stages of
-    each step and of one step past the block. The prediction stands if each
-    argument lies within its limit and every value is finite, with |df1|
-    and |df2| within the divergence cap. Otherwise, and over one-step
-    stretches (a load that changes every step, such as a sine), the steps
-    run exactly as simulate runs them (rk4_step and the controllers' rows)
-    from the block's start state, so they equal simulate's steps bit for bit
-    from that state; the closed form resumes from the block's end state.
+    A prediction covers every recorded channel, the state after each step,
+    and the clamp and dead-zone arguments at all four RK4 stages of each
+    step and of one step past the block. It stands if each argument lies
+    within its limit and every value is finite, with |df1| and |df2| within
+    cap; predict then returns the block's channels df1 df2 dptie ace1 ace2
+    u1 u2 dpm1 dpm2, one row each, and its end state, and None otherwise. A
+    prediction may overflow on its way to failing the check, so simulate
+    calls predict under np.errstate(over="ignore", invalid="ignore").
     """
-    samples = loads.samples
-    # stretches (k0, k1, closed) of equal load rows, closed if longer than a step; a run of
-    # one-step stretches merges into one exact stretch, which starts where the run does
-    changes = load_row_changes(samples)
-    closed = np.diff(changes, append=n_steps) > 1
-    first = closed.copy()
-    first[0] = True
-    first[1:] |= closed[:-1]
-    starts = changes[first]
-    stretches = list(zip(starts.tolist(), np.append(starts[1:], n_steps).tolist(), closed[first].tolist()))
+    b1, b2 = frequency_bias(model.areas[0]), frequency_bias(model.areas[1])
+    n = 7 + (len(rows1) - 1) + (len(rows2) - 1)  # z's size
+    maps = step_maps(model.areas, model.tie, model.nonlin, np.array([rows1]), np.array([rows2]), dt)
+    # observed rows over [z; w]: z, ace1, ace2, u1, u2, the mode arguments
+    observe = np.zeros((n + 4 + len(maps.limits), n + 6))
+    observe[:n, :n] = np.eye(n)
+    observe[n, [0, 6]] = b1, 1.0
+    observe[n + 1, [1, 6]] = b2, -1.0
+    observe[n + 2 : n + 4, :n] = maps.u[0]
+    observe[n + 4 :] = maps.modes[0]
+    table = block_table(maps, observe[None], _BLOCK)[0]
+    on_z, on_w = table[:n], table[n:]
+    prod = np.empty_like(on_z)
+    # what a prediction must keep within, row by row: |df| the cap, every value finite, each mode its limit
+    bound = np.full(len(observe), np.finfo(float).max)
+    bound[:2] = cap
+    bound[n + 4 :] = maps.limits
+    channels = [0, 1, 6, n, n + 1, n + 2, n + 3, 2, 3]
 
-    a1, a2 = model.areas
-    b1, b2 = frequency_bias(a1), frequency_bias(a2)
-    rows1, rows2 = (DiscreteController(spec, dt).rows for spec in model.controllers)
-    n1 = len(rows1) - 1
-    n = 7 + n1 + len(rows2) - 1
-    rhs = plant_rhs(model.areas, model.tie, model.nonlin)
+    def under(w: np.ndarray) -> Callable[[np.ndarray, int], Optional[tuple[np.ndarray, np.ndarray]]]:
+        load_part = sum_rows(on_w * w.reshape(6, 1, 1))  # the load's part of every prediction under w
 
-    # the channels in Trajectory's field order, one row each
-    rec = np.empty((12, n_steps + 1))
-    rec[0] = np.arange(n_steps + 1) * dt
-    rec[8:10, :-1] = samples[:, 0].T
-    z = np.zeros(n)  # the state at the start of the next block: the plant's, then both controllers'
+        def predict(z: np.ndarray, steps: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+            y = prod[:, : steps + 1]
+            np.multiply(on_z[:, : steps + 1], z[:, None, None], out=y)
+            y = sum_rows(y)
+            y += load_part[: steps + 1]
+            # rows 0..steps: the state after every step checked, each mode also one step past the block
+            if not (np.abs(y) <= bound).all():
+                return None
+            return y[:steps, channels].T, y[steps, :n].copy()
 
-    def exact(k0: int, k1: int) -> bool:
-        """simulate's steps k0..k1-1 from z, recorded, their end state left in
-        z; False where a step diverges."""
-        start = z.tolist()
-        state = tuple(start[:7])
-        step1, step2 = controller_step(rows1, x=start[7 : 7 + n1]), controller_step(rows2, x=start[7 + n1 :])
-        part = array("d")
-        record = part.extend
-        for k in range(k0, k1):
-            t = k * dt
-            df1, df2, dpm1, dpm2, _, _, dptie = state
-            ace1 = b1 * df1 + dptie
-            ace2 = b2 * df2 - dptie
-            u1 = step1(ace1)
-            u2 = step2(ace2)
-            step_loads = samples[k].tolist()
-            l1, l2 = step_loads[0]
-            record((t, df1, df2, dptie, ace1, ace2, u1, u2, l1, l2, dpm1, dpm2))
-            state = rk4_step(rhs, state, step_loads, (u1, u2), dt)
-            if not math.isfinite(sum(state)) or abs(state[0]) > _DIVERGENCE_CAP or abs(state[1]) > _DIVERGENCE_CAP:
-                return False
-        rec[:, k0:k1] = np.frombuffer(part).reshape(k1 - k0, 12).T
-        z[:] = list(state) + step1.state() + step2.state()
-        return True
+        return predict
 
-    if any(closed for _, _, closed in stretches):
-        maps = step_maps(model.areas, model.tie, model.nonlin, np.array([rows1]), np.array([rows2]), dt)
-        # observed rows over [z; w]: z, ace1, ace2, u1, u2, the mode arguments
-        observe = np.zeros((n + 4 + len(maps.limits), n + 6))
-        observe[:n, :n] = np.eye(n)
-        observe[n, [0, 6]] = b1, 1.0
-        observe[n + 1, [1, 6]] = b2, -1.0
-        observe[n + 2 : n + 4, :n] = maps.u[0]
-        observe[n + 4 :] = maps.modes[0]
-        table = block_table(maps, observe[None], _BLOCK)[0]
-        on_z, on_w = table[:n], table[n:]
-        prod, load_prod = np.empty_like(on_z), np.empty_like(on_w)
-        z_col = z[:, None, None]
-        # what a prediction must keep within, row by row: |df| the cap, every value finite, each mode its limit
-        bound = np.full(len(observe), np.finfo(float).max)
-        bound[:2] = _DIVERGENCE_CAP
-        bound[n + 4 :] = maps.limits
-    # the channels df1 df2 dptie ace1 ace2 u1 u2 dpm1 dpm2: their rows of rec, and of the observed rows
-    channels, observed = [1, 2, 3, 4, 5, 6, 7, 10, 11], [0, 1, 6, n, n + 1, n + 2, n + 3, 2, 3]
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a, b, closed in stretches:
-            if not closed:
-                if not exact(a, b):
-                    return None
-                continue
-            # the load's part of every prediction in the stretch
-            np.multiply(on_w, samples[a].reshape(6, 1, 1), out=load_prod)
-            load_part = sum_rows(load_prod)
-            for k0 in range(a, b, _BLOCK):
-                k1 = min(k0 + _BLOCK, b)
-                steps = k1 - k0
-                y = prod[:, : steps + 1]
-                np.multiply(on_z[:, : steps + 1], z_col, out=y)
-                y = sum_rows(y)
-                y += load_part[: steps + 1]
-                # rows 0..steps: the state after every step checked, each mode also one step past the block
-                if (np.abs(y) <= bound).all():
-                    rec[channels, k0:k1] = y[:steps, observed].T
-                    z[:] = y[steps, :n]
-                elif not exact(k0, k1):
-                    return None
-
-    # the final sample, at n * dt itself, as simulate records it
-    end = z.tolist()
-    df1, df2, dpm1, dpm2, _, _, dptie = end[:7]
-    ace1 = b1 * df1 + dptie
-    ace2 = b2 * df2 - dptie
-    u1 = controller_step(rows1, x=end[7 : 7 + n1])(ace1)
-    u2 = controller_step(rows2, x=end[7 + n1 :])(ace2)
-    t = n_steps * dt
-    rec[1:, n_steps] = (df1, df2, dptie, ace1, ace2, u1, u2, loads.fns[0](t), loads.fns[1](t), dpm1, dpm2)
-    return Trajectory(*rec)
+    return under

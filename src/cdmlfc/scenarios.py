@@ -356,23 +356,22 @@ def run_scenario(
     line and solver steps, and `nonlin`. The configured scenario's disturbance time must lie
     inside its run horizon (ConfigError otherwise).
 
-    Where the controllers sample every solver step (controller_dt == dt), each set runs with
-    simulate(..., closed_form=True): its stretches with the GRC clamp idle, the dead band closed
-    and the load constant go in closed form, the rest steps exactly, and every channel lies
-    within about 1e-13 of its peak magnitude of the exact run's. A sine changes the load at
-    every step, so case 3 runs exactly, byte for byte; cases 2, 4 and 5 moved in their last
-    digits with the closed form."""
+    Each set runs with simulate(..., closed_form=True): where the controllers sample every
+    solver step, its stretches with the GRC clamp idle, the dead band closed and the load
+    constant go in closed form, the rest steps exactly, and every channel lies within about
+    1e-13 of its peak magnitude of the exact run's. A sine changes the load at every step, so
+    case 3 runs exactly, byte for byte; cases 2, 4 and 5 moved in their last digits with the
+    closed form."""
     horizon = cfg.run_horizon(definition.horizon, f"case {case_id}" if case_id else "the scenario (scenario.horizon)")
     if not case_id and not 0.0 <= definition.disturbance_time < horizon:
         raise ConfigError("scenario.disturbance_time", f"must lie in [0, {horizon:g}), the run horizon")
     pairs = [(name, cfg.controller_pair(name)) for name in controllers]
     areas = tuple(replace(area, **overrides) for area, overrides in zip(cfg.areas, definition.area_overrides))
     loads = scenario_loads(definition, cfg, horizon)
-    closed_form = cfg.controller_dt == cfg.dt  # the controllers sample every step: linear stretches in closed form
     results = []
     for name, pair in pairs:
         model = SystemModel(areas, cfg.tie, nonlin, pair)
-        traj = simulate(model, loads, cfg.dt, horizon, cfg.controller_dt, closed_form=closed_form)
+        traj = simulate(model, loads, cfg.dt, horizon, cfg.controller_dt, closed_form=True)
         results.append(ControllerResult(name, evaluate(traj, t0=definition.disturbance_time), traj))
     return CaseReport(
         case_id=case_id,

@@ -4,18 +4,19 @@ Plant states (df, dPm, dPg per area, shared dPtie) integrate with classic
 RK4; the generation-rate clamp is applied inside every stage evaluation.
 Both simulators hold the state in one order, df1 df2 dpm1 dpm2 dpg1 dpg2
 dptie: a 7-tuple for one lane, the rows of a (7, lanes) array for many.
-The plant is written twice, once per driver: plant_rhs and rk4_step step
-one lane (simulate), and lanes_step steps the stacked array in place with
-the same operations per lane (BatchCdmSimulator), binding its views,
-buffers and RK4 stages once per run.
+The plant is written once per driver (and its linear mode as matrices in
+affine._rk4_maps): plant_rhs and rk4_step step one lane (simulate), and
+lanes_step steps the stacked array in place with the same operations per
+lane (BatchCdmSimulator), binding its views, buffers and RK4 stages once
+per run.
 The scalar step works on named floats: plant_rhs binds the area parameters
 as locals and tests the rate clamp and the dead band inline, and rk4_step
 unpacks the state and each stage once and writes every stage and the final
-sum out per state, with no per-stage tuple building. simulate records each
-sample's twelve floats into one flat array('d'), and takes its loads either
-as functions, sampled into a load_samples table per run, or as a LoadTable
-sampled once and shared by every run on the same grid (a scenario's
-controller sets, a sweep's cells).
+sum out per state, with no per-stage tuple building. simulate's one loop
+of exact steps records nine floats a step into one flat array('d'), and
+simulate takes its loads either as functions, sampled into a load_samples
+table per run, or as a LoadTable sampled once and shared by every run on
+the same grid (a scenario's controller sets, a sweep's cells).
 Controllers act on ACE and run as trapezoidal (Tustin) discrete blocks
 updated once per sample, in plain float arithmetic in both drivers: the
 realization rows S = [[Cd, Dd], [Ad, Bd]] applied to [x; y], each product
@@ -136,9 +137,8 @@ class DiscreteController:
     """
 
     def __init__(self, spec: ControllerSpec, dt: float):
-        a, b, c, d = _continuous_realization(spec)
-        self.ad, self.bd, self.cd, self.dd = tustin_discretize(a, b, c, d, dt)
-        self.rows = np.block([[self.cd, self.dd], [self.ad, self.bd[:, None]]]).tolist()
+        ad, bd, cd, dd = tustin_discretize(*_continuous_realization(spec), dt)
+        self.rows = np.block([[cd, dd], [ad, bd[:, None]]]).tolist()
         self.step = controller_step(self.rows)
 
 
@@ -252,6 +252,19 @@ def load_row_changes(samples: np.ndarray) -> np.ndarray:
     changed = np.ones(len(samples), bool)
     changed[1:] = (samples[1:] != samples[:-1]).any(axis=(1, 2))
     return np.flatnonzero(changed)
+
+
+def load_stretches(samples: np.ndarray) -> list[tuple[int, int, bool]]:
+    """Stretches (k0, k1, closed) of equal load_samples rows, closed where one
+    holds two or more steps; consecutive one-step stretches merge into one."""
+    n_steps = len(samples)
+    changes = load_row_changes(samples)
+    closed = np.diff(changes, append=n_steps) > 1
+    first = closed.copy()
+    first[0] = True
+    first[1:] |= closed[:-1]
+    starts = changes[first]
+    return list(zip(starts.tolist(), np.append(starts[1:], n_steps).tolist(), closed[first].tolist()))
 
 
 @dataclass(frozen=True)
@@ -491,11 +504,13 @@ def simulate(
     equal to dt). Refining dt with controller_dt held therefore tests pure
     integrator convergence, with the control sequence unchanged.
 
-    closed_form takes the run's linear stretches in closed form and steps
-    the rest exactly (affine.closed_form_run); it needs controller_dt = dt. Its
-    channels lie within about 1e-13 of their peak magnitude of the exact
-    run's. A run whose exact steps diverge there runs again here from t = 0,
-    so that it raises this loop's NonFiniteState.
+    closed_form takes the linear stretches in closed form where the
+    controllers sample every step: blocks of up to affine._BLOCK steps in
+    stretches of equal load rows (load_stretches), each predicted by
+    affine.block_predictor; the one-step stretches and the blocks that fail
+    the prediction's check take the exact steps. Its channels lie within
+    about 1e-13 of their peak magnitude of the exact run's; a run whose
+    exact steps diverge runs again exactly, to raise the exact NonFiniteState.
     """
     n_steps = _n_steps(horizon, dt)
     if controller_dt is None:
@@ -507,47 +522,84 @@ def simulate(
         loads = LoadTable.sample(loads, dt, horizon)
     elif loads.dt != dt or len(loads.samples) != n_steps:
         raise ValueError("the load table was sampled on another dt or horizon")
-    if closed_form:
-        if decim != 1:
-            raise ValueError("closed_form needs controller_dt = dt")
-        from .affine import closed_form_run  # which imports this module
-
-        traj = closed_form_run(model, loads, dt, n_steps)
-        if traj is not None:
-            return traj
 
     a1, a2 = model.areas
     b1, b2 = frequency_bias(a1), frequency_bias(a2)
-    step1 = DiscreteController(model.controllers[0], controller_dt).step
-    step2 = DiscreteController(model.controllers[1], controller_dt).step
+    rows1, rows2 = (DiscreteController(spec, controller_dt).rows for spec in model.controllers)
+    n1 = len(rows1) - 1
     rhs = plant_rhs(model.areas, model.tie, model.nonlin)
     table = loads.samples
 
-    # the samples in Trajectory's field order, twelve floats each
-    rec = array("d")
-    record = rec.extend
-    state = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    u1 = u2 = 0.0
-    for k in range(n_steps + 1):
-        t = k * dt
-        df1, df2, dpm1, dpm2, _, _, dptie = state
-        ace1 = b1 * df1 + dptie
-        ace2 = b2 * df2 - dptie
-        if k % decim == 0:
-            u1 = step1(ace1)
-            u2 = step2(ace2)
-        if k == n_steps:
-            # sampled at n * dt itself, which need not equal (n - 1) * dt + dt
-            record((t, df1, df2, dptie, ace1, ace2, u1, u2, loads.fns[0](t), loads.fns[1](t), dpm1, dpm2))
-            break
-        step_loads = table[k].tolist()  # Python floats: numpy scalars would slow every stage
-        l1, l2 = step_loads[0]
-        record((t, df1, df2, dptie, ace1, ace2, u1, u2, l1, l2, dpm1, dpm2))
-        state = rk4_step(rhs, state, step_loads, (u1, u2), dt)
-        if not math.isfinite(sum(state)) or abs(state[0]) > _DIVERGENCE_CAP or abs(state[1]) > _DIVERGENCE_CAP:
-            raise NonFiniteState(t + dt, f"state={state}")
+    # Trajectory's channels, one row each; a step records all but t, dpl1 and dpl2
+    rec = np.empty((12, n_steps + 1))
+    rec[0] = np.arange(n_steps + 1) * dt
+    rec[8:10, :-1] = table[:, 0].T
+    channels = [1, 2, 3, 4, 5, 6, 7, 10, 11]
+    z = np.zeros(7 + n1 + len(rows2) - 1)  # the state at the next step
+    held = [0.0, 0.0]  # u1 and u2 as last sampled
 
-    return Trajectory(*np.frombuffer(rec).reshape(n_steps + 1, 12).T.copy())  # one contiguous array per channel
+    def exact(k0: int, k1: int) -> None:
+        """Steps k0..k1-1 from z and held, recorded, their end state left in z and held."""
+        start = z.tolist()
+        state = tuple(start[:7])
+        step1, step2 = controller_step(rows1, x=start[7 : 7 + n1]), controller_step(rows2, x=start[7 + n1 :])
+        u1, u2 = held
+        part = array("d")
+        record = part.extend
+        for k in range(k0, k1):
+            df1, df2, dpm1, dpm2, _, _, dptie = state
+            ace1 = b1 * df1 + dptie
+            ace2 = b2 * df2 - dptie
+            if k % decim == 0:
+                u1 = step1(ace1)
+                u2 = step2(ace2)
+            record((df1, df2, dptie, ace1, ace2, u1, u2, dpm1, dpm2))
+            # the loads as Python floats: numpy scalars would slow every stage
+            state = rk4_step(rhs, state, table[k].tolist(), (u1, u2), dt)
+            if not math.isfinite(sum(state)) or abs(state[0]) > _DIVERGENCE_CAP or abs(state[1]) > _DIVERGENCE_CAP:
+                raise NonFiniteState(k * dt + dt, f"state={state}")
+        rec[channels, k0:k1] = np.frombuffer(part).reshape(k1 - k0, 9).T
+        z[:] = list(state) + step1.state() + step2.state()
+        held[:] = u1, u2
+
+    stretches = load_stretches(table) if closed_form and decim == 1 else [(0, n_steps, False)]
+    closed_form = any(closed for _, _, closed in stretches)
+    if closed_form:
+        from .affine import _BLOCK, block_predictor  # only here, so that tuning never compiles it
+
+        under = block_predictor(model, rows1, rows2, dt, _DIVERGENCE_CAP)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # a prediction that overflows fails its check
+            for a, b, closed in stretches:
+                if not closed:
+                    exact(a, b)
+                    continue
+                predict = under(table[a])
+                for k0 in range(a, b, _BLOCK):
+                    k1 = min(k0 + _BLOCK, b)
+                    block = predict(z, k1 - k0)
+                    if block is None:
+                        exact(k0, k1)
+                    else:
+                        rec[channels, k0:k1], z[:] = block
+    except NonFiniteState:
+        if not closed_form:
+            raise
+        z[:] = 0.0  # from t = 0 (u is sampled at every step)
+        exact(0, n_steps)
+
+    # the final sample, at n * dt itself, which need not equal (n - 1) * dt + dt
+    end = z.tolist()
+    df1, df2, dpm1, dpm2, _, _, dptie = end[:7]
+    ace1 = b1 * df1 + dptie
+    ace2 = b2 * df2 - dptie
+    u1, u2 = held
+    if n_steps % decim == 0:
+        u1 = controller_step(rows1, x=end[7 : 7 + n1])(ace1)
+        u2 = controller_step(rows2, x=end[7 + n1 :])(ace2)
+    t = n_steps * dt
+    rec[1:, n_steps] = (df1, df2, dptie, ace1, ace2, u1, u2, loads.fns[0](t), loads.fns[1](t), dpm1, dpm2)
+    return Trajectory(*rec)
 
 
 class BatchCdmSimulator:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cdmlfc import affine, defaults
+from cdmlfc import affine, defaults, sim
 from cdmlfc.affine import block_table, step_maps
 from cdmlfc.cdm import CdmController
 from cdmlfc.config import build_config
@@ -191,7 +191,7 @@ class TestClosedForm:
         # case 2's cdm run takes all but its one-step stretch (the row whose
         # end sample sees the load step) in closed form
         steps = []
-        monkeypatch.setattr(affine, "rk4_step", lambda *args: steps.append(1) or rk4_step(*args))
+        monkeypatch.setattr(sim, "rk4_step", lambda *args: steps.append(1) or rk4_step(*args))
         m, loads, horizon = case_run(2, "cdm")
         simulate(m, loads, dt=0.01, horizon=horizon, closed_form=True)
         assert len(steps) == 1
@@ -218,10 +218,11 @@ class TestClosedForm:
             simulate(m, loads, dt=0.01, horizon=60.0, closed_form=True)
         assert (got.value.time, str(got.value)) == (want.value.time, str(want.value))
 
-    def test_controllers_must_sample_every_step(self):
+    def test_controllers_sampled_every_other_step_run_exactly(self):
+        # the closed form needs controller_dt = dt; at 0.02 every step runs exactly
         m, loads, horizon = case_run(2, "pi")
-        with pytest.raises(ValueError, match="closed_form"):
-            simulate(m, loads, dt=0.01, horizon=horizon, controller_dt=0.02, closed_form=True)
+        want = simulate(m, loads, dt=0.01, horizon=horizon, controller_dt=0.02)
+        assert identical(simulate(m, loads, dt=0.01, horizon=horizon, controller_dt=0.02, closed_form=True), want)
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import pathlib
 import re
@@ -32,9 +33,23 @@ def test_imports_are_the_declared_dependencies():
     assert third_party_imports() == declared_dependencies()
 
 
-def test_cli_import_leaves_scipy_out():
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """code run by a fresh interpreter that imports the package from src."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, cdmlfc.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_cli_import_leaves_scipy_out():
+    out = run_python("import sys, cdmlfc.cli; print('scipy' in sys.modules)")
     assert (out.returncode, out.stdout.strip()) == (0, "False"), out.stderr
+
+
+def test_optimize_leaves_the_affine_module_out(tmp_path):
+    # tuning never takes the closed form, so optimize should not compile
+    # cdmlfc.affine: its compile peaks at about 0.9 MB where no bytecode is cached
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"optimizer": {"n_pop": 12, "max_it": 1}}))
+    argv = ["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    out = run_python(f"import sys; from cdmlfc.cli import main; rc = main({argv!r}); print(rc, 'cdmlfc.affine' in sys.modules)")
+    assert (out.returncode, out.stdout.rstrip().rpartition("\n")[2]) == (0, "0 False"), out.stderr

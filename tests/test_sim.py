@@ -211,10 +211,11 @@ class TestDiscretizeController:
         else:
             spec = IntegralSpec(data.draw(gain))
             response = lambda s: spec.ki / s
-        ctrl = DiscreteController(spec, dt)
+        rows = np.array(DiscreteController(spec, dt).rows)  # [[Cd, Dd], [Ad, Bd]]
+        cd, dd, ad, bd = rows[0, :-1], rows[0, -1], rows[1:, :-1], rows[1:, -1]
         for w in (0.1, 1.0, 10.0, 100.0):
             z = np.exp(1j * w * dt)
-            discrete = ctrl.cd @ np.linalg.solve(z * np.eye(len(ctrl.bd)) - ctrl.ad, ctrl.bd) + ctrl.dd
+            discrete = cd @ np.linalg.solve(z * np.eye(len(bd)) - ad, bd) + dd
             assert discrete == pytest.approx(response(2.0 / dt * (z - 1.0) / (z + 1.0)), rel=1e-9)
 
     @settings(max_examples=80, deadline=None)
@@ -430,13 +431,16 @@ class TestScalarEngine:
     def test_channels_equal_the_reference_loop(self, nonlin, name):
         # every recorded channel bit for bit against the reference writing, with
         # the controllers sampled every other step, under loads that change
-        # inside steps (a sine) and at sample times (steps in both areas)
+        # inside steps (a sine) and at sample times (steps in both areas); over
+        # 15.01 s (1501 steps) the final sample falls between two controller
+        # samples and holds the last u
         m = model(nonlin=nonlin, controllers=build_config().controller_pair(name))
         loads = (lambda t: STEP1(t) + 0.004 * math.sin(0.7 * t), lambda t: -0.006 if t >= 4.0 else 0.0)
-        want = reference_simulate(m, loads, 0.01, 15.0, 0.02)
-        traj = simulate(m, loads, dt=0.01, horizon=15.0, controller_dt=0.02)
-        for channel, column in zip(self.CHANNELS, want):
-            assert np.array_equal(getattr(traj, channel), column), channel
+        for horizon in (15.0, 15.01):
+            want = reference_simulate(m, loads, 0.01, horizon, 0.02)
+            traj = simulate(m, loads, dt=0.01, horizon=horizon, controller_dt=0.02)
+            for channel, column in zip(self.CHANNELS, want):
+                assert np.array_equal(getattr(traj, channel), column), (horizon, channel)
 
     def test_divergence_time_and_state_equal_the_reference_loop(self):
         m = model(nonlin=LINEAR, controllers=(IntegralSpec(-80.0), IntegralSpec(-80.0)))
