@@ -14,31 +14,32 @@ classic RK4 under the control u held over the step, which the controllers
 compute from the state before their update. Under a closed dead zone the
 droop term is 0; with no band, or under backlash, the droop is linear.
 
-step_maps builds F and G, the control rows and the affine arguments of the
-clamp and the dead zone at each of the four RK4 stages, for a leading axis
-of lanes (controller pairs on one plant). block_table turns them into the
-coefficients of chosen affine rows after 0..B steps under one load row,
-z_j = F^j z_0 + sum_{i<j} F^i G w, built by doubling, and sum_rows adds
-their products up. Every matrix product is elementwise, each product
-rounded on its own and summed in a fixed order: no BLAS or LAPACK call, so
-no result depends on the CPU kernel. block_predictor predicts a block of
-simulate's steps from them and checks the prediction; simulate
-(closed_form=True) steps exactly wherever the check fails.
+step_maps builds F and G, the ACE and control rows and the affine
+arguments of the clamp and the dead zone at each of the four RK4 stages,
+for a leading axis of lanes (controller pairs on one plant). block_table
+turns them into the coefficients of chosen affine rows after 0..B steps
+under one load row, z_j = F^j z_0 + sum_{i<j} F^i G w, built by doubling,
+and sum_rows adds their products up. Every matrix product is elementwise,
+each product rounded on its own and summed in a fixed order: no BLAS or
+LAPACK call, so no result depends on the CPU kernel. block_predictor
+predicts a block of simulate's steps from them and checks the prediction;
+simulate (closed_form=True) steps exactly wherever the check fails.
 
-_rk4_maps writes the plant a third time, as matrices of its linear mode,
-beside sim's plant_rhs and lanes_step. This module imports nothing from
-sim, which imports it only for a closed-form run.
+_rk4_maps reads the plant's linear mode off sim's own step, rk4_step of
+plant_rhs, so the plant is written nowhere here. This module binds both at
+import; sim imports it only for a closed-form run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .plant import AreaParams, NonlinearityConfig, TieLine, frequency_bias
+from .sim import plant_rhs, rk4_step
 
 # the length in steps of simulate's closed-form blocks: measured at 25, 50 and 100 on cases 2-5
 _BLOCK = 50
@@ -67,53 +68,38 @@ def sum_rows(y: np.ndarray) -> np.ndarray:
 def _rk4_maps(
     areas: tuple[AreaParams, AreaParams], tie: TieLine, nonlin: NonlinearityConfig, h: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One RK4 step of plant_rhs in its linear mode as matrices over v =
+    """One rk4_step of plant_rhs in its linear mode as matrices over v =
     [state (7); u (2); loads at the step's start, midpoint and end (6)]: the
     step map (7, 15), and the mode arguments (K, 15) with their limits (K,):
-    each area's clamp argument (dpg - dpm) / Tt at the four stages when the
-    rate is finite, then its droop input df / R at the four stages under a
-    dead zone of nonzero width."""
+    each area's clamp argument, its turbine derivative (dpg - dpm) / Tt, at
+    the four stages when the rate is finite, then its droop input df / R at
+    the four stages under a dead zone of nonzero width.
+
+    The linear mode is plant_rhs with no clamp and, under a dead zone, one
+    of infinite width, closed at any input. Its step is linear in v, so
+    column j of each matrix is that step, or a stage of it, at v's unit
+    vector j, read off rk4_step and the stages it passes to plant_rhs."""
     half = 0.5 * nonlin.gdb_width
     zone = half != 0.0 and nonlin.gdb_mode == "deadzone"
-    backlash = half != 0.0 and nonlin.gdb_mode == "backlash"
-    e = np.eye(11)  # unit rows over [state; u; the stage's loads]
-    rhs = np.zeros((7, 11))
-    for i, (area, tie_sign) in enumerate(zip(areas, (-1.0, 1.0))):
-        rhs[i] = (e[2 + i] - e[9 + i] - area.D * e[i] + tie_sign * e[6]) / area.M
-        rhs[2 + i] = (e[4 + i] - e[2 + i]) / area.Tt
-        droop = 0.0 if zone else e[i] / area.R
-        if backlash:
-            droop = 0.8 * droop - (0.2 / math.pi) * (rhs[i] / area.R)
-        rhs[4 + i] = (e[7 + i] - droop - e[4 + i]) / area.Tg
-    rhs[6] = 2.0 * math.pi * tie.T12 * (e[0] - e[1])
+    rhs = plant_rhs(areas, tie, replace(nonlin, grc_rate=math.inf, gdb_width=math.inf if zone else nonlin.gdb_width))
+    stages = []  # each stage's (state, derivative), four per step
 
-    def derivative(x, sample):
-        """rhs at the stage state x (7, 15) under load sample 0, 1 or 2."""
-        k = _matmul(rhs[:, :7], x)
-        k[:, 7:9] += rhs[:, 7:9]
-        k[:, 9 + 2 * sample : 11 + 2 * sample] += rhs[:, 9:]
+    def recording(state, loads, u):
+        k = rhs(state, loads, u)
+        stages.append((state, k))
         return k
 
-    x1 = np.eye(7, 15)
-    k1 = derivative(x1, 0)
-    x2 = x1 + 0.5 * h * k1
-    k2 = derivative(x2, 1)
-    x3 = x1 + 0.5 * h * k2
-    k3 = derivative(x3, 1)
-    x4 = x1 + h * k3
-    k4 = derivative(x4, 2)
-    phi = x1 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
+    units = np.eye(15).tolist()
+    phi = [rk4_step(recording, tuple(v[:7]), (v[9:11], v[11:13], v[13:]), tuple(v[7:9]), h) for v in units]
+    states, derivatives = np.array(stages).reshape(15, 4, 2, 7).transpose(2, 3, 1, 0)  # each (7, 4, 15)
     modes, limits = [], []
     if math.isfinite(nonlin.grc_rate):
-        for i in (0, 1):
-            modes += [k[2 + i] for k in (k1, k2, k3, k4)]
-            limits += [nonlin.grc_rate] * 4
+        modes.append(derivatives[2:4])
+        limits += [nonlin.grc_rate] * 8
     if zone:
-        for i, area in enumerate(areas):
-            modes += [x[i] / area.R for x in (x1, x2, x3, x4)]
-            limits += [half] * 4
-    return phi, np.array(modes).reshape(-1, 15), np.array(limits)
+        modes.append(states[0:2] / np.array([[[area.R]] for area in areas]))
+        limits += [half] * 8
+    return np.array(phi).T, np.array(modes).reshape(-1, 15), np.array(limits)
 
 
 @dataclass(frozen=True)
@@ -122,15 +108,16 @@ class StepMaps:
     one plant, z' = F z + G w (see the module docstring for z and w), with z
     of size n = 7 + n1 + n2.
 
-    f (lanes, n, n) and g (lanes, n, 6) are the map; u (lanes, 2, n) gives
-    both areas' control signals from z; modes (lanes, K, n + 6) gives, from
-    [z; w], the clamp and dead-zone arguments at each RK4 stage of the step,
-    and the step is in the linear mode while each lies within its limit
-    (K,) in magnitude.
+    f (lanes, n, n) and g (lanes, n, 6) are the map; ace (2, n) gives both
+    areas' ACE from z, and u (lanes, 2, n) their control signals; modes
+    (lanes, K, n + 6) gives, from [z; w], the clamp and dead-zone arguments
+    at each RK4 stage of the step, and the step is in the linear mode while
+    each lies within its limit (K,) in magnitude.
     """
 
     f: np.ndarray
     g: np.ndarray
+    ace: np.ndarray
     u: np.ndarray
     modes: np.ndarray
     limits: np.ndarray
@@ -179,7 +166,7 @@ def step_maps(
         f[:, at : at + order, at : at + order] = rows[:, 1:, :order]
     g = np.zeros((lanes, n, 6))
     g[:, :7] = plant[:, :, n:]
-    return StepMaps(f, g, u, close(modes), limits)
+    return StepMaps(f, g, ace, u, close(modes), limits)
 
 
 def block_table(maps: StepMaps, observe: np.ndarray, length: int) -> np.ndarray:
@@ -222,14 +209,12 @@ def block_predictor(model, rows1: list, rows2: list, dt: float, cap: float) -> C
     prediction may overflow on its way to failing the check, so simulate
     calls predict under np.errstate(over="ignore", invalid="ignore").
     """
-    b1, b2 = frequency_bias(model.areas[0]), frequency_bias(model.areas[1])
     n = 7 + (len(rows1) - 1) + (len(rows2) - 1)  # z's size
     maps = step_maps(model.areas, model.tie, model.nonlin, np.array([rows1]), np.array([rows2]), dt)
     # observed rows over [z; w]: z, ace1, ace2, u1, u2, the mode arguments
     observe = np.zeros((n + 4 + len(maps.limits), n + 6))
     observe[:n, :n] = np.eye(n)
-    observe[n, [0, 6]] = b1, 1.0
-    observe[n + 1, [1, 6]] = b2, -1.0
+    observe[n : n + 2, :n] = maps.ace
     observe[n + 2 : n + 4, :n] = maps.u[0]
     observe[n + 4 :] = maps.modes[0]
     table = block_table(maps, observe[None], _BLOCK)[0]

@@ -4,11 +4,11 @@ Plant states (df, dPm, dPg per area, shared dPtie) integrate with classic
 RK4; the generation-rate clamp is applied inside every stage evaluation.
 Both simulators hold the state in one order, df1 df2 dpm1 dpm2 dpg1 dpg2
 dptie: a 7-tuple for one lane, the rows of a (7, lanes) array for many.
-The plant is written once per driver (and its linear mode as matrices in
-affine._rk4_maps): plant_rhs and rk4_step step one lane (simulate), and
-lanes_step steps the stacked array in place with the same operations per
-lane (BatchCdmSimulator), binding its views, buffers and RK4 stages once
-per run.
+The plant is written once per driver: plant_rhs and rk4_step step one lane
+(simulate, and affine._rk4_maps, which reads the closed form's matrices off
+that step), and lanes_step steps the stacked array in place with the same
+operations per lane (BatchCdmSimulator), binding its views, buffers and
+RK4 stages once per run.
 The scalar step works on named floats: plant_rhs binds the area parameters
 as locals and tests the rate clamp and the dead band inline, and rk4_step
 unpacks the state and each stage once and writes every stage and the final
@@ -142,18 +142,16 @@ class DiscreteController:
         self.step = controller_step(self.rows)
 
 
-def controller_step(
-    rows: list[list[float]], unrolled: bool = True, x: Optional[Sequence[float]] = None
-) -> Callable[[float], float]:
+def controller_step(rows: list[list[float]], x: Optional[Sequence[float]] = None) -> Callable[[float], float]:
     """DiscreteController's step(y) -> u over the realization rows S, from the
     state x (zero by default); the step's state() gives its current state.
     Orders 1 and 2 (pi; pid and CDM at synthesize's default degrees)
-    are unrolled into one expression per row; any other order, or unrolled
-    False, sums the rows in a loop. Both give the same bits. The loop does not
-    use sum() (compensated from Python 3.12) or math.fsum (exact)."""
+    are unrolled into one expression per row; any other order sums the rows
+    in a loop, in the same order. The loop does not use sum() (compensated
+    from Python 3.12) or math.fsum (exact)."""
     n = len(rows) - 1
     x = [0.0] * n if x is None else [float(v) for v in x]
-    if unrolled and n == 1:
+    if n == 1:
         (c0, d), (a00, b0) = rows
         (x0,) = x
 
@@ -165,7 +163,7 @@ def controller_step(
 
         step.state = lambda: [x0]
         return step
-    if unrolled and n == 2:
+    if n == 2:
         (c0, c1, d), (a00, a01, b0), (a10, a11, b1) = rows
         x0, x1 = x
 

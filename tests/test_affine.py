@@ -14,7 +14,7 @@ from cdmlfc.affine import block_table, step_maps
 from cdmlfc.cdm import CdmController
 from cdmlfc.config import build_config
 from cdmlfc.errors import NonFiniteState
-from cdmlfc.plant import NonlinearityConfig, derive_design_plant, frequency_bias
+from cdmlfc.plant import AreaParams, NonlinearityConfig, derive_design_plant, frequency_bias
 from cdmlfc.poly import Polynomial, poly_mul
 from cdmlfc.scenarios import case_definition, realize, scenario_loads
 from cdmlfc.sim import (
@@ -40,6 +40,12 @@ NONLINEARITIES = {
     "stated_grc": defaults.NONLIN_DEFAULT,  # dead zone, clamp binding for seconds after a step
     "backlash": replace(defaults.NONLIN_CASES, gdb_mode="backlash"),
     "linear": NonlinearityConfig(grc_rate=math.inf, gdb_width=0.0),
+}
+# the default areas, case 5's drifted Tg and Tt, and a slower area 1 (scripts/output_trees.py's custom_model)
+AREAS = {
+    "default": CFG.areas,
+    "case5": tuple(replace(area, **o) for area, o in zip(CFG.areas, case_definition(5).area_overrides)),
+    "custom_model": (AreaParams(D=0.015, M=0.1667, R=3.0, Tg=0.16, Tt=0.8), CFG.areas[1]),
 }
 ZERO = lambda t: 0.0
 
@@ -86,14 +92,15 @@ class TestStepMaps:
         nonlin=st.sampled_from(list(NONLINEARITIES.values())),
         name=st.sampled_from(SETS),
         dt=st.sampled_from((0.005, 0.01, 0.02)),
+        areas=st.sampled_from(list(AREAS.values())),
     )
-    def test_one_step_and_mode_arguments_equal_the_scalar_step(self, data, nonlin, name, dt):
+    def test_one_step_and_mode_arguments_equal_the_scalar_step(self, data, nonlin, name, dt, areas):
         # F z + G w is one step of rk4_step and the controllers' rows wherever
         # the mode arguments, read off the stage states rk4_step passes to
         # plant_rhs, stay within their limits
         pair = CFG.controller_pair(name)
         rows = [DiscreteController(spec, dt).rows for spec in pair]
-        maps = step_maps(CFG.areas, CFG.tie, nonlin, *(np.array([r]) for r in rows), dt)
+        maps = step_maps(areas, CFG.tie, nonlin, *(np.array([r]) for r in rows), dt)
         small = st.floats(-0.02, 0.02)
         plant = data.draw(st.lists(small, min_size=7, max_size=7))
         # controller states a thousandth of that: the CDM sets' output rows weigh them by up to about 1e5
@@ -101,13 +108,13 @@ class TestStepMaps:
         loads = np.array(data.draw(st.lists(small, min_size=6, max_size=6))).reshape(3, 2)
 
         stages = []
-        scalar_rhs = plant_rhs(CFG.areas, CFG.tie, nonlin)
+        scalar_rhs = plant_rhs(areas, CFG.tie, nonlin)
 
         def recording_rhs(state, stage_loads, u):
             stages.append(state)
             return scalar_rhs(state, stage_loads, u)
 
-        b1, b2 = (frequency_bias(area) for area in CFG.areas)
+        b1, b2 = (frequency_bias(area) for area in areas)
         df1, df2, dptie = plant[0], plant[1], plant[6]
         steps = [controller_step(r, x=x) for r, x in zip(rows, xs)]
         u = (steps[0](b1 * df1 + dptie), steps[1](b2 * df2 - dptie))
@@ -117,9 +124,9 @@ class TestStepMaps:
         zw = np.concatenate([z, loads.ravel()])
         args = []
         if math.isfinite(nonlin.grc_rate):
-            args += [(s[4 + i] - s[2 + i]) / area.Tt for i, area in enumerate(CFG.areas) for s in stages]
+            args += [(s[4 + i] - s[2 + i]) / area.Tt for i, area in enumerate(areas) for s in stages]
         if nonlin.gdb_width and nonlin.gdb_mode == "deadzone":
-            args += [s[i] / area.R for i, area in enumerate(CFG.areas) for s in stages]
+            args += [s[i] / area.R for i, area in enumerate(areas) for s in stages]
         modes = maps.modes[0] @ zw
         assert maps.u[0] @ z == pytest.approx(u, rel=1e-11, abs=1e-15)
         # a stage's arguments are affine while the stages before it were linear: the first stage's always
@@ -128,6 +135,37 @@ class TestStepMaps:
             assert modes == pytest.approx(args, rel=1e-11, abs=1e-14)
             got = maps.f[0] @ z + maps.g[0] @ loads.ravel()
             assert got == pytest.approx(want, rel=1e-11, abs=1e-15)
+
+    @pytest.mark.parametrize("areas", list(AREAS.values()), ids=list(AREAS))
+    @pytest.mark.parametrize("dt", [0.005, 0.01, 0.02])
+    @pytest.mark.parametrize("nonlin", list(NONLINEARITIES.values()), ids=list(NONLINEARITIES))
+    def test_rk4_maps_are_the_scalar_step_at_unit_vectors(self, nonlin, dt, areas):
+        # column j of the step map is rk4_step of plant_rhs in its linear mode
+        # (no clamp; a dead zone wide enough to stay closed) at v's unit
+        # vector j, and of each mode row the clamp argument (dpg - dpm) / Tt
+        # or the droop input df / R of the stage states it passes, bit for bit
+        phi, modes, limits = affine._rk4_maps(areas, CFG.tie, nonlin, dt)
+        zone = nonlin.gdb_width != 0.0 and nonlin.gdb_mode == "deadzone"
+        linear = replace(nonlin, grc_rate=math.inf, gdb_width=math.inf if zone else nonlin.gdb_width)
+        scalar_rhs = plant_rhs(areas, CFG.tie, linear)
+        for j, v in enumerate(np.eye(15).tolist()):
+            stages = []
+
+            def recording_rhs(state, stage_loads, u):
+                stages.append(state)
+                return scalar_rhs(state, stage_loads, u)
+
+            step = rk4_step(recording_rhs, tuple(v[:7]), (v[9:11], v[11:13], v[13:]), tuple(v[7:9]), dt)
+            assert phi[:, j].tolist() == list(step)
+            args, want_limits = [], []
+            if math.isfinite(nonlin.grc_rate):
+                args += [(s[4 + i] - s[2 + i]) / area.Tt for i, area in enumerate(areas) for s in stages]
+                want_limits += [nonlin.grc_rate] * 8
+            if zone:
+                args += [s[i] / area.R for i, area in enumerate(areas) for s in stages]
+                want_limits += [0.5 * nonlin.gdb_width] * 8
+            assert modes[:, j].tolist() == args
+            assert limits.tolist() == want_limits
 
     @pytest.mark.parametrize("nonlin", list(NONLINEARITIES.values()), ids=list(NONLINEARITIES))
     def test_lanes_equal_one_lane_maps(self, nonlin):
@@ -138,7 +176,7 @@ class TestStepMaps:
             one = step_maps(CFG.areas, CFG.tie, nonlin, *stacked_rows(pair, 0.02), 0.02)
             for field in ("f", "g", "u", "modes"):
                 assert np.array_equal(getattr(lanes, field)[i], getattr(one, field)[0]), field
-            assert np.array_equal(lanes.limits, one.limits)
+            assert np.array_equal(lanes.ace, one.ace) and np.array_equal(lanes.limits, one.limits)
 
     @pytest.mark.parametrize("length", [1, 2, 7, 50])
     def test_block_table_rows_follow_the_step_map(self, length):
