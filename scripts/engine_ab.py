@@ -1,6 +1,6 @@
 """A/B the engines of two checkouts in one process.
 
-    python3 scripts/engine_ab.py PARENT CHANGE [--mode objective|cases] [--pairs N] [--seed S]
+    python3 scripts/engine_ab.py PARENT CHANGE [--mode objective|cases|sweep] [--pairs N] [--seed S]
 
 PARENT and CHANGE are checkout roots. Each one's `src/cdmlfc` is imported
 under its own package name, so both run in this one interpreter on the same
@@ -21,11 +21,17 @@ CHANGE / PARENT with their quartiles, and how many pairs CHANGE won.
   prints the largest difference between the two sides' trajectory
   channels, each over that channel's peak magnitude on the PARENT side, and
   exits non-zero above 1e-10.
+- sweep: `sensitivity_sweep(table6_specs(), build_config(), sets)` at the
+  sweep's default set (cdm_opt) and with all four sets, one row each (S is
+  unused). It also prints the largest relative difference of any finite
+  metric between the two sides' cells, and exits non-zero unless the same
+  cells score None (diverged) on both sides.
 """
 
 import argparse
 import importlib
 import importlib.util
+import math
 import pathlib
 import statistics
 import sys
@@ -37,6 +43,7 @@ LANES = (1, 18, 50)
 CASES = (2, 3, 4, 5)
 CONTROLLERS = ("cdm_opt", "cdm", "pid", "pi")
 CHANNEL_TOLERANCE = 1e-10  # cases: the largest channel difference over the channel's peak
+SWEEP_SETS = (("cdm_opt",), CONTROLLERS)  # the sweep's default set, then all four
 
 
 def load(root: pathlib.Path, name: str):
@@ -137,11 +144,51 @@ def cases_mode(sides: dict, pairs: int, seed: int) -> int:
     return 0 if worst <= CHANNEL_TOLERANCE else 1
 
 
+def flat(metrics) -> dict:
+    """A sweep cell's Metrics by name: the four indices, then each signal's statistics."""
+    out = {key: value for key, value in vars(metrics).items() if key != "signals"}
+    for signal, stats in metrics.signals.items():
+        out.update({f"{signal}.{key}": value for key, value in vars(stats).items()})
+    return out
+
+
+def sweep_mode(sides: dict, pairs: int, seed: int) -> int:
+    configs = {
+        side: importlib.import_module(f"{scenarios.__package__}.config").build_config()
+        for side, scenarios in sides.items()
+    }
+    print(f"{'sets':>6} {'parent_s':>9} {'change_s':>9} {'ratio':>7} {'q1':>7} {'q3':>7} {'won':>6}")
+    worst, where, diverged_alike = 0.0, None, True
+    for sets in SWEEP_SETS:
+        runs = {
+            side: (lambda s=scenarios, c=configs[side]: s.sensitivity_sweep(s.table6_specs(), c, sets))
+            for side, scenarios in sides.items()
+        }
+        seconds, reports = interleave(runs, pairs)
+        print(row(str(len(sets)), seconds))
+        for want, got in zip(reports["parent"].rows, reports["change"].rows):
+            for name in sets:
+                a, b = want.metrics[name], got.metrics[name]
+                if a is None or b is None:
+                    diverged_alike &= a is b
+                    continue
+                b = flat(b)
+                for key, x in flat(a).items():
+                    y = b[key]  # settled flags and a None t_s are not finite metrics
+                    if all(isinstance(v, float) and math.isfinite(v) for v in (x, y)):
+                        error = abs(y - x) / max(abs(x), 1e-300)
+                        if error > worst:
+                            worst, where = error, f"{want.parameter} {want.delta:+g} {name} {key}"
+    print(f"largest relative difference of a finite metric: {worst:.3g}" + (f" ({where})" if where else ""))
+    print("None cells equal" if diverged_alike else "NONE CELLS DIFFER")
+    return 0 if diverged_alike else 1
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=pathlib.Path)
     parser.add_argument("change", type=pathlib.Path)
-    parser.add_argument("--mode", choices=("objective", "cases"), default="objective")
+    parser.add_argument("--mode", choices=("objective", "cases", "sweep"), default="objective")
     parser.add_argument("--pairs", type=int, default=20)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
@@ -149,7 +196,7 @@ def main() -> int:
         parser.error("--pairs must be at least 15")
 
     sides = {"parent": load(args.parent, "cdmlfc_parent"), "change": load(args.change, "cdmlfc_change")}
-    mode = objective_mode if args.mode == "objective" else cases_mode
+    mode = {"objective": objective_mode, "cases": cases_mode, "sweep": sweep_mode}[args.mode]
     return mode(sides, args.pairs, args.seed)
 
 

@@ -94,6 +94,8 @@ def commands(configs: pathlib.Path) -> dict[str, list[str]]:
         "case2_grc_inf": ["case", "2", "--grc", "inf", "--horizon", "20", "--controllers", "cdm_opt,pi"],
         # the paper's stated rate (10% per minute): the clamp binds and many closed-form blocks step exactly
         "case4_stated_grc": ["case", "4", "--grc", str(defaults.NONLIN_DEFAULT.grc_rate), *CONTROLLERS],
+        # the sweep at the stated rate: every block after the load step falls back to exact steps
+        "sweep_stated_grc": ["sweep", "--grc", str(defaults.NONLIN_DEFAULT.grc_rate), *CONTROLLERS],
         "case2_grc_inf_divergent": ["case", "2", *config("divergent_cdm_opt"), "--grc", "inf", "--horizon", "10", "--controllers", "cdm_opt"],
         "sweep_grc_inf_divergent": ["sweep", *config("divergent_cdm_opt"), "--grc", "inf", "--controllers", "cdm_opt,pi"],
         "design_solver_flags": ["design", "--dt", "0.005"],

@@ -444,10 +444,10 @@ def sensitivity_sweep(specs: Sequence[SweepSpec], cfg: RunConfig, controllers: S
     """Robustness sweep: nominal controllers against perturbed plants.
 
     Every cell is case 2's step, on one table of its loads, on cfg's model in
-    its case regime. Controllers stay frozen at their nominal design, resolved
-    before any cell runs; only the simulated plant drifts. One shared nominal
-    row plus one row per (parameter, delta) pair; a controller pair that
-    diverges in a cell scores None.
+    its case regime: one nominal row, then one per (parameter, delta) pair.
+    Controllers stay at their nominal design, resolved before any cell runs.
+    Each cell and set is run_scenario's run of a set, closed form included,
+    so the nominal row is case 2's run bit for bit; None where it diverges.
     """
     case2 = case_definition(2)
     pairs = {name: cfg.controller_pair(name) for name in controllers}
@@ -459,7 +459,7 @@ def sensitivity_sweep(specs: Sequence[SweepSpec], cfg: RunConfig, controllers: S
         for name, pair in pairs.items():
             model = SystemModel(areas, cfg.tie, cfg.cases_nonlin, pair)
             try:
-                traj = simulate(model, loads, dt=cfg.dt, horizon=horizon, controller_dt=cfg.controller_dt)
+                traj = simulate(model, loads, cfg.dt, horizon, cfg.controller_dt, closed_form=True)
             except NonFiniteState:
                 out[name] = None
             else:

@@ -115,7 +115,7 @@ def _continuous_realization(spec: ControllerSpec) -> tuple[np.ndarray, np.ndarra
 def tustin_discretize(
     a: np.ndarray, b: np.ndarray, c: np.ndarray, d: float, dt: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Bilinear (trapezoidal) discretization of (A, B, C, D) at step dt, in four linear solves."""
+    """Bilinear (trapezoidal) discretization of (A, B, C, D) at step dt: three linear solves (Ad, Bd, Cd) and one dot product (Dd)."""
     eye = np.eye(a.shape[0])
     ima = eye - 0.5 * dt * a
     ad = np.linalg.solve(ima, eye + 0.5 * dt * a)

@@ -273,11 +273,12 @@ class TestRunCase:
 
 class TestSensitivitySweep:
     def test_nominal_row_matches_case2(self):
+        """The nominal cell is case 2's run: every index and signal statistic equal, for each set."""
         cfg = build_config(overrides={"solver.horizon": 30.0})
-        sweep = sensitivity_sweep([SweepSpec("area1.Tt", (0.25,))], cfg, ("cdm_opt",))
-        nominal = sweep.rows[0].metrics["cdm_opt"]
-        case = run_case(2, cfg, ("cdm_opt",))
-        assert nominal.iae == pytest.approx(case.results[0].metrics.iae, rel=1e-12)
+        sets = ("cdm_opt", "cdm", "pid", "pi")
+        sweep = sensitivity_sweep([SweepSpec("area1.Tt", (0.25,))], cfg, sets)
+        case = run_case(2, cfg, sets)
+        assert {name: sweep.rows[0].metrics[name] for name in sets} == {r.name: r.metrics for r in case.results}
 
     def test_table6_cardinality(self):
         sweep = sensitivity_sweep(table6_specs(), build_config(), ("cdm_opt",))
