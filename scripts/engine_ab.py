@@ -20,7 +20,9 @@ CHANGE / PARENT with their quartiles, and how many pairs CHANGE won.
   cases seed), one row per case and one for the four together. It also
   prints the largest difference between the two sides' trajectory
   channels, each over that channel's peak magnitude on the PARENT side, and
-  exits non-zero above 1e-10.
+  exits non-zero above 1e-10. After the timed pairs, one untimed pass per
+  side counts each case's exact steps per set (the calls of that side's
+  `sim.rk4_step`) and prints them per case.
 - sweep: `sensitivity_sweep(table6_specs(), build_config(), sets)` at the
   sweep's default set (cdm_opt) and with all four sets, one row each (S is
   unused). It also prints the largest relative difference of any finite
@@ -141,7 +143,41 @@ def cases_mode(sides: dict, pairs: int, seed: int) -> int:
                     worst, where = error, f"case {case_id} {want.name} {channel}"
     print(row("all", {side: list(v) for side, v in totals.items()}))
     print(f"largest channel difference over its peak: {worst:.3g}" + (f" ({where})" if where else ""))
+    steps = {side: exact_steps(scenarios, configs[side]) for side, scenarios in sides.items()}
+    print(f"exact steps per set ({'/'.join(CONTROLLERS)}), parent -> change:")
+    for case_id in CASES:
+        parent, change = steps["parent"][case_id], steps["change"][case_id]
+        print(
+            f"{case_id:>6} {sum(parent):>7} -> {sum(change):>7}"
+            f"   {'/'.join(map(str, parent))} -> {'/'.join(map(str, change))}"
+        )
     return 0 if worst <= CHANNEL_TOLERANCE else 1
+
+
+def exact_steps(scenarios, cfg) -> dict:
+    """Each case's exact steps per set, in one untimed run_case per set: the
+    calls of the side's sim.rk4_step. affine reads its maps off its own
+    binding of rk4_step, imported first, which is not counted."""
+    importlib.import_module(f"{scenarios.__package__}.affine")
+    sim = importlib.import_module(f"{scenarios.__package__}.sim")
+    step, count = sim.rk4_step, [0]
+
+    def counting(*args):
+        count[0] += 1
+        return step(*args)
+
+    sim.rk4_step = counting
+    try:
+        steps = {}
+        for case_id in CASES:
+            steps[case_id] = []
+            for name in CONTROLLERS:
+                count[0] = 0
+                scenarios.run_case(case_id, cfg, (name,))
+                steps[case_id].append(count[0])
+    finally:
+        sim.rk4_step = step
+    return steps
 
 
 def flat(metrics) -> dict:

@@ -43,6 +43,23 @@ CONFIGS = {
             "disturbance_time": 0.0,
         }
     },
+    # a sine from 2.5 s on random loads in area 1 and a sine from 0 s in area 2: the stretches split at the sine's start
+    "custom_sine_start": {
+        "scenario": {
+            "loads": [
+                {
+                    "kind": "composite",
+                    "parts": [
+                        {"kind": "sine", "amplitude": 0.01, "frequency": 0.1, "start": 2.5},
+                        {"kind": "uniform_random", "amplitude": 0.01, "hold": 2.0, "seed": 7},
+                    ],
+                },
+                {"kind": "sine", "amplitude": 0.005, "frequency": 0.2},
+            ],
+            "horizon": 20.0,
+            "disturbance_time": 0.0,
+        }
+    },
     # slower governor and turbine in area 1, a CDM design with a longer tau
     "custom_model": {
         "model": {"area1": {"D": 0.015, "M": 0.1667, "R": 3.0, "Tg": 0.16, "Tt": 0.8}},
@@ -88,6 +105,7 @@ def commands(configs: pathlib.Path) -> dict[str, list[str]]:
         "optimize_random": ["optimize", *config("optimize"), "--algorithm", "random-search"],
         "optimize_random_repeats": ["optimize", *config("optimize"), "--algorithm", "random-search", "--repeats", "2"],
         "custom_compare": ["compare", *config("custom"), *CONTROLLERS],
+        "custom_sine_start": ["compare", *config("custom_sine_start"), *CONTROLLERS],
         "case2_custom_model": ["case", "2", *config("custom_model"), *CONTROLLERS],
         "sweep_custom_model": ["sweep", *config("custom_model"), *CONTROLLERS],
         "case2_unstable_cdm_opt": ["case", "2", *config("unstable_cdm_opt"), "--horizon", "10", "--controllers", "cdm_opt"],

@@ -12,16 +12,20 @@ with z the seven plant states in state order followed by area 1's and area
 (dPL1, dPL2 at the step's start, midpoint and end). The plant steps by
 classic RK4 under the control u held over the step, which the controllers
 compute from the state before their update. Under a closed dead zone the
-droop term is 0; with no band, or under backlash, the droop is linear.
+droop term is 0; with no band, or under backlash, the droop is linear. A
+sine in the loads keeps the map constant as the output of a two-state
+oscillator carried in z (sine_maps; the internal model principle): w is
+then the rest of the load, constant over a stretch.
 
 step_maps builds F and G, the ACE and control rows and the affine
 arguments of the clamp and the dead zone at each of the four RK4 stages,
 for a leading axis of lanes (controller pairs on one plant). block_table
 turns them into the coefficients of chosen affine rows after 0..B steps
 under one load row, z_j = F^j z_0 + sum_{i<j} F^i G w, built by doubling,
-and sum_rows adds their products up. Every matrix product is elementwise,
-each product rounded on its own and summed in a fixed order: no BLAS or
-LAPACK call, so no result depends on the CPU kernel. block_predictor
+and sum_rows adds their products up; sine_maps appends each sine's two
+exosystem states to F and G. Every matrix product is elementwise, each
+product rounded on its own and summed in a fixed order: no BLAS or LAPACK
+call, so no result depends on the CPU kernel. block_predictor
 predicts a block of simulate's steps from them and checks the prediction;
 simulate (closed_form=True) steps exactly wherever the check fails.
 
@@ -193,12 +197,46 @@ def block_table(maps: StepMaps, observe: np.ndarray, length: int) -> np.ndarray:
     return np.ascontiguousarray(table.transpose(0, 3, 1, 2))
 
 
-def block_predictor(model, rows1: list, rows2: list, dt: float, cap: float) -> Callable:
+def sine_maps(maps: StepMaps, sines: list, h: float) -> StepMaps:
+    """maps with two exosystem states per sine appended to z, for sines
+    (area, amplitude, angular frequency, start) adding to the area's load.
+
+    Sine i's states are q_i = A (sin th, cos th) at the step's start phase
+    th: each step rotates them by omega h, and the step's six load samples
+    take A sin(th + p) = cos(p) q_i0 + sin(p) q_i1 at the sample's phase
+    offset p (0, omega h / 2, omega h). w is then the rest of the load, held
+    over the stretch. ace and u take no part of q; the modes take q's part
+    of the loads."""
+    lanes, n = maps.f.shape[:2]
+    m = n + 2 * len(sines)
+    loads = np.zeros((6, m - n))  # the step's load samples from q
+    f = np.zeros((lanes, m, m))
+    for i, (area, _, omega, _) in enumerate(sines):
+        for stage, offset in enumerate((0.0, 0.5 * omega * h, omega * h)):
+            loads[2 * stage + area, 2 * i : 2 * i + 2] = math.cos(offset), math.sin(offset)
+        c, s = math.cos(omega * h), math.sin(omega * h)
+        f[:, n + 2 * i : n + 2 * i + 2, n + 2 * i : n + 2 * i + 2] = [[c, s], [-s, c]]
+    f[:, :n, :n] = maps.f
+    f[:, :n, n:] = _matmul(maps.g, loads)
+    g = np.zeros((lanes, m, 6))
+    g[:, :n] = maps.g
+    pad = [(0, 0)] * (maps.u.ndim - 1) + [(0, m - n)]
+    modes = np.concatenate([maps.modes[..., :n], _matmul(maps.modes[..., n:], loads), maps.modes[..., n:]], axis=-1)
+    return StepMaps(f, g, np.pad(maps.ace, pad[1:]), np.pad(maps.u, pad), modes, maps.limits)
+
+
+def block_predictor(model, rows1: list, rows2: list, dt: float, cap: float, sines: list) -> Callable:
     """The closed form of simulate's blocks for the SystemModel model, whose
     controllers step every plant step dt by the realization rows rows1 and
-    rows2 (DiscreteController.rows): under(w) for a load_samples row w
-    returns predict(z, steps), which predicts the next steps (at most
-    _BLOCK) under w from the state z, in z's order.
+    rows2 (DiscreteController.rows), under loads whose sine terms are sines
+    (area, amplitude, angular frequency, start): under(w, on) for a
+    load_samples row w of the loads' other terms and the sines on in the
+    stretch returns predict(z, t, steps), which predicts the next steps (at
+    most _BLOCK) from the state z, in z's order, at time t.
+
+    Each sine rides along as sine_maps' two exosystem states, set at every
+    block's start from math.sin and math.cos of the sine's phase at t (zero
+    where the sine is off), so their rotation error never outlasts a block.
 
     A prediction covers every recorded channel, the state after each step,
     and the clamp and dead-zone arguments at all four RK4 stages of each
@@ -211,27 +249,37 @@ def block_predictor(model, rows1: list, rows2: list, dt: float, cap: float) -> C
     """
     n = 7 + (len(rows1) - 1) + (len(rows2) - 1)  # z's size
     maps = step_maps(model.areas, model.tie, model.nonlin, np.array([rows1]), np.array([rows2]), dt)
-    # observed rows over [z; w]: z, ace1, ace2, u1, u2, the mode arguments
-    observe = np.zeros((n + 4 + len(maps.limits), n + 6))
+    if sines:
+        maps = sine_maps(maps, sines, dt)
+    m = n + 2 * len(sines)  # the size of x = [z; q]
+    # observed rows over [x; w]: z, ace1, ace2, u1, u2, the mode arguments
+    observe = np.zeros((n + 4 + len(maps.limits), m + 6))
     observe[:n, :n] = np.eye(n)
-    observe[n : n + 2, :n] = maps.ace
-    observe[n + 2 : n + 4, :n] = maps.u[0]
+    observe[n : n + 2, :m] = maps.ace
+    observe[n + 2 : n + 4, :m] = maps.u[0]
     observe[n + 4 :] = maps.modes[0]
     table = block_table(maps, observe[None], _BLOCK)[0]
-    on_z, on_w = table[:n], table[n:]
-    prod = np.empty_like(on_z)
+    on_x, on_w = table[:m], table[m:]
+    prod = np.empty_like(on_x)
+    x = np.zeros(m)
     # what a prediction must keep within, row by row: |df| the cap, every value finite, each mode its limit
     bound = np.full(len(observe), np.finfo(float).max)
     bound[:2] = cap
     bound[n + 4 :] = maps.limits
     channels = [0, 1, 6, n, n + 1, n + 2, n + 3, 2, 3]
 
-    def under(w: np.ndarray) -> Callable[[np.ndarray, int], Optional[tuple[np.ndarray, np.ndarray]]]:
+    def under(w: np.ndarray, on: list) -> Callable[[np.ndarray, float, int], Optional[tuple[np.ndarray, np.ndarray]]]:
         load_part = sum_rows(on_w * w.reshape(6, 1, 1))  # the load's part of every prediction under w
+        waves = [(n + 2 * i, amp, omega, start) for i, ((_, amp, omega, start), o) in enumerate(zip(sines, on)) if o]
 
-        def predict(z: np.ndarray, steps: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        def predict(z: np.ndarray, t: float, steps: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+            x[:n] = z
+            x[n:] = 0.0
+            for at, amp, omega, start in waves:
+                phase = omega * (t - start)
+                x[at], x[at + 1] = amp * math.sin(phase), amp * math.cos(phase)
             y = prod[:, : steps + 1]
-            np.multiply(on_z[:, : steps + 1], z[:, None, None], out=y)
+            np.multiply(on_x[:, : steps + 1], x[:, None, None], out=y)
             y = sum_rows(y)
             y += load_part[: steps + 1]
             # rows 0..steps: the state after every step checked, each mode also one step past the block

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
@@ -20,13 +20,10 @@ from . import defaults
 from .cdm import CdmGains, synthesize
 from .errors import ConfigError, NonFiniteState, SingularSystem
 from .plant import AreaParams, NonlinearityConfig, TieLine, derive_design_plant
-from .sim import BatchCdmSimulator, LoadTable, SystemModel, Trajectory, simulate
+from .sim import BatchCdmSimulator, LoadShape, LoadTable, SystemModel, Trajectory, simulate
 
 if TYPE_CHECKING:
     from .config import RunConfig
-
-LoadFn = Callable[[float], float]
-
 
 # ---------------------------------------------------------------------------
 # load profiles
@@ -66,34 +63,89 @@ class Composite:
 LoadProfile = Union[Step, Sine, UniformRandom, Composite]
 
 
-def realize(profile: Optional[LoadProfile], horizon: float) -> LoadFn:
-    """Materialize a load profile as a deterministic function of time."""
+class StepLoad(LoadShape):
+    """magnitude from time on, 0.0 before."""
+
+    def __init__(self, magnitude: float, time: float):
+        self.magnitude, self.time = magnitude, time
+
+    def __call__(self, t: float) -> float:
+        return self.magnitude if t >= self.time else 0.0
+
+    def sample(self, times: np.ndarray, sines: bool = True) -> np.ndarray:
+        return np.where(times >= self.time, self.magnitude, 0.0)
+
+
+class SineLoad(LoadShape):
+    """amplitude * sin(omega * (t - start)) from start on, 0.0 before: one sine term."""
+
+    def __init__(self, amplitude: float, omega: float, start: float):
+        self.amplitude, self.omega, self.start = amplitude, omega, start
+        self.sines = ((amplitude, omega, start),)
+
+    def __call__(self, t: float) -> float:
+        return self.amplitude * math.sin(self.omega * (t - self.start)) if t >= self.start else 0.0
+
+    def sample(self, times: np.ndarray, sines: bool = True) -> np.ndarray:
+        out = np.zeros(times.shape)
+        if sines:
+            on = times >= self.start
+            phases = self.omega * (times[on] - self.start)
+            # math.sin, as the call takes it: np.sin may round differently
+            out[on] = self.amplitude * np.fromiter(map(math.sin, phases), float, count=len(phases))
+        return out
+
+
+class HeldLoad(LoadShape):
+    """values[k] over [k * hold, (k + 1) * hold), the last value from then on."""
+
+    def __init__(self, values: np.ndarray, hold: float):
+        self.values, self.hold, self._last = values, hold, len(values) - 1
+
+    def __call__(self, t: float) -> float:
+        return float(self.values[min(int(t / self.hold), self._last)])
+
+    def sample(self, times: np.ndarray, sines: bool = True) -> np.ndarray:
+        # clamp before the integer cast, so that no time past the last segment can overflow it
+        return self.values[np.minimum(times / self.hold, self._last).astype(np.intp)]
+
+
+class SumLoad(LoadShape):
+    """The sum of parts, added left to right from 0.0 (0.0 with no parts)."""
+
+    def __init__(self, parts: Sequence[LoadShape]):
+        self.parts = tuple(parts)
+        self.sines = tuple(term for part in self.parts for term in part.sines)
+
+    def __call__(self, t: float) -> float:
+        # left to right from 0.0, as sum() adds on Python 3.11 (compensated from 3.12)
+        acc = 0.0
+        for part in self.parts:
+            acc += part(t)
+        return acc
+
+    def sample(self, times: np.ndarray, sines: bool = True) -> np.ndarray:
+        acc = np.zeros(times.shape)
+        for part in self.parts:
+            acc += part.sample(times, sines)
+        return acc
+
+
+def realize(profile: Optional[LoadProfile], horizon: float) -> LoadShape:
+    """Materialize a load profile as a deterministic function of time, a
+    LoadShape: no profile is the empty sum, 0.0 at every time."""
     if profile is None:
-        return lambda t: 0.0
+        return SumLoad(())
     if isinstance(profile, Step):
-        mag, t0 = profile.magnitude, profile.time
-        return lambda t: mag if t >= t0 else 0.0
+        return StepLoad(profile.magnitude, profile.time)
     if isinstance(profile, Sine):
-        amp, w, t0 = profile.amplitude, 2.0 * math.pi * profile.frequency, profile.start
-        return lambda t: amp * math.sin(w * (t - t0)) if t >= t0 else 0.0
+        return SineLoad(profile.amplitude, 2.0 * math.pi * profile.frequency, profile.start)
     if isinstance(profile, UniformRandom):
         n_seg = int(math.ceil(horizon / profile.hold)) + 1
         rng = np.random.default_rng(profile.seed)
-        values = rng.uniform(-profile.amplitude, profile.amplitude, size=n_seg).tolist()
-        hold = profile.hold
-        last = n_seg - 1
-        return lambda t: values[min(int(t / hold), last)]
+        return HeldLoad(rng.uniform(-profile.amplitude, profile.amplitude, size=n_seg), profile.hold)
     if isinstance(profile, Composite):
-        fns = [realize(p, horizon) for p in profile.parts]
-
-        def total(t: float) -> float:
-            # left to right from 0.0, as sum() adds on Python 3.11 (compensated from 3.12)
-            acc = 0.0
-            for fn in fns:
-                acc += fn(t)
-            return acc
-
-        return total
+        return SumLoad([realize(p, horizon) for p in profile.parts])
     raise TypeError(f"unknown load profile {type(profile).__name__}")
 
 
@@ -357,11 +409,10 @@ def run_scenario(
     inside its run horizon (ConfigError otherwise).
 
     Each set runs with simulate(..., closed_form=True): where the controllers sample every
-    solver step, its stretches with the GRC clamp idle, the dead band closed and the load
-    constant go in closed form, the rest steps exactly, and every channel lies within about
-    1e-13 of its peak magnitude of the exact run's. A sine changes the load at every step, so
-    case 3 runs exactly, byte for byte; cases 2, 4 and 5 moved in their last digits with the
-    closed form."""
+    solver step, its stretches with the GRC clamp idle, the dead band closed and the load's
+    sine-free part constant go in closed form, each sine riding along as two exosystem states,
+    the rest steps exactly, and every channel lies within about 1e-12 of its peak magnitude of
+    the exact run's (8.2e-13 at most over cases 2-5 and the four sets, case 3's cdm_opt)."""
     horizon = cfg.run_horizon(definition.horizon, f"case {case_id}" if case_id else "the scenario (scenario.horizon)")
     if not case_id and not 0.0 <= definition.disturbance_time < horizon:
         raise ConfigError("scenario.disturbance_time", f"must lie in [0, {horizon:g}), the run horizon")

@@ -16,7 +16,10 @@ sum out per state, with no per-stage tuple building. simulate's one loop
 of exact steps records nine floats a step into one flat array('d'), and
 simulate takes its loads either as functions, sampled into a load_samples
 table per run, or as a LoadTable sampled once and shared by every run on
-the same grid (a scenario's controller sets, a sweep's cells).
+the same grid (a scenario's controller sets, a sweep's cells). A LoadShape
+(scenarios.realize gives one per load profile kind) samples its whole
+table in bulk, bit for bit the per-call samples, and lists its sine terms,
+which simulate's closed form carries as exosystem states.
 Controllers act on ACE and run as trapezoidal (Tustin) discrete blocks
 updated once per sample, in plain float arithmetic in both drivers: the
 realization rows S = [[Cd, Dd], [Ad, Bd]] applied to [x; y], each product
@@ -236,24 +239,58 @@ def plant_rhs(areas: tuple[AreaParams, AreaParams], tie: TieLine, nonlin: Nonlin
     return rhs
 
 
+class LoadShape:
+    """A load function that also samples in bulk and lists its sine terms.
+
+    It is called at a time t like any load function; sample(times) gives its
+    values at every entry of a times array, each equal to the call's bit for
+    bit, and sample(times, sines=False) the same with every sine term taken
+    as 0.0. sines lists those terms as (amplitude, angular frequency, start):
+    each adds amplitude * sin(omega * (t - start)) from start on, and 0.0
+    before it. scenarios.realize gives one shape per load profile kind.
+    """
+
+    sines: tuple = ()
+
+
+def load_times(dt: float, n_steps: int) -> np.ndarray:
+    """load_samples' sample times, shape (n_steps, 3): row k holds t, t + dt/2
+    and t + dt for t = k * dt, the floats Python's own arithmetic gives."""
+    t = np.arange(n_steps) * dt
+    return np.stack([t, t + 0.5 * dt, t + dt], axis=1)
+
+
+def _sampled(loads: tuple[LoadFn, LoadFn], times: np.ndarray, sines: bool = True) -> np.ndarray:
+    """Each load at every entry of times, stacked on a last axis: in bulk for a
+    LoadShape, else one call per time (a plain function lists no sine terms)."""
+    return np.stack(
+        [
+            load.sample(times, sines) if isinstance(load, LoadShape)
+            else np.fromiter(map(load, times.ravel().tolist()), float, count=times.size).reshape(times.shape)
+            for load in loads
+        ],
+        axis=-1,
+    )
+
+
 def load_samples(loads: tuple[LoadFn, LoadFn], dt: float, n_steps: int) -> np.ndarray:
     """Both simulators' load table: row k holds the (dPL1, dPL2) samples at t,
-    t + dt/2 and t + dt of the step from t = k * dt, shape (n_steps, 3, 2)."""
-    times = ((t, t + 0.5 * dt, t + dt) for t in (k * dt for k in range(n_steps)))
-    samples = (load(s) for step in times for s in step for load in loads)
-    return np.fromiter(samples, float, count=6 * n_steps).reshape(n_steps, 3, 2)
+    t + dt/2 and t + dt of the step from t = k * dt, shape (n_steps, 3, 2).
+    A LoadShape samples in bulk, any other function one call per sample."""
+    return _sampled(loads, load_times(dt, n_steps))
 
 
 def load_row_changes(samples: np.ndarray) -> np.ndarray:
-    """The steps whose load_samples row differs from the previous step's, step 0
-    first: where the loads both simulators hold over a step change."""
+    """The steps whose row of samples (a load_samples table, or any array with
+    a row per step) differs from the previous step's, step 0 first: where the
+    loads both simulators hold over a step change."""
     changed = np.ones(len(samples), bool)
-    changed[1:] = (samples[1:] != samples[:-1]).any(axis=(1, 2))
+    changed[1:] = (samples[1:] != samples[:-1]).any(axis=tuple(range(1, samples.ndim)))
     return np.flatnonzero(changed)
 
 
 def load_stretches(samples: np.ndarray) -> list[tuple[int, int, bool]]:
-    """Stretches (k0, k1, closed) of equal load_samples rows, closed where one
+    """Stretches (k0, k1, closed) of equal rows of samples, closed where one
     holds two or more steps; consecutive one-step stretches merge into one."""
     n_steps = len(samples)
     changes = load_row_changes(samples)
@@ -268,15 +305,23 @@ def load_stretches(samples: np.ndarray) -> list[tuple[int, int, bool]]:
 @dataclass(frozen=True)
 class LoadTable:
     """A pair of load functions sampled once for every simulate run on one
-    grid: the functions, the step dt and their load_samples table."""
+    grid: the functions, the step dt, their load_samples table, the table
+    with every sine term taken as 0.0 (base; the table itself when no load
+    has one) and each function's sine terms (sines: a LoadShape's, none for
+    a plain function)."""
 
     fns: tuple[LoadFn, LoadFn]
     dt: float
     samples: np.ndarray
+    base: np.ndarray
+    sines: tuple[tuple, tuple]
 
     @classmethod
     def sample(cls, loads: tuple[LoadFn, LoadFn], dt: float, horizon: float) -> LoadTable:
-        return cls(tuple(loads), dt, load_samples(loads, dt, _n_steps(horizon, dt)))
+        times = load_times(dt, _n_steps(horizon, dt))
+        samples = _sampled(loads, times)
+        sines = tuple(load.sines if isinstance(load, LoadShape) else () for load in loads)
+        return cls(tuple(loads), dt, samples, _sampled(loads, times, sines=False) if any(sines) else samples, sines)
 
 
 def rk4_step(rhs: Callable, state: tuple, loads: Sequence, u: tuple, h: float) -> tuple:
@@ -504,11 +549,16 @@ def simulate(
 
     closed_form takes the linear stretches in closed form where the
     controllers sample every step: blocks of up to affine._BLOCK steps in
-    stretches of equal load rows (load_stretches), each predicted by
-    affine.block_predictor; the one-step stretches and the blocks that fail
-    the prediction's check take the exact steps. Its channels lie within
-    about 1e-13 of their peak magnitude of the exact run's; a run whose
-    exact steps diverge runs again exactly, to raise the exact NonFiniteState.
+    stretches (load_stretches) of one sine-free load row (LoadTable.base) in
+    which each sine term is on at every sample or at none, each block
+    predicted by affine.block_predictor with every sine on as two exosystem
+    states; the one-step stretches (a row that sees a step or a sine's
+    start) and the blocks that fail the prediction's check take the exact
+    steps, which read the full load table. A sine given as a plain function
+    lists no term, so its rows differ every step and its run is exact. The
+    channels lie within about 1e-12 of their peak magnitude of the exact
+    run's; a run whose exact steps diverge runs again exactly, to raise the
+    exact NonFiniteState.
     """
     n_steps = _n_steps(horizon, dt)
     if controller_dt is None:
@@ -560,22 +610,28 @@ def simulate(
         z[:] = list(state) + step1.state() + step2.state()
         held[:] = u1, u2
 
-    stretches = load_stretches(table) if closed_form and decim == 1 else [(0, n_steps, False)]
+    stretches = [(0, n_steps, False)]
+    if closed_form and decim == 1:
+        # stretches of one base row, in which each sine is on at every sample or at none
+        sines = [(area, *term) for area, terms in enumerate(loads.sines) for term in terms]
+        times = load_times(dt, n_steps)
+        on = [times >= start for *_, start in sines]
+        stretches = load_stretches(np.concatenate([loads.base.reshape(n_steps, 6), *on], axis=1))
     closed_form = any(closed for _, _, closed in stretches)
     if closed_form:
         from .affine import _BLOCK, block_predictor  # only here, so that tuning never compiles it
 
-        under = block_predictor(model, rows1, rows2, dt, _DIVERGENCE_CAP)
+        under = block_predictor(model, rows1, rows2, dt, _DIVERGENCE_CAP, sines)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # a prediction that overflows fails its check
             for a, b, closed in stretches:
                 if not closed:
                     exact(a, b)
                     continue
-                predict = under(table[a])
+                predict = under(loads.base[a], [bool(sine_on[a, 0]) for sine_on in on])
                 for k0 in range(a, b, _BLOCK):
                     k1 = min(k0 + _BLOCK, b)
-                    block = predict(z, k1 - k0)
+                    block = predict(z, k0 * dt, k1 - k0)
                     if block is None:
                         exact(k0, k1)
                     else:

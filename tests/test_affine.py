@@ -10,13 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cdmlfc import affine, defaults, sim
-from cdmlfc.affine import block_table, step_maps
+from cdmlfc.affine import block_table, sine_maps, step_maps
 from cdmlfc.cdm import CdmController
 from cdmlfc.config import build_config
 from cdmlfc.errors import NonFiniteState
 from cdmlfc.plant import AreaParams, NonlinearityConfig, derive_design_plant, frequency_bias
 from cdmlfc.poly import Polynomial, poly_mul
-from cdmlfc.scenarios import case_definition, realize, scenario_loads
+from cdmlfc.scenarios import Composite, Sine, Step, case_definition, realize, scenario_loads
 from cdmlfc.sim import (
     DiscreteController,
     IntegralSpec,
@@ -178,6 +178,36 @@ class TestStepMaps:
                 assert np.array_equal(getattr(lanes, field)[i], getattr(one, field)[0]), field
             assert np.array_equal(lanes.ace, one.ace) and np.array_equal(lanes.limits, one.limits)
 
+    @pytest.mark.parametrize("dt", [0.005, 0.01, 0.02])
+    def test_sine_maps_carry_each_sine(self, dt):
+        # one step of sine_maps' map from q = A (sin th, cos th) is step_maps'
+        # step under the load row with each sine's samples added, the modes
+        # likewise, and it leaves q at the next step's phase
+        maps = step_maps(CFG.areas, CFG.tie, CFG.cases_nonlin, *stacked_rows(CFG.controller_pair("pid"), dt), dt)
+        sines = [(0, 0.01, 0.3, 1.0), (1, -0.004, 2.0, 0.0), (0, 0.002, 5.0, 0.5)]
+        carried = sine_maps(maps, sines, dt)
+        n = maps.f.shape[1]
+        rng = np.random.default_rng(1)
+        z, w = rng.uniform(-0.01, 0.01, n), rng.uniform(-0.01, 0.01, 6)
+
+        def q_at(t):
+            return [a * f(omega * (t - start)) for _, a, omega, start in sines for f in (math.sin, math.cos)]
+
+        t = 3.7
+        loads = w.reshape(3, 2).copy()
+        for area, a, omega, start in sines:
+            for stage, at in enumerate((t, t + 0.5 * dt, t + dt)):
+                loads[stage, area] += a * math.sin(omega * (at - start))
+        x = np.concatenate([z, q_at(t)])
+        got = carried.f[0] @ x + carried.g[0] @ w
+        assert got[:n] == pytest.approx(maps.f[0] @ z + maps.g[0] @ loads.ravel(), rel=1e-11, abs=1e-15)
+        assert got[n:] == pytest.approx(q_at(t + dt), rel=1e-12, abs=1e-16)
+        want_modes = maps.modes[0] @ np.concatenate([z, loads.ravel()])
+        assert carried.modes[0] @ np.concatenate([x, w]) == pytest.approx(want_modes, rel=1e-11, abs=1e-14)
+        for field in ("ace", "u"):  # no part of q
+            padded = getattr(carried, field)
+            assert np.array_equal(padded[..., :n], getattr(maps, field)) and not padded[..., n:].any()
+
     @pytest.mark.parametrize("length", [1, 2, 7, 50])
     def test_block_table_rows_follow_the_step_map(self, length):
         maps = step_maps(CFG.areas, CFG.tie, CFG.cases_nonlin, *stacked_rows(CFG.controller_pair("pid"), 0.01), 0.01)
@@ -201,16 +231,15 @@ class TestClosedForm:
     @pytest.mark.parametrize("case_id", [2, 3, 4, 5])
     def test_case_channels_match_simulate(self, case_id, name):
         # every bundled case and set: the clamp binds for cdm_opt in cases 2
-        # and 4 and for pid in case 4, the dead band opens for pi; worst case
-        # over the 16 runs 6.8e-14
+        # and 4 and for pid in case 4, the dead band opens for pi; case 3's
+        # sine rides along as two exosystem states; worst case over the 16
+        # runs 8.2e-13 (case 3, cdm_opt)
         m, loads, horizon = case_run(case_id, name)
         want = simulate(m, loads, dt=0.01, horizon=horizon)
         got = simulate(m, loads, dt=0.01, horizon=horizon, closed_form=True)
         assert worst_error(got, want) <= TOLERANCE
         assert np.array_equal(got.t, want.t)
         assert np.array_equal(got.dpl1, want.dpl1) and np.array_equal(got.dpl2, want.dpl2)
-        if case_id == 3:  # a sine changes the load row every step: every step runs exactly
-            assert identical(got, want)
 
     @pytest.mark.parametrize("name", SETS)
     @pytest.mark.parametrize("nonlin", list(NONLINEARITIES.values()), ids=list(NONLINEARITIES))
@@ -233,6 +262,46 @@ class TestClosedForm:
         m, loads, horizon = case_run(2, "cdm")
         simulate(m, loads, dt=0.01, horizon=horizon, closed_form=True)
         assert len(steps) == 1
+
+    @pytest.mark.parametrize("name", ["cdm_opt", "cdm", "pid"])
+    def test_case3_sine_skips_the_scalar_step(self, monkeypatch, name):
+        # case 3's sine from t = 0 leaves one stretch, whose blocks all stand
+        # for these sets (pi's dead band opens, so some of its blocks fall back)
+        m, loads, horizon = case_run(3, name)
+        simulate(m, loads, dt=0.01, horizon=horizon, closed_form=True)  # affine imported before counting
+        steps = []
+        monkeypatch.setattr(sim, "rk4_step", lambda *args: steps.append(1) or rk4_step(*args))
+        simulate(m, loads, dt=0.01, horizon=horizon, closed_form=True)
+        assert steps == []
+
+    @pytest.mark.parametrize(
+        "area1",
+        [Sine(0.01, 0.1, 2.5), Composite((Sine(0.008, 0.2, 1.0), Step(0.005, 4.0)))],
+        ids=["sine_from_2.5s", "sine_and_step"],
+    )
+    @pytest.mark.parametrize("name", SETS)
+    def test_shaped_sines_match_simulate(self, monkeypatch, area1, name):
+        # the stretches split at the sine's start and at the step: only the
+        # rows that see either change step exactly (one for the sine from
+        # 2.5 s, two for the sine from 1 s and the step), and pi's blocks
+        # where its dead band opens (800 steps under the sine from 2.5 s)
+        m = SystemModel(CFG.areas, CFG.tie, CFG.cases_nonlin, CFG.controller_pair(name))
+        loads = LoadTable.sample((realize(area1, 20.0), realize(Sine(0.004, 0.3), 20.0)), 0.01, 20.0)
+        want = simulate(m, loads, dt=0.01, horizon=20.0)
+        got = simulate(m, loads, dt=0.01, horizon=20.0, closed_form=True)
+        assert worst_error(got, want) <= TOLERANCE
+        steps = []
+        monkeypatch.setattr(sim, "rk4_step", lambda *args: steps.append(1) or rk4_step(*args))
+        simulate(m, loads, dt=0.01, horizon=20.0, closed_form=True)
+        assert len(steps) <= (1000 if name == "pi" else 2)
+
+    def test_unshaped_sine_runs_exactly(self):
+        # a sine as a bare function lists no sine term: its load row changes
+        # every step, so every step runs exactly, bit for bit
+        m = SystemModel(CFG.areas, CFG.tie, CFG.cases_nonlin, CFG.controller_pair("cdm"))
+        loads = (lambda t: 0.01 * math.sin(0.1 * math.pi * t), ZERO)
+        want = simulate(m, loads, dt=0.01, horizon=20.0)
+        assert identical(simulate(m, loads, dt=0.01, horizon=20.0, closed_form=True), want)
 
     def test_fallback_blocks_equal_simulates_steps(self):
         # a sine until 2 s runs exactly; the step load after it binds

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdmlfc import scenarios
 from cdmlfc.config import RunConfig, build_config
@@ -24,7 +26,7 @@ from cdmlfc.scenarios import (
     table6_specs,
     transient_measures,
 )
-from cdmlfc.sim import Trajectory
+from cdmlfc.sim import LoadTable, Trajectory, horizon_steps, load_samples
 
 
 def make_traj(t, df1, df2=None, dptie=None):
@@ -73,6 +75,93 @@ class TestLoadProfiles:
     def test_json_roundtrip(self):
         for p in (Step(0.01, 1.0), Sine(0.01, 0.05, 2.0), UniformRandom(0.02, 5.0, 3), case1_load(), None):
             assert build_config({"scenario": {"loads": [None, profile_to_json(p)]}}).scenario.loads == (None, p)
+
+
+def reference_load(profile, horizon):
+    """realize as first written: one closure per profile, called per sample."""
+    if profile is None:
+        return lambda t: 0.0
+    if isinstance(profile, Step):
+        mag, t0 = profile.magnitude, profile.time
+        return lambda t: mag if t >= t0 else 0.0
+    if isinstance(profile, Sine):
+        amp, w, t0 = profile.amplitude, 2.0 * math.pi * profile.frequency, profile.start
+        return lambda t: amp * math.sin(w * (t - t0)) if t >= t0 else 0.0
+    if isinstance(profile, UniformRandom):
+        n_seg = int(math.ceil(horizon / profile.hold)) + 1
+        values = np.random.default_rng(profile.seed).uniform(-profile.amplitude, profile.amplitude, size=n_seg).tolist()
+        return lambda t: values[min(int(t / profile.hold), n_seg - 1)]
+    fns = [reference_load(p, horizon) for p in profile.parts]
+
+    def total(t):
+        acc = 0.0
+        for fn in fns:
+            acc += fn(t)
+        return acc
+
+    return total
+
+
+def without_sines(profile):
+    """profile with each sine replaced by no load."""
+    if isinstance(profile, Sine):
+        return None
+    if isinstance(profile, Composite):
+        return Composite(tuple(without_sines(p) for p in profile.parts))
+    return profile
+
+
+def sine_terms(profile):
+    if isinstance(profile, Sine):
+        return [(profile.amplitude, 2.0 * math.pi * profile.frequency, profile.start)]
+    if isinstance(profile, Composite):
+        return [term for p in profile.parts for term in sine_terms(p)]
+    return []
+
+
+def per_call_table(fns, dt, n_steps):
+    """load_samples as first written: Python's own sample times, one call per sample."""
+    times = ((t, t + 0.5 * dt, t + dt) for t in (k * dt for k in range(n_steps)))
+    return np.fromiter((fn(s) for step in times for s in step for fn in fns), float, count=6 * n_steps).reshape(
+        n_steps, 3, 2
+    )
+
+
+AT = st.floats(-1.0, 40.0)
+LEAVES = st.one_of(
+    st.none(),
+    st.builds(Step, st.floats(-0.05, 0.05), AT),
+    st.builds(Sine, st.floats(-0.05, 0.05), st.floats(0.0, 3.0), AT),
+    st.builds(UniformRandom, st.floats(0.0, 0.05), st.floats(0.01, 20.0), st.integers(0, 2**32 - 1)),
+)
+PROFILES = st.recursive(LEAVES, lambda parts: st.builds(Composite, st.lists(parts, max_size=4).map(tuple)), max_leaves=6)
+
+
+class TestLoadShapes:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        profiles=st.tuples(PROFILES, PROFILES),
+        dt=st.floats(0.001, 0.05),
+        n_steps=st.integers(1, 1500),
+        share=st.floats(0.0, 1.2),
+    )
+    def test_bulk_samples_equal_per_call_samples(self, profiles, dt, n_steps, share):
+        # realized over share of the sampled span: below 1 the random loads'
+        # last segment holds to the end (the clamp); composites add left to
+        # right from 0.0
+        horizon = share * n_steps * dt
+        shapes = tuple(realize(p, horizon) for p in profiles)
+        want = per_call_table(tuple(reference_load(p, horizon) for p in profiles), dt, n_steps)
+        assert load_samples(shapes, dt, n_steps).tobytes() == want.tobytes()
+        assert per_call_table(shapes, dt, n_steps).tobytes() == want.tobytes()
+        wrapped = tuple(lambda t, shape=shape: shape(t) for shape in shapes)  # plain functions: one call per sample
+        assert load_samples(wrapped, dt, n_steps).tobytes() == want.tobytes()
+        if horizon_steps(n_steps * dt, dt) == n_steps:
+            table = LoadTable.sample(shapes, dt, n_steps * dt)
+            assert table.samples.tobytes() == want.tobytes()
+            base = per_call_table(tuple(reference_load(without_sines(p), horizon) for p in profiles), dt, n_steps)
+            assert table.base.tobytes() == base.tobytes()
+            assert [list(terms) for terms in table.sines] == [sine_terms(p) for p in profiles]
 
 
 class TestIndices:
