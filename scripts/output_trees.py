@@ -84,6 +84,10 @@ CONFIGS = {
     "backlash": {"cases": {"nonlinear": {"gdb_mode": "backlash"}}},
     # an objective with a governor dead zone, which the candidate lanes step
     "deadband": {"optimizer": {"n_pop": 12, "max_it": 3, "seed": 4, "objective": {"gdb_width": 0.05}}},
+    # an objective with the describing-function governor, which the candidate lanes step
+    "optimize_backlash": {
+        "optimizer": {"n_pop": 12, "max_it": 3, "seed": 6, "objective": {"gdb_width": 0.05, "gdb_mode": "backlash"}}
+    },
     # an objective without the GRC clamp: most candidate lanes diverge and are penalized
     "no_grc": {"optimizer": {"n_pop": 12, "max_it": 3, "seed": 5, "objective": {"grc_rate": math.inf}}},
 }
@@ -122,6 +126,7 @@ def commands(configs: pathlib.Path) -> dict[str, list[str]]:
         "case2_order3_cdm_classic": ["case", "2", *config("order3_cdm_classic"), "--horizon", "20", "--controllers", "cdm,pi"],
         "case2_backlash": ["case", "2", *config("backlash"), "--horizon", "20", *CONTROLLERS],
         "optimize_deadband": ["optimize", *config("deadband")],
+        "optimize_backlash": ["optimize", *config("optimize_backlash")],
         "optimize_no_grc": ["optimize", *config("no_grc")],
     }
 

@@ -21,7 +21,7 @@ from .errors import ConfigError, UnstableDesign
 from .plant import AreaParams, NonlinearityConfig, TieLine, derive_design_plant
 from .poly import Polynomial
 from .scenarios import PROFILE_KINDS, CaseDefinition, Composite, LoadProfile, case_definition, profile_to_json
-from .sim import ControllerSpec, IntegralSpec, PidSpec, horizon_steps, sample_steps
+from .sim import MAX_DT, ControllerSpec, IntegralSpec, PidSpec, horizon_steps, sample_steps
 from .wca import WcaConfig
 
 
@@ -213,10 +213,10 @@ def _numbers(values, path: str) -> list[float]:
 
 
 def _step(node: dict, path: str) -> float:
-    """node["dt"], an integrator step in (0, 0.05] as the simulator requires."""
+    """node["dt"], an integrator step in (0, sim.MAX_DT] as the simulator requires."""
     dt = _value(node["dt"], "float", f"{path}.dt")
-    if not (0.0 < dt <= 0.05):
-        raise ConfigError(f"{path}.dt", "must be in (0, 0.05]")
+    if not (0.0 < dt <= MAX_DT):
+        raise ConfigError(f"{path}.dt", f"must be in (0, {MAX_DT:g}]")
     return dt
 
 

@@ -30,16 +30,37 @@ if TYPE_CHECKING:
 
 
 @dataclass(frozen=True)
-class Step:
+class Step(LoadShape):
+    """magnitude from time on, 0.0 before."""
+
     magnitude: float  # pu
     time: float  # s
 
+    def sample(self, times: np.ndarray, sines: bool = True) -> np.ndarray:
+        return np.where(times >= self.time, self.magnitude, 0.0)
+
 
 @dataclass(frozen=True)
-class Sine:
+class Sine(LoadShape):
+    """amplitude * sin(2 pi frequency (t - start)) from start on, 0.0 before: one sine term."""
+
     amplitude: float  # pu
     frequency: float  # Hz
     start: float = 0.0  # s
+
+    @property
+    def sines(self) -> tuple:
+        return ((self.amplitude, 2.0 * math.pi * self.frequency, self.start),)
+
+    def sample(self, times: np.ndarray, sines: bool = True) -> np.ndarray:
+        out = np.zeros(times.shape)
+        if sines:
+            ((amplitude, omega, start),) = self.sines
+            on = times >= start
+            phases = omega * (times[on] - start)
+            # math.sin per sample: np.sin may round differently
+            out[on] = amplitude * np.fromiter(map(math.sin, phases), float, count=len(phases))
+        return out
 
 
 @dataclass(frozen=True)
@@ -56,73 +77,15 @@ class UniformRandom:
 
 
 @dataclass(frozen=True)
-class Composite:
+class Composite(LoadShape):
+    """The sum of parts, added left to right from 0.0 (0.0 with no parts). It
+    samples once its parts are load shapes, as realize makes them."""
+
     parts: tuple
 
-
-LoadProfile = Union[Step, Sine, UniformRandom, Composite]
-
-
-class StepLoad(LoadShape):
-    """magnitude from time on, 0.0 before."""
-
-    def __init__(self, magnitude: float, time: float):
-        self.magnitude, self.time = magnitude, time
-
-    def __call__(self, t: float) -> float:
-        return self.magnitude if t >= self.time else 0.0
-
-    def sample(self, times: np.ndarray, sines: bool = True) -> np.ndarray:
-        return np.where(times >= self.time, self.magnitude, 0.0)
-
-
-class SineLoad(LoadShape):
-    """amplitude * sin(omega * (t - start)) from start on, 0.0 before: one sine term."""
-
-    def __init__(self, amplitude: float, omega: float, start: float):
-        self.amplitude, self.omega, self.start = amplitude, omega, start
-        self.sines = ((amplitude, omega, start),)
-
-    def __call__(self, t: float) -> float:
-        return self.amplitude * math.sin(self.omega * (t - self.start)) if t >= self.start else 0.0
-
-    def sample(self, times: np.ndarray, sines: bool = True) -> np.ndarray:
-        out = np.zeros(times.shape)
-        if sines:
-            on = times >= self.start
-            phases = self.omega * (times[on] - self.start)
-            # math.sin, as the call takes it: np.sin may round differently
-            out[on] = self.amplitude * np.fromiter(map(math.sin, phases), float, count=len(phases))
-        return out
-
-
-class HeldLoad(LoadShape):
-    """values[k] over [k * hold, (k + 1) * hold), the last value from then on."""
-
-    def __init__(self, values: np.ndarray, hold: float):
-        self.values, self.hold, self._last = values, hold, len(values) - 1
-
-    def __call__(self, t: float) -> float:
-        return float(self.values[min(int(t / self.hold), self._last)])
-
-    def sample(self, times: np.ndarray, sines: bool = True) -> np.ndarray:
-        # clamp before the integer cast, so that no time past the last segment can overflow it
-        return self.values[np.minimum(times / self.hold, self._last).astype(np.intp)]
-
-
-class SumLoad(LoadShape):
-    """The sum of parts, added left to right from 0.0 (0.0 with no parts)."""
-
-    def __init__(self, parts: Sequence[LoadShape]):
-        self.parts = tuple(parts)
-        self.sines = tuple(term for part in self.parts for term in part.sines)
-
-    def __call__(self, t: float) -> float:
-        # left to right from 0.0, as sum() adds on Python 3.11 (compensated from 3.12)
-        acc = 0.0
-        for part in self.parts:
-            acc += part(t)
-        return acc
+    @property
+    def sines(self) -> tuple:
+        return tuple(term for part in self.parts for term in part.sines)
 
     def sample(self, times: np.ndarray, sines: bool = True) -> np.ndarray:
         acc = np.zeros(times.shape)
@@ -131,21 +94,34 @@ class SumLoad(LoadShape):
         return acc
 
 
+LoadProfile = Union[Step, Sine, UniformRandom, Composite]
+
+
+class HeldLoad(LoadShape):
+    """A realized UniformRandom: values[k] over [k * hold, (k + 1) * hold), the last value from then on."""
+
+    def __init__(self, values: np.ndarray, hold: float):
+        self.values, self.hold, self._last = values, hold, len(values) - 1
+
+    def sample(self, times: np.ndarray, sines: bool = True) -> np.ndarray:
+        # clamp before the integer cast, so that no time past the last segment can overflow it
+        return self.values[np.minimum(times / self.hold, self._last).astype(np.intp)]
+
+
 def realize(profile: Optional[LoadProfile], horizon: float) -> LoadShape:
-    """Materialize a load profile as a deterministic function of time, a
-    LoadShape: no profile is the empty sum, 0.0 at every time."""
+    """A load profile as a LoadShape over horizon: a step or a sine is its own
+    shape, a composite sums its realized parts, a random load holds its draws,
+    and no profile is the empty composite, 0.0 at every time."""
     if profile is None:
-        return SumLoad(())
-    if isinstance(profile, Step):
-        return StepLoad(profile.magnitude, profile.time)
-    if isinstance(profile, Sine):
-        return SineLoad(profile.amplitude, 2.0 * math.pi * profile.frequency, profile.start)
+        return Composite(())
+    if isinstance(profile, (Step, Sine)):
+        return profile
     if isinstance(profile, UniformRandom):
         n_seg = int(math.ceil(horizon / profile.hold)) + 1
         rng = np.random.default_rng(profile.seed)
         return HeldLoad(rng.uniform(-profile.amplitude, profile.amplitude, size=n_seg), profile.hold)
     if isinstance(profile, Composite):
-        return SumLoad([realize(p, horizon) for p in profile.parts])
+        return Composite(tuple(realize(p, horizon) for p in profile.parts))
     raise TypeError(f"unknown load profile {type(profile).__name__}")
 
 

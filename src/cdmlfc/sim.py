@@ -17,9 +17,9 @@ of exact steps records nine floats a step into one flat array('d'), and
 simulate takes its loads either as functions, sampled into a load_samples
 table per run, or as a LoadTable sampled once and shared by every run on
 the same grid (a scenario's controller sets, a sweep's cells). A LoadShape
-(scenarios.realize gives one per load profile kind) samples its whole
-table in bulk, bit for bit the per-call samples, and lists its sine terms,
-which simulate's closed form carries as exosystem states.
+(a load profile, or what scenarios.realize makes of one) samples its whole
+table in bulk, by the one formula its per-call samples also take, and lists
+its sine terms, which simulate's closed form carries as exosystem states.
 Controllers act on ACE and run as trapezoidal (Tustin) discrete blocks
 updated once per sample, in plain float arithmetic in both drivers: the
 realization rows S = [[Cd, Dd], [Ad, Bd]] applied to [x; y], each product
@@ -50,6 +50,9 @@ from .errors import NonFiniteState
 from .plant import AreaParams, NonlinearityConfig, TieLine, frequency_bias
 
 LoadFn = Callable[[float], float]
+
+# The largest integrator step both simulators (and the config) accept, s.
+MAX_DT = 0.05
 
 # Both simulators' divergence rule: any state non-finite, or |df1| or |df2| above
 # this cap (pu); simulate then raises NonFiniteState, run_iae NaNs the lane
@@ -240,17 +243,21 @@ def plant_rhs(areas: tuple[AreaParams, AreaParams], tie: TieLine, nonlin: Nonlin
 
 
 class LoadShape:
-    """A load function that also samples in bulk and lists its sine terms.
+    """A load function that samples in bulk and lists its sine terms.
 
-    It is called at a time t like any load function; sample(times) gives its
-    values at every entry of a times array, each equal to the call's bit for
-    bit, and sample(times, sines=False) the same with every sine term taken
-    as 0.0. sines lists those terms as (amplitude, angular frequency, start):
-    each adds amplitude * sin(omega * (t - start)) from start on, and 0.0
-    before it. scenarios.realize gives one shape per load profile kind.
+    sample(times) gives its values at every entry of a times array, and
+    sample(times, sines=False) the same with every sine term taken as 0.0; a
+    call at a time t is sample at that one time, so bulk and per-call samples
+    come from one formula. sines lists each term as (amplitude, angular
+    frequency, start): amplitude * sin(omega * (t - start)) from start on, 0.0
+    before. scenarios.Step, Sine and Composite are shapes, and
+    scenarios.realize makes one of any load profile.
     """
 
     sines: tuple = ()
+
+    def __call__(self, t: float) -> float:
+        return float(self.sample(np.array([t]))[0])
 
 
 def load_times(dt: float, n_steps: int) -> np.ndarray:
@@ -522,8 +529,8 @@ def sample_steps(controller_dt: float, dt: float) -> int:
 
 
 def _n_steps(horizon: float, dt: float) -> int:
-    if not (0.0 < dt <= 0.05):
-        raise ValueError("dt must be in (0, 0.05]")
+    if not (0.0 < dt <= MAX_DT):
+        raise ValueError(f"dt must be in (0, {MAX_DT:g}]")
     n_steps = horizon_steps(horizon, dt)
     if not n_steps:
         raise ValueError("horizon must be a positive multiple of dt")

@@ -107,9 +107,11 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             build_config({"optimizer": {"objective": {"horizon": 1.01}}})
         assert "optimizer.objective.horizon" in str(err.value)
-        with pytest.raises(ConfigError) as err:
-            build_config({"optimizer": {"objective": {"dt": 0.06}}})
-        assert "optimizer.objective.dt" in str(err.value)
+        for dt in (0.06, 0.050000001):
+            with pytest.raises(ConfigError) as err:
+                build_config({"optimizer": {"objective": {"dt": dt}}})
+            assert "optimizer.objective.dt: must be in (0, 0.05]" in str(err.value)
+        assert build_config({"optimizer": {"objective": {"dt": 0.05}}}).objective_settings["dt"] == 0.05
         cfg = build_config({"optimizer": {"objective": {"dt": 0.005, "horizon": 1.005}}})
         assert (cfg.objective_settings["dt"], cfg.objective_settings["horizon"]) == (0.005, 1.005)
 

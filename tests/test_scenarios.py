@@ -26,7 +26,7 @@ from cdmlfc.scenarios import (
     table6_specs,
     transient_measures,
 )
-from cdmlfc.sim import LoadTable, Trajectory, horizon_steps, load_samples
+from cdmlfc.sim import LoadTable, SystemModel, Trajectory, horizon_steps, load_samples, simulate
 
 
 def make_traj(t, df1, df2=None, dptie=None):
@@ -163,6 +163,23 @@ class TestLoadShapes:
             assert table.base.tobytes() == base.tobytes()
             assert [list(terms) for terms in table.sines] == [sine_terms(p) for p in profiles]
 
+
+class TestProfilesAreShapes:
+    def test_realize_returns_a_step_or_sine_itself(self):
+        for profile in (Step(0.01, 1.0), Sine(0.005, 0.1, 2.5)):
+            assert realize(profile, 10.0) is profile
+
+    @pytest.mark.parametrize("closed_form", [True, False])
+    def test_profiles_simulate_as_their_realized_shapes(self, closed_form):
+        cfg = build_config()
+        model = SystemModel(cfg.areas, cfg.tie, cfg.cases_nonlin, cfg.controller_pair("cdm_opt"))
+        profiles = (Composite((Step(0.01, 1.0), Sine(0.005, 0.1, 2.5))), Composite(()))
+        runs = [
+            simulate(model, loads, 0.01, 10.0, closed_form=closed_form)
+            for loads in (profiles, tuple(realize(p, 10.0) for p in profiles))
+        ]
+        for name in Trajectory.CHANNELS:
+            assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes(), name
 
 class TestIndices:
     def test_constant_df1(self):

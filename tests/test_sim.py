@@ -321,8 +321,10 @@ class TestSimulate:
             simulate(m, (STEP1, ZERO), dt=0.01, horizon=60.0)
 
     def test_dt_validation(self):
-        with pytest.raises(ValueError):
-            simulate(model(), (ZERO, ZERO), dt=0.06, horizon=1.0)
+        for dt in (0.06, 0.050000001):
+            with pytest.raises(ValueError, match=r"^dt must be in \(0, 0\.05\]$"):
+                simulate(model(), (ZERO, ZERO), dt=dt, horizon=1.0)
+        assert len(simulate(model(), (ZERO, ZERO), dt=0.05, horizon=1.0).t) == 21
         with pytest.raises(ValueError):
             simulate(model(), (ZERO, ZERO), dt=0.01, horizon=0.015)
 
