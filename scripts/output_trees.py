@@ -60,6 +60,24 @@ CONFIGS = {
             "disturbance_time": 0.0,
         }
     },
+    # a composite with null parts in both areas: a null part is no load
+    "custom_null_part": {
+        "scenario": {
+            "loads": [
+                {
+                    "kind": "composite",
+                    "parts": [
+                        None,
+                        {"kind": "uniform_random", "amplitude": 0.01, "hold": 2.0, "seed": 7},
+                        {"kind": "step", "magnitude": 0.005, "time": 2.0},
+                    ],
+                },
+                {"kind": "composite", "parts": [None]},
+            ],
+            "horizon": 20.0,
+            "disturbance_time": 0.0,
+        }
+    },
     # slower governor and turbine in area 1, a CDM design with a longer tau
     "custom_model": {
         "model": {"area1": {"D": 0.015, "M": 0.1667, "R": 3.0, "Tg": 0.16, "Tt": 0.8}},
@@ -110,6 +128,7 @@ def commands(configs: pathlib.Path) -> dict[str, list[str]]:
         "optimize_random_repeats": ["optimize", *config("optimize"), "--algorithm", "random-search", "--repeats", "2"],
         "custom_compare": ["compare", *config("custom"), *CONTROLLERS],
         "custom_sine_start": ["compare", *config("custom_sine_start"), *CONTROLLERS],
+        "custom_null_part": ["compare", *config("custom_null_part"), *CONTROLLERS],
         "case2_custom_model": ["case", "2", *config("custom_model"), *CONTROLLERS],
         "sweep_custom_model": ["sweep", *config("custom_model"), *CONTROLLERS],
         "case2_unstable_cdm_opt": ["case", "2", *config("unstable_cdm_opt"), "--horizon", "10", "--controllers", "cdm_opt"],

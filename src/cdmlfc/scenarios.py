@@ -10,6 +10,7 @@ the case definitions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Optional, Sequence, Union
@@ -64,65 +65,49 @@ class Sine(LoadShape):
 
 
 @dataclass(frozen=True)
-class UniformRandom:
+class UniformRandom(LoadShape):
+    """Draw k of seed's generator over [k * hold, (k + 1) * hold), whatever the span sampled."""
+
     amplitude: float  # pu, values drawn from [-amplitude, +amplitude]
     hold: float  # s, zero-order hold per segment
     seed: int
 
     def __post_init__(self):
-        if self.hold <= 0.0:
+        if not self.hold > 0.0:
             raise ValueError("hold must be > 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
+    def sample(self, times: np.ndarray, sines: bool = True) -> np.ndarray:
+        segments = (times / self.hold).astype(np.intp)
+        return _draws(self.amplitude, self.seed, int(segments.max(initial=0)) + 1)[segments]
+
+
+@functools.lru_cache
+def _draws(amplitude: float, seed: int, count: int) -> np.ndarray:
+    """The first count draws of seed's generator, cached for per-call samples (indexing them copies)."""
+    return np.random.default_rng(seed).uniform(-amplitude, amplitude, size=count)
+
 
 @dataclass(frozen=True)
 class Composite(LoadShape):
-    """The sum of parts, added left to right from 0.0 (0.0 with no parts). It
-    samples once its parts are load shapes, as realize makes them."""
+    """The sum of parts, added left to right from 0.0 (0.0 with no parts); a None part is no load."""
 
     parts: tuple
 
     @property
     def sines(self) -> tuple:
-        return tuple(term for part in self.parts for term in part.sines)
+        return tuple(term for part in self.parts if part is not None for term in part.sines)
 
     def sample(self, times: np.ndarray, sines: bool = True) -> np.ndarray:
         acc = np.zeros(times.shape)
         for part in self.parts:
-            acc += part.sample(times, sines)
+            if part is not None:
+                acc += part.sample(times, sines)
         return acc
 
 
 LoadProfile = Union[Step, Sine, UniformRandom, Composite]
-
-
-class HeldLoad(LoadShape):
-    """A realized UniformRandom: values[k] over [k * hold, (k + 1) * hold), the last value from then on."""
-
-    def __init__(self, values: np.ndarray, hold: float):
-        self.values, self.hold, self._last = values, hold, len(values) - 1
-
-    def sample(self, times: np.ndarray, sines: bool = True) -> np.ndarray:
-        # clamp before the integer cast, so that no time past the last segment can overflow it
-        return self.values[np.minimum(times / self.hold, self._last).astype(np.intp)]
-
-
-def realize(profile: Optional[LoadProfile], horizon: float) -> LoadShape:
-    """A load profile as a LoadShape over horizon: a step or a sine is its own
-    shape, a composite sums its realized parts, a random load holds its draws,
-    and no profile is the empty composite, 0.0 at every time."""
-    if profile is None:
-        return Composite(())
-    if isinstance(profile, (Step, Sine)):
-        return profile
-    if isinstance(profile, UniformRandom):
-        n_seg = int(math.ceil(horizon / profile.hold)) + 1
-        rng = np.random.default_rng(profile.seed)
-        return HeldLoad(rng.uniform(-profile.amplitude, profile.amplitude, size=n_seg), profile.hold)
-    if isinstance(profile, Composite):
-        return Composite(tuple(realize(p, horizon) for p in profile.parts))
-    raise TypeError(f"unknown load profile {type(profile).__name__}")
 
 
 # JSON form: {"kind": <key>, <field>: <value>, ...}; a composite's parts nest
@@ -261,7 +246,7 @@ class TuningObjective:
         self._plants = tuple(derive_design_plant(a, self.tie) for a in self.areas)
         # the evaluation model, built here only: Tg and Tt scaled by perturb, the case-1 load in both areas
         self.eval_areas = tuple(replace(a, Tg=a.Tg * self.perturb, Tt=a.Tt * self.perturb) for a in self.areas)
-        load = realize(case1_load(), self.horizon)
+        load = case1_load()
         self.eval_loads = (load, load)
         self._sim = BatchCdmSimulator(self.eval_areas, self.tie, self.nonlin, self.eval_loads, self.dt, self.horizon)
 
@@ -418,8 +403,8 @@ def run_scenario(
 
 
 def scenario_loads(definition: CaseDefinition, cfg: RunConfig, horizon: float) -> LoadTable:
-    """The definition's loads over horizon, sampled on cfg's solver step."""
-    return LoadTable.sample(tuple(realize(p, horizon) for p in definition.loads), cfg.dt, horizon)
+    """The definition's loads over horizon, sampled on cfg's solver step; a None load is no load."""
+    return LoadTable.sample(tuple(Composite(()) if p is None else p for p in definition.loads), cfg.dt, horizon)
 
 
 def run_case(case_id: int, cfg: RunConfig, controllers: Sequence[str]) -> CaseReport:

@@ -17,9 +17,9 @@ of exact steps records nine floats a step into one flat array('d'), and
 simulate takes its loads either as functions, sampled into a load_samples
 table per run, or as a LoadTable sampled once and shared by every run on
 the same grid (a scenario's controller sets, a sweep's cells). A LoadShape
-(a load profile, or what scenarios.realize makes of one) samples its whole
-table in bulk, by the one formula its per-call samples also take, and lists
-its sine terms, which simulate's closed form carries as exosystem states.
+(every scenarios load profile is one) samples its whole table in bulk, by
+the one formula its per-call samples also take, and lists its sine terms,
+which simulate's closed form carries as exosystem states.
 Controllers act on ACE and run as trapezoidal (Tustin) discrete blocks
 updated once per sample, in plain float arithmetic in both drivers: the
 realization rows S = [[Cd, Dd], [Ad, Bd]] applied to [x; y], each product
@@ -250,8 +250,8 @@ class LoadShape:
     call at a time t is sample at that one time, so bulk and per-call samples
     come from one formula. sines lists each term as (amplitude, angular
     frequency, start): amplitude * sin(omega * (t - start)) from start on, 0.0
-    before. scenarios.Step, Sine and Composite are shapes, and
-    scenarios.realize makes one of any load profile.
+    before. Every scenarios load profile (Step, Sine, UniformRandom,
+    Composite) is a shape.
     """
 
     sines: tuple = ()
@@ -518,13 +518,13 @@ class Trajectory:
 
 def horizon_steps(horizon: float, dt: float) -> int:
     """Steps of dt in horizon; 0 unless horizon is a positive whole multiple of dt."""
-    n = round(horizon / dt)
+    n = round(horizon / dt) if math.isfinite(horizon / dt) else 0
     return n if n >= 1 and abs(n * dt - horizon) <= 1e-9 * max(1.0, horizon) else 0
 
 
 def sample_steps(controller_dt: float, dt: float) -> int:
     """Steps of dt per controller sample; 0 unless controller_dt is a positive whole multiple of dt."""
-    n = round(controller_dt / dt)
+    n = round(controller_dt / dt) if math.isfinite(controller_dt / dt) else 0
     return n if n >= 1 and abs(n * dt - controller_dt) <= 1e-9 * controller_dt else 0
 
 

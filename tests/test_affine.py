@@ -16,7 +16,7 @@ from cdmlfc.config import build_config
 from cdmlfc.errors import NonFiniteState
 from cdmlfc.plant import AreaParams, NonlinearityConfig, derive_design_plant, frequency_bias
 from cdmlfc.poly import Polynomial, poly_mul
-from cdmlfc.scenarios import Composite, Sine, Step, case_definition, realize, scenario_loads
+from cdmlfc.scenarios import Composite, Sine, Step, case_definition, scenario_loads
 from cdmlfc.sim import (
     DiscreteController,
     IntegralSpec,
@@ -250,7 +250,7 @@ class TestClosedForm:
 
     def test_order_three_controllers_match_simulate(self):
         m = SystemModel(CFG.areas, CFG.tie, CFG.cases_nonlin, lifted_cdm_pair())
-        loads = (realize(case_definition(2).loads[0], 30.0), ZERO)
+        loads = (case_definition(2).loads[0], ZERO)
         want = simulate(m, loads, dt=0.01, horizon=30.0)
         assert worst_error(simulate(m, loads, dt=0.01, horizon=30.0, closed_form=True), want) <= TOLERANCE
 
@@ -286,7 +286,7 @@ class TestClosedForm:
         # 2.5 s, two for the sine from 1 s and the step), and pi's blocks
         # where its dead band opens (800 steps under the sine from 2.5 s)
         m = SystemModel(CFG.areas, CFG.tie, CFG.cases_nonlin, CFG.controller_pair(name))
-        loads = LoadTable.sample((realize(area1, 20.0), realize(Sine(0.004, 0.3), 20.0)), 0.01, 20.0)
+        loads = LoadTable.sample((area1, Sine(0.004, 0.3)), 0.01, 20.0)
         want = simulate(m, loads, dt=0.01, horizon=20.0)
         got = simulate(m, loads, dt=0.01, horizon=20.0, closed_form=True)
         assert worst_error(got, want) <= TOLERANCE

@@ -20,7 +20,6 @@ from cdmlfc.scenarios import (
     evaluate,
     indices,
     profile_to_json,
-    realize,
     run_case,
     sensitivity_sweep,
     table6_specs,
@@ -48,18 +47,18 @@ def make_traj(t, df1, df2=None, dptie=None):
 
 class TestLoadProfiles:
     def test_step(self):
-        fn = realize(Step(0.01, 1.0), 10.0)
+        fn = Step(0.01, 1.0)
         assert fn(0.99) == 0.0
         assert fn(1.0) == 0.01
 
     def test_sine(self):
-        fn = realize(Sine(0.01, 0.05, 0.0), 40.0)
+        fn = Sine(0.01, 0.05, 0.0)
         assert fn(5.0) == pytest.approx(0.01)  # quarter period of 20 s
         assert fn(10.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_uniform_random_deterministic_and_bounded(self):
-        a = realize(UniformRandom(0.01, 10.0, 7), 100.0)
-        b = realize(UniformRandom(0.01, 10.0, 7), 100.0)
+        a = UniformRandom(0.01, 10.0, 7)
+        b = UniformRandom(0.01, 10.0, 7)
         ts = np.linspace(0, 100, 333)
         va = [a(float(t)) for t in ts]
         assert va == [b(float(t)) for t in ts]
@@ -67,18 +66,24 @@ class TestLoadProfiles:
         assert a(0.0) == a(9.99) != a(10.01)
 
     def test_composite_case1(self):
-        fn = realize(case1_load(), 60.0)
+        fn = case1_load()
         assert fn(0.5) == 0.0
         assert fn(1.5) == pytest.approx(0.01)
         assert fn(30.5) == pytest.approx(0.02)
+
+    def test_uniform_random_hold_must_be_positive(self):
+        for hold in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match=r"^hold must be > 0$"):
+                UniformRandom(0.01, hold, 1)
 
     def test_json_roundtrip(self):
         for p in (Step(0.01, 1.0), Sine(0.01, 0.05, 2.0), UniformRandom(0.02, 5.0, 3), case1_load(), None):
             assert build_config({"scenario": {"loads": [None, profile_to_json(p)]}}).scenario.loads == (None, p)
 
 
-def reference_load(profile, horizon):
-    """realize as first written: one closure per profile, called per sample."""
+def reference_load(profile, span):
+    """A load profile as first written: one closure per profile, called per
+    sample; a random load draws enough values for times up to span."""
     if profile is None:
         return lambda t: 0.0
     if isinstance(profile, Step):
@@ -88,10 +93,10 @@ def reference_load(profile, horizon):
         amp, w, t0 = profile.amplitude, 2.0 * math.pi * profile.frequency, profile.start
         return lambda t: amp * math.sin(w * (t - t0)) if t >= t0 else 0.0
     if isinstance(profile, UniformRandom):
-        n_seg = int(math.ceil(horizon / profile.hold)) + 1
+        n_seg = int(span / profile.hold) + 2
         values = np.random.default_rng(profile.seed).uniform(-profile.amplitude, profile.amplitude, size=n_seg).tolist()
-        return lambda t: values[min(int(t / profile.hold), n_seg - 1)]
-    fns = [reference_load(p, horizon) for p in profile.parts]
+        return lambda t: values[int(t / profile.hold)]
+    fns = [reference_load(p, span) for p in profile.parts]
 
     def total(t):
         acc = 0.0
@@ -143,43 +148,52 @@ class TestLoadShapes:
         profiles=st.tuples(PROFILES, PROFILES),
         dt=st.floats(0.001, 0.05),
         n_steps=st.integers(1, 1500),
-        share=st.floats(0.0, 1.2),
     )
-    def test_bulk_samples_equal_per_call_samples(self, profiles, dt, n_steps, share):
-        # realized over share of the sampled span: below 1 the random loads'
-        # last segment holds to the end (the clamp); composites add left to
-        # right from 0.0
-        horizon = share * n_steps * dt
-        shapes = tuple(realize(p, horizon) for p in profiles)
-        want = per_call_table(tuple(reference_load(p, horizon) for p in profiles), dt, n_steps)
+    def test_bulk_samples_equal_per_call_samples(self, profiles, dt, n_steps):
+        # composites add left to right from 0.0; a None load is the empty composite, as scenario_loads passes it
+        span = n_steps * dt
+        shapes = tuple(Composite(()) if p is None else p for p in profiles)
+        want = per_call_table(tuple(reference_load(p, span) for p in profiles), dt, n_steps)
         assert load_samples(shapes, dt, n_steps).tobytes() == want.tobytes()
         assert per_call_table(shapes, dt, n_steps).tobytes() == want.tobytes()
         wrapped = tuple(lambda t, shape=shape: shape(t) for shape in shapes)  # plain functions: one call per sample
         assert load_samples(wrapped, dt, n_steps).tobytes() == want.tobytes()
-        if horizon_steps(n_steps * dt, dt) == n_steps:
-            table = LoadTable.sample(shapes, dt, n_steps * dt)
+        if horizon_steps(span, dt) == n_steps:
+            table = LoadTable.sample(shapes, dt, span)
             assert table.samples.tobytes() == want.tobytes()
-            base = per_call_table(tuple(reference_load(without_sines(p), horizon) for p in profiles), dt, n_steps)
+            base = per_call_table(tuple(reference_load(without_sines(p), span) for p in profiles), dt, n_steps)
             assert table.base.tobytes() == base.tobytes()
             assert [list(terms) for terms in table.sines] == [sine_terms(p) for p in profiles]
 
+    @pytest.mark.parametrize(
+        "profiles",
+        [
+            (Composite((Step(0.01, 1.0), UniformRandom(0.01, 2.0, 7))), Composite(())),
+            (Composite((None, Step(0.01, 1.0))), Composite((None,))),
+        ],
+        ids=["random_part", "none_part"],
+    )
+    def test_composites_sample_their_parts(self, profiles):
+        # a composite with a random part samples in bulk and per call, and a None part is no load
+        want = per_call_table(tuple(reference_load(p, 1.0) for p in profiles), 0.01, 100)
+        assert LoadTable.sample(profiles, 0.01, 1.0).samples.tobytes() == want.tobytes()
+        assert per_call_table(profiles, 0.01, 100).tobytes() == want.tobytes()
+
 
 class TestProfilesAreShapes:
-    def test_realize_returns_a_step_or_sine_itself(self):
-        for profile in (Step(0.01, 1.0), Sine(0.005, 0.1, 2.5)):
-            assert realize(profile, 10.0) is profile
-
     @pytest.mark.parametrize("closed_form", [True, False])
     def test_profiles_simulate_as_their_realized_shapes(self, closed_form):
+        # a step, a random part and a None part, run as profiles and as per-call closures: the same bits
         cfg = build_config()
         model = SystemModel(cfg.areas, cfg.tie, cfg.cases_nonlin, cfg.controller_pair("cdm_opt"))
-        profiles = (Composite((Step(0.01, 1.0), Sine(0.005, 0.1, 2.5))), Composite(()))
+        profiles = (Composite((Step(0.01, 1.0), UniformRandom(0.005, 2.0, 7))), Composite((None, UniformRandom(0.01, 3.0, 1))))
         runs = [
             simulate(model, loads, 0.01, 10.0, closed_form=closed_form)
-            for loads in (profiles, tuple(realize(p, 10.0) for p in profiles))
+            for loads in (profiles, tuple(reference_load(p, 10.0) for p in profiles))
         ]
         for name in Trajectory.CHANNELS:
             assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes(), name
+
 
 class TestIndices:
     def test_constant_df1(self):

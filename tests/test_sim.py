@@ -327,10 +327,14 @@ class TestSimulate:
         assert len(simulate(model(), (ZERO, ZERO), dt=0.05, horizon=1.0).t) == 21
         with pytest.raises(ValueError):
             simulate(model(), (ZERO, ZERO), dt=0.01, horizon=0.015)
+        for horizon in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"^horizon must be a positive multiple of dt$"):
+                simulate(model(), (ZERO, ZERO), dt=0.01, horizon=horizon)
 
     def test_controller_dt_must_be_multiple(self):
-        with pytest.raises(ValueError):
-            simulate(model(), (ZERO, ZERO), dt=0.01, horizon=1.0, controller_dt=0.015)
+        for controller_dt in (0.015, math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"^controller_dt must be a positive integer multiple of dt$"):
+                simulate(model(), (ZERO, ZERO), dt=0.01, horizon=1.0, controller_dt=controller_dt)
 
     def test_grid_refinement_state_channels(self):
         m = model()
@@ -595,6 +599,11 @@ class TestBatchSimulator:
         for shift in range(len(pairs)):
             order = np.roll(np.arange(len(pairs)), shift)
             np.testing.assert_array_equal(batch.run_iae([pairs[i] for i in order]), alone[order])
+
+    def test_non_finite_horizon_is_refused(self):
+        for horizon in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"^horizon must be a positive multiple of dt$"):
+                BatchCdmSimulator((defaults.AREA1, defaults.AREA2), defaults.TIE, LINEAR, (STEP1, ZERO), 0.02, horizon)
 
     def test_no_lanes_give_no_costs(self):
         batch = BatchCdmSimulator(
