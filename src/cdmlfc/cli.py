@@ -200,6 +200,14 @@ def cmd_optimize(cfg: RunConfig, outdir: Path, repeats: int, algorithm: str, obj
     if best_cost >= PENALTY_FLOOR:
         print("optimization never found a stable design (all penalties)", file=sys.stderr)
         return 4
+    rho = objective.loop_radius(best_vec)
+    loop_stable = rho < 1.0
+    if not loop_stable:
+        print(
+            f"note: the best design is loop-unstable (spectral radius estimate {rho:.9g} >= 1); "
+            "its J is the proxy cost, not a simulated IAE",
+            file=sys.stderr,
+        )
 
     g1, g2 = objective.decode(best_vec)
     _write_json(
@@ -213,6 +221,8 @@ def cmd_optimize(cfg: RunConfig, outdir: Path, repeats: int, algorithm: str, obj
             "tau": g1.tau,
             "k_b0": [g1.k_b0, g2.k_b0],
             "reference_j": reference_j[0],
+            "loop_stable": loop_stable,
+            "rho": rho,
         },
     )
     arr = np.array(finals)
@@ -222,6 +232,7 @@ def cmd_optimize(cfg: RunConfig, outdir: Path, repeats: int, algorithm: str, obj
         "mean": float(arr.mean()),
         "std": float(arr.std(ddof=0)),
         "repeats": repeats,
+        "objective": dict(objective.counts),
     }
     _write_json(outdir / "summary.json", stats)
     lines = ["statistic,value"] + [f"{k},{_fmt(stats[k])}" for k in ("min", "max", "mean", "std")]

@@ -41,13 +41,16 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .cdm import CdmController, controller_to_statespace
 from .errors import NonFiniteState
 from .plant import AreaParams, NonlinearityConfig, TieLine, frequency_bias
+
+if TYPE_CHECKING:
+    from .affine import StepMaps
 
 LoadFn = Callable[[float], float]
 
@@ -63,6 +66,11 @@ _DIVERGENCE_CAP = 1e6
 # running peak and IAE (see BatchCdmSimulator). At 64 a fold's nine calls come
 # to a seventh of a call per step, and the block holds 1 KB per lane.
 _FOLD_ROWS = 64
+
+# closed_form_iae's lanes per block table: at 8 a table of the objective's model holds 0.55 MB.
+# At 4, tune rounds took about 11% more CPU and criterion 7's campaign twice the time; at 16,
+# the tune benchmark's peak RSS rose about 0.6 MB more than at 8.
+_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -626,7 +634,7 @@ def simulate(
         stretches = load_stretches(np.concatenate([loads.base.reshape(n_steps, 6), *on], axis=1))
     closed_form = any(closed for _, _, closed in stretches)
     if closed_form:
-        from .affine import _BLOCK, block_predictor  # only here, so that tuning never compiles it
+        from .affine import _BLOCK, block_predictor  # only here, so that importing the CLI does not compile it
 
         under = block_predictor(model, rows1, rows2, dt, _DIVERGENCE_CAP, sines)
     try:
@@ -663,13 +671,21 @@ def simulate(
     return Trajectory(*rec)
 
 
+def controller_rows(controller_pairs: Sequence[tuple[ControllerSpec, ControllerSpec]], dt: float) -> np.ndarray:
+    """Both areas' DiscreteController rows for each (area 1, area 2) pair,
+    stacked as (2, lanes, n + 1, n + 1), area first: the pairs must share one
+    state-space order. run_iae's bank and affine.step_maps take them so."""
+    return np.array([[DiscreteController(pair[side], dt).rows for pair in controller_pairs] for side in (0, 1)])
+
+
 class BatchCdmSimulator:
     """Vectorized co-simulation of many candidate CDM controller pairs.
 
     Every candidate shares the same physical model and load profiles; only
     the two controller realizations differ. Used by the tuning objective,
     where only the summed IAE of the frequency deviations is needed.
-    Divergent candidates yield NaN.
+    Divergent candidates yield NaN. run_iae is the exact engine;
+    closed_form_iae gives the same IAE, to rounding, for loop-stable lanes.
 
     run_iae holds the plant state as one (7, lanes) array, stepped by
     lanes_step, and both areas' controllers as one bank: the columns of their
@@ -726,29 +742,24 @@ class BatchCdmSimulator:
         self.dt = dt
         self.plant = (areas, tie, nonlin)
         self.bias = np.array([[frequency_bias(areas[0])], [frequency_bias(areas[1])]])
-        # each step's load samples as (2, 1) columns, kept for the steps whose row differs from the last
-        samples = load_samples(loads, dt, self.n_steps)
-        table = samples[..., None]
-        self.load_changes = {k: table[k] for k in load_row_changes(samples).tolist()}
+        # the load table, and the steps whose row differs from the last
+        self.samples = load_samples(loads, dt, self.n_steps)
+        self.load_changes = load_row_changes(self.samples)
 
-    def run_iae(self, controller_pairs: Sequence[tuple[CdmController, CdmController]]) -> np.ndarray:
-        """The IAE of each (area 1, area 2) controller pair, NaN where it diverges.
-
-        All controllers of a call share one state-space order, as synthesize's
-        default degrees give, so that both areas stack into one bank.
-        """
-        dt, n_steps = self.dt, self.n_steps
-        lanes = len(controller_pairs)
-        if lanes == 0:
-            return np.empty(0)
+    def _lanes(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, Callable]:
+        """run_iae's lanes for the controller rows (2, lanes, n + 1, n + 1)
+        (controller_rows): the plant state (7, lanes) and the controller states
+        x (n, 2, lanes), both zero, and run(k0, k1, records), which steps them
+        in place from step k0 to k1, copying df into records[i] before step
+        k0 + i, so that a run can start from any state at any step."""
+        dt, lanes = self.dt, rows.shape[1]
 
         # the trapezoidal controllers as one bank: column j of every area's and
         # lane's rows S, output row negated, as cols[j], shape (n + 1, 2,
         # lanes), and z = [x; ace] as z[0..n], each a (2, lanes) row, so that
         # each lane takes DiscreteController.step's products and row sums
-        rows = np.array([[DiscreteController(pair[side], dt).rows for pair in controller_pairs] for side in (0, 1)])
-        np.negative(rows[:, :, 0], out=rows[:, :, 0])
         cols = np.ascontiguousarray(rows.transpose(3, 2, 0, 1))
+        np.negative(cols[:, 0], out=cols[:, 0])
         z, w, prod = np.zeros((3, len(cols), 2, lanes))
         x, ace, u, new_x = z[:-1], z[-1], w[0], w[1:]
         c0, z0, later = cols[0], z[0], list(zip(cols[1:], z[1:]))
@@ -760,8 +771,39 @@ class BatchCdmSimulator:
         bias = np.broadcast_to(self.bias, (2, lanes)).copy()
         loads = np.empty((3, 2, lanes))
         stage_loads = tuple(loads)
-        changes = self.load_changes
+        table, changes = self.samples[..., None], set(self.load_changes.tolist())
         step = lanes_step(*self.plant, state, dt)
+
+        def run(k0: int, k1: int, records: Sequence[np.ndarray]) -> None:
+            np.copyto(loads, table[k0])
+            for k, record in zip(range(k0, k1), records):
+                np.copyto(record, df)
+                if k in changes:
+                    np.copyto(loads, table[k])
+                np.multiply(bias, df, out=ace)
+                np.add(ace1, dptie, out=ace1)
+                np.subtract(ace2, dptie, out=ace2)
+                np.multiply(c0, z0, out=w)
+                for col, zj in later:
+                    np.multiply(col, zj, out=prod)
+                    np.add(w, prod, out=w)
+                np.copyto(x, new_x)
+                step(stage_loads, u)
+
+        return state, x, run
+
+    def run_iae(self, controller_pairs: Sequence[tuple[CdmController, CdmController]]) -> np.ndarray:
+        """The IAE of each (area 1, area 2) controller pair, NaN where it diverges.
+
+        All controllers of a call share one state-space order, as synthesize's
+        default degrees give, so that both areas stack into one bank.
+        """
+        dt, n_steps = self.dt, self.n_steps
+        lanes = len(controller_pairs)
+        if lanes == 0:
+            return np.empty(0)
+        state, _, run = self._lanes(controller_rows(controller_pairs, dt))
+        df = state[0:2]
 
         # |df| history, folded block by block into the peak and the IAE
         history = np.empty((2, _FOLD_ROWS, lanes))
@@ -786,20 +828,9 @@ class BatchCdmSimulator:
 
         with np.errstate(over="ignore", invalid="ignore"):
             for k0 in range(0, n_steps, _FOLD_ROWS):
-                for k, record in zip(range(k0, min(k0 + _FOLD_ROWS, n_steps)), records):
-                    np.copyto(record, df)
-                    if k in changes:
-                        np.copyto(loads, changes[k])
-                    np.multiply(bias, df, out=ace)
-                    ace1 += dptie
-                    ace2 -= dptie
-                    np.multiply(c0, z0, out=w)
-                    for col, zj in later:
-                        np.multiply(col, zj, out=prod)
-                        np.add(w, prod, out=w)
-                    np.copyto(x, new_x)
-                    step(stage_loads, u)
-                fold(k + 1 - k0, ends=1 if k0 == 0 else 0)
+                k1 = min(k0 + _FOLD_ROWS, n_steps)
+                run(k0, k1, records)
+                fold(k1 - k0, ends=1 if k0 == 0 else 0)
             np.copyto(records[0], df)
             fold(1, ends=1)  # the final state
 
@@ -807,3 +838,102 @@ class BatchCdmSimulator:
         live = np.isfinite(state).all(axis=0) & (peak <= _DIVERGENCE_CAP).all(axis=0)
         iae[~live] = np.nan
         return iae
+
+    def closed_form_iae(self, rows: np.ndarray, maps: StepMaps) -> tuple[np.ndarray, int]:
+        """run_iae's IAE for the controller rows (2, lanes, n + 1, n + 1)
+        (controller_rows), whose step maps on this simulator's plant and dt
+        are maps (affine.step_maps), in closed form, NaN where a lane diverges,
+        and the number of blocks stepped exactly, summed over the lanes.
+
+        Meant for loop-stable lanes, whose clamp-free step map has spectral
+        radius below 1: their clamp is idle through nearly every block. The
+        lanes go in chunks of _CHUNK, so that the tables' memory does not grow
+        with the batch: each chunk's affine.block_table observes only df1, df2
+        and the clamp (and dead-zone) arguments after 0.._BLOCK steps, and
+        affine.step_powers gives the end state of each block length. The run
+        goes in blocks of at most _BLOCK steps inside each stretch of one
+        load_samples row. A block stands for a lane if its clamp arguments lie
+        within their limits and its |df| within the divergence cap at every
+        step, and its end state is finite; else the lane steps the block
+        exactly, with the chunk's other lanes that failed it, on run_iae's
+        lanes engine from the block's start state, and the closed form resumes
+        from the block's end. The IAE is run_iae's running trapezoid over the
+        blocks' |df| rows, so a lane's value depends on neither its batch nor
+        its chunk, and lies within rounding of run_iae's (rel 1e-12 in the
+        tests); a lane whose exact steps break simulate's divergence rule is
+        NaN.
+        """
+        iae = np.empty(rows.shape[1])
+        exact = 0
+        for c0 in range(0, len(iae), _CHUNK):
+            chunk = slice(c0, c0 + _CHUNK)
+            iae[chunk], blocks = self._closed_form_chunk(rows[:, chunk], maps.take(chunk))
+            exact += blocks
+        return iae, exact
+
+    def _closed_form_chunk(self, rows: np.ndarray, maps: StepMaps) -> tuple[np.ndarray, int]:
+        """closed_form_iae for one chunk of lanes."""
+        from .affine import _BLOCK, block_table, step_powers, sum_rows  # only here: see simulate
+
+        dt, n_steps, lanes, order = self.dt, self.n_steps, rows.shape[1], rows.shape[-1] - 1
+        n = 7 + 2 * order
+        starts = self.load_changes.tolist()
+        stretches = list(zip(starts, starts[1:] + [n_steps]))
+        lengths = {min(_BLOCK, b - k0) for a, b in stretches for k0 in range(a, b, _BLOCK)}
+
+        observe = np.concatenate([np.broadcast_to(np.eye(2, n + 6), (lanes, 2, n + 6)), maps.modes], axis=1)
+        bound = np.concatenate([[_DIVERGENCE_CAP] * 2, maps.limits])
+        # the table over (coefficient, lane, step, row): the state's part and the load's
+        table = block_table(maps, observe, max(lengths)).transpose(1, 0, 2, 3)
+        on_z, on_w = table[:n], table[n:]
+        ends = {j: power.transpose(2, 0, 1) for j, power in step_powers(maps, lengths).items()}
+        prod = np.empty(on_z.shape)
+        zw = np.zeros((n + 6, lanes))  # each lane's [z; w] at the next block's start, z in step_maps' order
+        z = zw[:n]
+        alive = np.ones(lanes, bool)
+        iae = np.zeros(lanes)
+        exact = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, b in stretches:
+                zw[n:] = self.samples[a].reshape(6, 1)
+                load_part = sum_rows(on_w * zw[n:, :, None, None])  # the load's part of every prediction in the stretch
+                for k0 in range(a, b, _BLOCK):
+                    steps = min(_BLOCK, b - k0)
+                    y = prod[:, :, :steps]
+                    np.multiply(on_z[:, :, :steps], z[:, :, None, None], out=y)
+                    y = sum_rows(y)
+                    y += load_part[:, :steps]
+                    end = sum_rows(ends[steps] * zw[:, :, None])
+                    np.abs(y, out=y)
+                    sums = y[..., 0] + y[..., 1]
+                    ok = (y <= bound).all(axis=(1, 2)) & np.isfinite(end).all(axis=1)
+                    failed = np.flatnonzero(alive & ~ok)
+                    if failed.size:
+                        exact += failed.size
+                        sums[failed], end[failed], alive[failed] = self._exact_block(rows[:, failed], z[:, failed], k0, steps)
+                    z[:] = end.T
+                    # run_iae's running trapezoid: dt / 2 at the first step, dt inside
+                    sums[:, 0] *= 0.5 * dt if k0 == 0 else dt
+                    sums[:, 1:] *= dt
+                    sums[:, 0] += iae
+                    np.add.accumulate(sums, axis=1, out=sums)
+                    iae = sums[:, -1].copy()
+            iae += (np.abs(z[0]) + np.abs(z[1])) * (0.5 * dt)  # the final state
+        iae[~(alive & (np.abs(z[:2]) <= _DIVERGENCE_CAP).all(axis=0))] = np.nan
+        return iae, exact
+
+    def _exact_block(self, rows: np.ndarray, z: np.ndarray, k0: int, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Steps k0..k0+steps-1 of the lanes of rows exactly, on run_iae's
+        lanes engine, from the states z (n, lanes) in step_maps' order: each
+        lane's |df1| + |df2| before every step (lanes, steps), its end state
+        (lanes, n), and whether it kept within simulate's divergence rule."""
+        order, lanes = rows.shape[-1] - 1, rows.shape[1]
+        state, x, run = self._lanes(rows)
+        state[:] = z[:7]
+        x[:] = z[7:].reshape(2, order, lanes).transpose(1, 0, 2)
+        history = np.empty((2, steps, lanes))
+        run(k0, k0 + steps, [history[:, i] for i in range(steps)])
+        end = np.concatenate([state, x.transpose(1, 0, 2).reshape(2 * order, lanes)])
+        np.abs(history, out=history)
+        kept = (history <= _DIVERGENCE_CAP).all(axis=(0, 1)) & np.isfinite(end).all(axis=0)
+        return (history[0] + history[1]).T, end.T, kept

@@ -13,7 +13,7 @@ from cdmlfc import cli, defaults, wca
 from cdmlfc.cli import main
 from cdmlfc.config import build_config, default_config, load_config
 from cdmlfc.errors import ConfigError
-from cdmlfc.scenarios import TuningObjective
+from cdmlfc.scenarios import OUTCOMES, PENALTY_FLOOR, TuningObjective
 from cdmlfc.wca import WcaConfig
 
 
@@ -295,8 +295,12 @@ class TestCliCommands:
         assert rc == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert set(summary) >= {"min", "max", "mean", "std"}
+        # every candidate scored, by outcome: two populations and the reference, then 3 x 2 x 11 moves
+        assert set(summary["objective"]) == {*OUTCOMES, "fallback_blocks"}
+        assert sum(summary["objective"][outcome] for outcome in OUTCOMES) == 2 * 12 + 1 + 3 * 2 * 11
         best = json.loads((tmp_path / "out" / "best_gains.json").read_text())
         assert len(best["gamma"]) == 5
+        assert best["loop_stable"] == (best["rho"] < 1.0)
         conv = (tmp_path / "out" / "convergence_seed0.csv").read_text().splitlines()
         assert conv[0] == "iteration,best_cost"
         assert len(conv) == 5  # header + initial + 3 iterations
@@ -317,6 +321,24 @@ class TestCliCommands:
         assert rc == 0
         assert [c.seed for c in seen] == [0, 1, 2]
         assert all((c.n_pop, c.max_it, c.evap_prob, c.c) == (12, 3, 0.25, 1.5) for c in seen)
+
+    def test_optimize_reports_a_loop_unstable_best_and_exits_0(self, tmp_path, monkeypatch, capsys):
+        # a run whose best is a proxy (here index 37 of the engine reference, rho 2.09) reports it as its J
+        reference = json.loads((pathlib.Path(__file__).parent / "data" / "engine_reference.json").read_text())
+        x = np.array(reference["objective"]["candidates"][37])
+
+        def fake_minimize_lockstep(cost, bounds, configs):
+            (j,) = cost(x[None, :])
+            return [(x, float(j), [float(j)] * (config.max_it + 1)) for config in configs]
+
+        monkeypatch.setattr(cli, "minimize_lockstep", fake_minimize_lockstep)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"optimizer": {"n_pop": 12, "max_it": 1}}))
+        assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        best = json.loads((tmp_path / "out" / "best_gains.json").read_text())
+        assert best["loop_stable"] is False
+        assert best["j"] == PENALTY_FLOOR * (1.0 - 0.5 / best["rho"]) == pytest.approx(760993, rel=1e-5)
+        assert "the best design is loop-unstable" in capsys.readouterr().err
 
     def test_optimize_same_seed_identical_convergence(self, tmp_path):
         cfg = tmp_path / "cfg.json"

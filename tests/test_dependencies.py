@@ -1,5 +1,4 @@
 import ast
-import json
 import os
 import pathlib
 import re
@@ -45,11 +44,9 @@ def test_cli_import_leaves_scipy_out():
     assert (out.returncode, out.stdout.strip()) == (0, "False"), out.stderr
 
 
-def test_optimize_leaves_the_affine_module_out(tmp_path):
-    # tuning never takes the closed form, so optimize should not compile
-    # cdmlfc.affine: its compile peaks at about 0.9 MB where no bytecode is cached
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"optimizer": {"n_pop": 12, "max_it": 1}}))
-    argv = ["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]
-    out = run_python(f"import sys; from cdmlfc.cli import main; rc = main({argv!r}); print(rc, 'cdmlfc.affine' in sys.modules)")
-    assert (out.returncode, out.stdout.rstrip().rpartition("\n")[2]) == (0, "0 False"), out.stderr
+def test_cli_import_leaves_the_affine_module_out():
+    # cdmlfc.affine is imported only where a run needs it (the tuning
+    # objective, simulate's closed form): its compile peaks at about 0.9 MB
+    # where no bytecode is cached
+    out = run_python("import sys, cdmlfc.cli; print('cdmlfc.affine' in sys.modules)")
+    assert (out.returncode, out.stdout.strip()) == (0, "False"), out.stderr

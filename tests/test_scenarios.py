@@ -65,6 +65,23 @@ class TestLoadProfiles:
         assert all(abs(v) <= 0.01 for v in va)
         assert a(0.0) == a(9.99) != a(10.01)
 
+    def test_uniform_random_reads_zero_before_time_zero(self):
+        # as a Step or Sine reads before its start, in bulk and per call
+        fn = UniformRandom(0.01, 2.0, 7)
+        times = np.array([-3.0, -1e-12, 0.0, 1.9])
+        bulk = fn.sample(times)
+        assert bulk.tolist() == [fn(t) for t in times.tolist()]
+        assert bulk[:2].tolist() == [0.0, 0.0]
+        assert bulk[2] == bulk[3] != 0.0  # draw 0, held over [0, 2)
+
+    def test_uniform_random_refuses_non_finite_times(self):
+        fn = UniformRandom(0.01, 2.0, 7)
+        for t in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"^a random load is sampled at finite times only$"):
+                fn(t)
+            with pytest.raises(ValueError, match=r"^a random load is sampled at finite times only$"):
+                fn.sample(np.array([0.0, t]))
+
     def test_composite_case1(self):
         fn = case1_load()
         assert fn(0.5) == 0.0

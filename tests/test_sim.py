@@ -12,11 +12,14 @@ from hypothesis import strategies as st
 from cdmlfc import defaults
 from cdmlfc.cdm import CdmController, CdmGains, synthesize
 from cdmlfc.config import build_config
-from cdmlfc.errors import CdmlfcError, ImproperController, NonFiniteState
+from cdmlfc.affine import step_maps
+from cdmlfc.errors import CdmlfcError, ImproperController, NonFiniteState, SingularSystem
 from cdmlfc.plant import NonlinearityConfig, derive_design_plant, frequency_bias
 from cdmlfc.poly import Polynomial, poly_mul
-from cdmlfc.scenarios import TuningObjective, run_case
+from cdmlfc import scenarios
+from cdmlfc.scenarios import PENALTY_FLOOR, TuningObjective, run_case
 from cdmlfc.sim import (
+    _CHUNK,
     _FOLD_ROWS,
     BatchCdmSimulator,
     DiscreteController,
@@ -25,6 +28,7 @@ from cdmlfc.sim import (
     PidSpec,
     SystemModel,
     Trajectory,
+    controller_rows,
     controller_step,
     lanes_step,
     load_samples,
@@ -613,10 +617,61 @@ class TestBatchSimulator:
         assert out.dtype == float and out.shape == (0,)
 
 
-def objective_pair(objective):
-    """The objective's reference vector as a controller pair, synthesized on its design plants."""
+def candidate_pair(objective, x):
+    """The decision vector x as a controller pair, synthesized on the objective's design plants."""
     plants = [derive_design_plant(area, objective.tie) for area in objective.areas]
-    return tuple(synthesize(plant, gains) for plant, gains in zip(plants, objective.decode(objective.reference_vector())))
+    return tuple(synthesize(plant, gains) for plant, gains in zip(plants, objective.decode(x)))
+
+
+def objective_pair(objective):
+    """The objective's reference vector as a controller pair."""
+    return candidate_pair(objective, objective.reference_vector())
+
+
+def loop_stable_pairs(rng, n):
+    """n controller pairs near the objective's reference vector (each coordinate
+    scaled by exp(N(0, 0.3))), kept when np.linalg.eigvals puts the spectral
+    radius of their clamp-free step map on the objective's model below 1."""
+    objective = TuningObjective()
+    bounds = np.array(objective.bounds)
+    pairs = []
+    while len(pairs) < n:
+        x = np.clip(objective.reference_vector() * np.exp(rng.normal(0.0, 0.3, len(bounds))), *bounds.T)
+        try:
+            pair = candidate_pair(objective, x)
+        except SingularSystem:
+            continue
+        rows = controller_rows([pair], objective.dt)
+        f = step_maps(objective.eval_areas, objective.tie, objective.nonlin, rows[0], rows[1], objective.dt).f[0]
+        if all(c.stable for c in pair) and np.abs(np.linalg.eigvals(f)).max() < 1.0:
+            pairs.append(pair)
+    return pairs
+
+
+class TestClosedFormIae:
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), grc=st.sampled_from((defaults.GRC_NONBINDING, 0.01)))
+    @example(seed=3, grc=defaults.GRC_NONBINDING)
+    def test_closed_form_equals_run_iae(self, seed, grc):
+        # On the objective's model (GRC 0.1 pu/s) a loop-stable lane's clamp
+        # stays idle through nearly every block; at 0.01 pu/s it binds after
+        # each load step, and the closed form steps those blocks exactly. Each
+        # lane's cost is run_iae's to rounding, and the same bits alone and at
+        # any place in a batch of more than one chunk.
+        objective = TuningObjective()
+        pairs = loop_stable_pairs(np.random.default_rng(seed), 3)
+        nonlin = replace(objective.nonlin, grc_rate=grc)
+        sim = BatchCdmSimulator(objective.eval_areas, objective.tie, nonlin, objective.eval_loads, objective.dt, objective.horizon)
+        rows = controller_rows(pairs, objective.dt)
+        maps = step_maps(*sim.plant, rows[0], rows[1], sim.dt)
+        iae, exact = sim.closed_form_iae(rows, maps)
+        np.testing.assert_allclose(iae, sim.run_iae(pairs), rtol=1e-12, atol=0.0)
+        if grc == 0.01:
+            assert exact > 0
+        spread = np.arange(_CHUNK + 2) % len(pairs)  # each pair in both chunks
+        np.testing.assert_array_equal(sim.closed_form_iae(rows[:, spread], maps.take(spread))[0], iae[spread])
+        for i in range(len(pairs)):
+            assert sim.closed_form_iae(rows[:, [i]], maps.take([i]))[0][0] == iae[i]
 
 
 class TestIaeFold:
@@ -739,12 +794,13 @@ REFERENCE = json.loads((pathlib.Path(__file__).parent / "data" / "engine_referen
 class TestEngineReference:
     """Outputs recorded by scripts/engine_reference.py: the case indices before
     the one-lane and lane-batched simulators shared one plant model and one
-    RK4 step, the objective costs once both drivers stepped each controller
-    in plain float arithmetic (each product rounded on its own, each row
-    summed left to right, no BLAS). That re-recording kept the case indices,
-    which moved by at most 1.5e-15 relative, and moved one of the 17 live
-    costs, a limit cycle held by the rate clamp that amplifies last-bit
-    differences."""
+    RK4 step; run_iae's IAEs of the 17 design-stable candidates once both
+    drivers stepped each controller in plain float arithmetic (each product
+    rounded on its own, each row summed left to right, no BLAS), which moved
+    one of them, a limit cycle held by the rate clamp that amplifies last-bit
+    differences; and the objective's costs once it costed loop-unstable
+    candidates by their spectral radius. All 17 are loop-unstable (index 37
+    at rho 2.09, the rest above 240), so the objective runs none of them."""
 
     @pytest.mark.parametrize("case_id", sorted(REFERENCE["cases"]))
     def test_case_indices(self, case_id):
@@ -759,16 +815,60 @@ class TestEngineReference:
         costs = TuningObjective().batch(np.array(rec["candidates"]))
         assert costs.tolist() == rec["costs"]
 
-    def test_objective_costs_equal_one_lane_runs(self):
-        # independent oracle: each live cost is the IAE of a one-lane simulate
-        # run of the objective's own model (drifted areas, case-1 load in both)
+    def test_run_iae(self):
+        # the exact engine on the design-stable pairs, bit for bit
         rec = REFERENCE["objective"]
         objective = TuningObjective()
-        plants = [derive_design_plant(area, objective.tie) for area in objective.areas]
-        live = [(x, cost) for x, cost in zip(rec["candidates"], rec["costs"]) if cost < 1e6]
-        assert live
-        for x, cost in live:
-            pair = tuple(synthesize(plant, gains) for plant, gains in zip(plants, objective.decode(x)))
-            m = SystemModel(objective.eval_areas, objective.tie, objective.nonlin, pair)
-            iae = one_lane_iae(m, objective.eval_loads, objective.dt, objective.horizon)
-            assert cost == pytest.approx(iae, rel=1e-12)
+        pairs = [candidate_pair(objective, rec["candidates"][i]) for i in rec["design_stable"]]
+        assert objective._sim.run_iae(pairs).tolist() == rec["run_iae"]
+
+    def test_run_iae_equals_one_lane_runs(self):
+        # independent oracle: each recorded run_iae value is the IAE of a one-lane
+        # simulate run of the objective's own model (drifted areas, case-1 load in both)
+        rec = REFERENCE["objective"]
+        objective = TuningObjective()
+        assert rec["design_stable"]
+        for i, iae in zip(rec["design_stable"], rec["run_iae"]):
+            m = SystemModel(objective.eval_areas, objective.tie, objective.nonlin, candidate_pair(objective, rec["candidates"][i]))
+            assert iae == pytest.approx(one_lane_iae(m, objective.eval_loads, objective.dt, objective.horizon), rel=1e-12)
+
+    def test_the_reference_vector_is_simulated(self):
+        objective = TuningObjective()
+        (cost,) = objective.batch(objective.reference_vector())
+        (iae,) = objective._sim.run_iae([objective_pair(objective)])
+        assert cost == pytest.approx(iae, rel=1e-12)
+        assert objective.counts["closed_form"] == 1
+        assert objective.loop_radius(objective.reference_vector()) == pytest.approx(0.9986948, abs=2e-5)
+
+    def test_a_loop_unstable_candidate_is_proxied_without_a_run(self, monkeypatch):
+        # index 37, the recorded design-stable candidate nearest to rho = 1
+        def refuse(*args):
+            raise AssertionError("the objective ran a loop-unstable lane")
+
+        monkeypatch.setattr(BatchCdmSimulator, "run_iae", refuse)
+        monkeypatch.setattr(BatchCdmSimulator, "closed_form_iae", refuse)
+        objective = TuningObjective()
+        x = REFERENCE["objective"]["candidates"][37]
+        (cost,) = objective.batch(np.array(x))
+        assert cost == PENALTY_FLOOR * (1.0 - 0.5 / objective.loop_radius(x))
+        assert cost == pytest.approx(PENALTY_FLOOR * (1.0 - 0.5 / 2.0919750), rel=1e-5)  # rho: max |eigvals| of its step map
+        assert objective.counts["loop_unstable"] == 1
+
+    def test_a_proxy_ranks_above_a_sluggish_loop_stable_candidate(self):
+        # found in a uniform draw over OPT_BOUNDS: a loop-stable candidate with a
+        # large IAE (about 2.38), and a loop-unstable one just above rho = 1
+        sluggish = [0.131218303, 24.515029237, 11.594439488, 4.813285433, 15.823632190, 3.271676235, 10.582820194, 16.888244439]
+        unstable = [18.869369241, 0.174569965, 11.493122408, 0.663803174, 23.233326068, 4.871274894, 18.366448374, 58.797980637]
+        objective = TuningObjective()
+        assert objective.loop_radius(sluggish) == pytest.approx(0.998975, abs=1e-5)
+        assert objective.loop_radius(unstable) == pytest.approx(1.001864, abs=1e-5)
+        slow, proxy = objective.batch(np.array([sluggish, unstable]))
+        assert 2.0 < slow < PENALTY_FLOOR / 2 <= proxy < PENALTY_FLOOR
+        assert objective.counts["closed_form"] == objective.counts["loop_unstable"] == 1
+
+    def test_a_batch_of_many_loop_stable_lanes_takes_run_iae(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "_CLOSED_FORM_LANES", 0)
+        objective = TuningObjective()
+        (cost,) = objective.batch(objective.reference_vector())
+        assert cost == objective._sim.run_iae([objective_pair(objective)])[0]
+        assert objective.counts["run_iae"] == 1 and objective.counts["closed_form"] == 0
