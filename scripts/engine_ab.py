@@ -10,17 +10,22 @@ each timed in CPU seconds (`time.process_time`). Per row the script prints
 each side's median CPU seconds, the median of the pairwise ratios
 CHANGE / PARENT with their quartiles, and how many pairs CHANGE won.
 
-- objective (the default): the tuning objective. The script draws
-  design-stable candidates (kept when `synthesize` gives a stable design in
-  both areas) of two kinds and alternates them, loop-stable first:
-  loop-stable ones near the reference vector (each coordinate scaled by
-  exp(N(0, 0.3)), kept when `np.linalg.eigvals` puts the spectral radius of
-  the clamp-free step map below 1) and uniform ones in the tuning box (most
-  of them loop-unstable). It scores the same candidates with
-  `TuningObjective.batch` at 1, 18 and 50 lanes. A side simulates a lane
-  unless it proxies it: a side whose objective has `loop_radius` proxies
-  the lanes where that reads 1 or more. The script prints how many lanes
-  each side proxied, and exits non-zero unless the lanes both sides
+- objective (the default): the tuning objective, on two candidate sets.
+  The design-stable set (rows `s1`, `s18`, `s50`) holds candidates kept
+  when `synthesize` gives a stable design in both areas, of two kinds,
+  alternating, loop-stable first: loop-stable ones near the reference
+  vector (each coordinate scaled by exp(N(0, 0.3)), kept when
+  `np.linalg.eigvals` puts the spectral radius of the clamp-free step map
+  below 1) and uniform ones in the tuning box (most of them loop-unstable).
+  The uniform set (rows `u1`, `u18`, `u50`) holds unfiltered uniform draws
+  in the tuning box, as WCA's generation 0 makes them, so that the design
+  screen's penalized lanes are timed too. It scores each set with
+  `TuningObjective.batch` at 1, 18 and 50 lanes. A side simulates a
+  design-stable lane unless it proxies it: a side whose objective has
+  `loop_radius` proxies the lanes where that reads 1 or more. The script
+  prints how many lanes of the design-stable set each side proxied and how
+  many lanes of either set got costs that differ in any bit between the
+  sides, and exits non-zero unless the design-stable lanes both sides
   simulate get costs within rel 1e-12 of each other.
 - cases: `run_case` for cases 2-5 with cdm_opt, cdm, pid and pi (S is the
   cases seed), one row per case and one for the four together. It also
@@ -65,20 +70,26 @@ def load(root: pathlib.Path, name: str):
     return importlib.import_module(f"{name}.scenarios")
 
 
+def uniform(objective, rng, n: int) -> np.ndarray:
+    """n draws uniform in the tuning box, as WCA's initial population."""
+    low, high = np.array(objective.bounds).T
+    return low + rng.random((n, len(low))) * (high - low)
+
+
 def design_stable(scenarios, objective, rng, n: int, loop_stable: bool) -> np.ndarray:
     """n design-stable candidates: uniform in the tuning box, or loop-stable ones near the reference vector."""
     bounds = np.array(objective.bounds)
     plants = [scenarios.derive_design_plant(area, objective.tie) for area in objective.areas]
     package = scenarios.__package__
-    sim, affine = (importlib.import_module(f"{package}.{name}") for name in ("sim", "affine"))
+    cdm, sim, affine = (importlib.import_module(f"{package}.{name}") for name in ("cdm", "sim", "affine"))
     rows = []
     while len(rows) < n:
         if loop_stable:
             x = np.clip(objective.reference_vector() * np.exp(rng.normal(0.0, 0.3, len(bounds))), *bounds.T)
         else:
-            x = bounds[:, 0] + rng.random(len(bounds)) * (bounds[:, 1] - bounds[:, 0])
+            x = uniform(objective, rng, 1)[0]
         try:
-            pair = [scenarios.synthesize(plant, gains) for plant, gains in zip(plants, objective.decode(x))]
+            pair = [cdm.synthesize(plant, gains) for plant, gains in zip(plants, objective.decode(x))]
         except scenarios.SingularSystem:
             continue
         if not all(c.stable for c in pair):
@@ -134,19 +145,27 @@ def objective_mode(sides: dict, pairs: int, seed: int) -> int:
     rng = np.random.default_rng(seed)
     kinds = [design_stable(sides["parent"], objectives["parent"], rng, max(LANES) // 2, stable) for stable in (True, False)]
     candidates = np.stack(kinds, axis=1).reshape(-1, kinds[0].shape[1])  # alternating, loop-stable first
+    draws = uniform(objectives["parent"], rng, max(LANES))
     both = simulated(objectives["parent"], candidates) & simulated(objectives["change"], candidates)
     print(f"{'lanes':>6} {'parent_s':>9} {'change_s':>9} {'ratio':>7} {'q1':>7} {'q3':>7} {'won':>6}  proxied by parent/change")
-    worst = 0.0
-    for lanes in LANES:
-        xs = candidates[:lanes]
-        runs = {side: (lambda o=objective: o.batch(xs)) for side, objective in objectives.items()}
-        seconds, costs = interleave(runs, pairs)
-        live = both[:lanes]
-        error = np.abs(costs["change"][live] / costs["parent"][live] - 1.0)
-        worst = max(worst, float(error.max(initial=0.0))) if np.isfinite(error).all() else math.inf
-        proxied = "/".join(str(int(lanes - simulated(objectives[side], xs).sum())) for side in ("parent", "change"))
-        print(f"{row(str(lanes), seconds)}  {proxied}")
+    worst, differ, scored = 0.0, 0, 0
+    for label, xs_all in (("s", candidates), ("u", draws)):
+        for lanes in LANES:
+            xs = xs_all[:lanes]
+            runs = {side: (lambda o=objective: o.batch(xs)) for side, objective in objectives.items()}
+            seconds, costs = interleave(runs, pairs)
+            differ += int(np.count_nonzero(costs["change"].view(np.int64) != costs["parent"].view(np.int64)))
+            scored += lanes
+            if label == "u":
+                print(row(f"u{lanes}", seconds))
+                continue
+            live = both[:lanes]
+            error = np.abs(costs["change"][live] / costs["parent"][live] - 1.0)
+            worst = max(worst, float(error.max(initial=0.0))) if np.isfinite(error).all() else math.inf
+            proxied = "/".join(str(int(lanes - simulated(objectives[side], xs).sum())) for side in ("parent", "change"))
+            print(f"{row(f's{lanes}', seconds)}  {proxied}")
     print(f"largest relative cost difference over {int(both.sum())} lanes both sides simulate: {worst:.3g}")
+    print(f"lanes whose costs differ in any bit: {differ} of {scored}")
     return 0 if worst <= COST_TOLERANCE else 1
 
 

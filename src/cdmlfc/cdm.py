@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ImproperController, SingularSystem
 from .plant import DesignPlant
-from .poly import Polynomial, is_hurwitz, poly_mul, target_poly
+from .poly import Polynomial, hurwitz_lanes, is_hurwitz, mul_lanes, target_factors, trim_lanes
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,94 @@ class CdmController:
         )
 
 
+@dataclass(frozen=True)
+class Designs:
+    """synthesize over a lanes axis: lane i is the synthesis from row i of
+    the gains. Each polynomial is a row of coefficients in ascending powers,
+    0.0 past its degree (Polynomial's trim as a mask)."""
+
+    ac: np.ndarray  # (lanes, q + 1)
+    bc: np.ndarray  # (lanes, r + 1)
+    target: np.ndarray  # (lanes, n + 1)
+    realized: np.ndarray  # (lanes, n + 1), Ac*Dp + Bc*N
+    residual: np.ndarray  # (lanes,)
+    stable: np.ndarray  # (lanes,) bool, False on a singular lane
+    singular: np.ndarray  # (lanes,) bool: the lanes synthesize raises SingularSystem on
+
+
+def synthesize_lanes(
+    plant: DesignPlant,
+    factors: np.ndarray,
+    k_b0: np.ndarray,
+    ac_degree: int = 2,
+    bc_degree: int = 2,
+) -> Designs:
+    """synthesize for each lane of the target factors (target_factors of the
+    lanes' gamma and tau) and k_b0 (lanes,), in a fixed number of numpy calls
+    whatever the lane count, each lane's values the bits of its own
+    synthesize call. The selected rows depend on the plant only, so one
+    matrix serves every lane; a plant on which synthesize raises for any
+    gains raises here, and a lane whose solve fails its check is marked
+    singular.
+    """
+    q, r = ac_degree, bc_degree
+    p = plant.Dp.degree
+    m = plant.N.degree
+    if q < 1 or r < 1:
+        raise ValueError("controller degrees must be >= 1")
+    if r + m > p:
+        raise ValueError(f"structure ({q},{r}) is infeasible for plant degrees ({p},{m})")
+    n = q + p
+    if factors.shape[-1] != n + 1:
+        raise ValueError(f"need {n - 1} stability indices for a degree-{n} closed loop, got {factors.shape[-1] - 2}")
+    if plant.Dp.coeff(0) != 0.0:
+        raise ValueError("design plant must carry a free integrator (Dp(0) = 0)")
+
+    n0 = plant.N.coeff(0)
+    if n0 == 0.0:
+        raise SingularSystem("N(0) = 0: the s^0 row cannot pin a0")
+    k0 = np.asarray(k_b0, dtype=float)
+    a0 = k0 * n0  # forced by the s^0 row since Dp(0) = 0 and Ac(0) = 0
+    if (a0 <= 0.0).any():
+        raise ValueError("a0 must be > 0")
+    powers, denoms = factors
+    with np.errstate(all="ignore"):  # inf where Python's float arithmetic gives inf
+        t = (a0[:, None] * powers) / denoms  # target_poly's coefficients
+
+    # Row j (coefficient of s^j), unknowns x = [l_1..l_q, k_1..k_r].
+    rows = np.zeros((n, q + r))
+    for j in range(1, n + 1):
+        for i in range(1, q + 1):
+            rows[j - 1, i - 1] = plant.Dp.coeff(j - i)
+        for i in range(1, r + 1):
+            rows[j - 1, q + i - 1] = plant.N.coeff(j - i)
+    rhs = t[:, 1:] - k0[:, None] * [plant.N.coeff(j) for j in range(1, n + 1)]
+
+    selected = list(range(1, r)) + [r + m] + list(range(n - q + 1, n + 1))
+    idx = [j - 1 for j in selected]
+    sub = rows[idx]
+    sub_rhs = rhs[:, idx]
+    try:
+        x = np.linalg.solve(np.broadcast_to(sub, (len(k0), *sub.shape)), sub_rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(str(exc)) from None
+
+    with np.errstate(all="ignore"):  # a singular lane's values may be inf or NaN
+        check = np.matmul(sub, x[..., None])[..., 0] - sub_rhs
+        top = np.max(np.abs(sub_rhs), axis=1)
+        scale = np.where(top > 1e-30, top, 1e-30)  # Python's max(1e-30, top)
+        singular = ~np.isfinite(x).all(axis=1) | (np.max(np.abs(check), axis=1) > 1e-6 * scale)
+        ac, _ = trim_lanes(np.concatenate([np.zeros((len(k0), 1)), x[:, :q]], axis=1))
+        bc, _ = trim_lanes(np.concatenate([k0[:, None], x[:, q:]], axis=1))
+        realized, degree = closed_loop_lanes(plant, ac, bc)
+        err = realized - t
+        # np.linalg.norm's x.dot(x), stacked
+        residual = np.sqrt(np.matmul(err[:, None], err[..., None])[:, 0, 0]) / np.sqrt(np.matmul(t[:, None], t[..., None])[:, 0, 0])
+    stable = np.zeros(len(k0), dtype=bool)
+    stable[~singular] = hurwitz_lanes(realized[~singular], degree[~singular])
+    return Designs(ac, bc, t, realized, residual, stable, singular)
+
+
 def synthesize(
     plant: DesignPlant,
     gains: CdmGains,
@@ -93,72 +181,72 @@ def synthesize(
     len(gains.gamma) must equal ac_degree + degree(Dp) - 1 so the target
     polynomial matches the closed loop's degree. The realized polynomial is
     evaluated with the exact solved coefficients; stable=False flags an
-    UnstableDesign without raising.
+    UnstableDesign without raising. synthesize_lanes on one lane.
     """
-    q, r = ac_degree, bc_degree
-    p = plant.Dp.degree
-    m = plant.N.degree
-    if q < 1 or r < 1:
-        raise ValueError("controller degrees must be >= 1")
-    if r + m > p:
-        raise ValueError(f"structure ({q},{r}) is infeasible for plant degrees ({p},{m})")
-    n = q + p
-    if len(gains.gamma) != n - 1:
-        raise ValueError(f"need {n - 1} stability indices for a degree-{n} closed loop, got {len(gains.gamma)}")
-    if plant.Dp.coeff(0) != 0.0:
-        raise ValueError("design plant must carry a free integrator (Dp(0) = 0)")
-
-    n0 = plant.N.coeff(0)
-    if n0 == 0.0:
-        raise SingularSystem("N(0) = 0: the s^0 row cannot pin a0")
-    k0 = gains.k_b0
-    a0 = k0 * n0  # forced by the s^0 row since Dp(0) = 0 and Ac(0) = 0
-    target = target_poly(gains.gamma, gains.tau, a0)
-    t = [target.coeff(i) for i in range(n + 1)]
-
-    # Row j (coefficient of s^j), unknowns x = [l_1..l_q, k_1..k_r].
-    rows = np.zeros((n, q + r))
-    rhs = np.zeros(n)
-    for j in range(1, n + 1):
-        for i in range(1, q + 1):
-            rows[j - 1, i - 1] = plant.Dp.coeff(j - i)
-        for i in range(1, r + 1):
-            rows[j - 1, q + i - 1] = plant.N.coeff(j - i)
-        rhs[j - 1] = t[j] - k0 * plant.N.coeff(j)
-
-    selected = list(range(1, r)) + [r + m] + list(range(n - q + 1, n + 1))
-    idx = [j - 1 for j in selected]
-    sub = rows[idx]
-    sub_rhs = rhs[idx]
-    try:
-        x = np.linalg.solve(sub, sub_rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from None
-    check = sub @ x - sub_rhs
-    scale = max(1e-30, float(np.max(np.abs(sub_rhs))))
-    if not np.all(np.isfinite(x)) or float(np.max(np.abs(check))) > 1e-6 * scale:
+    factors = target_factors([gains.gamma], [gains.tau])
+    design = synthesize_lanes(plant, factors, np.array([gains.k_b0]), ac_degree, bc_degree)
+    if design.singular[0]:
         raise SingularSystem("selected synthesis rows are numerically singular")
-
-    ac = Polynomial([0.0, *x[:q]])
-    bc = Polynomial([k0, *x[q:]])
-    realized = closed_loop_poly(plant, ac, bc)
-    rvec = np.array([realized.coeff(i) for i in range(n + 1)])
-    residual = float(np.linalg.norm(rvec - np.array(t)) / np.linalg.norm(t))
     return CdmController(
-        Ac=ac,
-        Bc=bc,
-        F=k0,  # target(0)/N(0) collapses to k_b0 identically
-        residual=residual,
-        target=target,
-        realized=realized,
-        stable=is_hurwitz(realized),
+        Ac=Polynomial(design.ac[0]),
+        Bc=Polynomial(design.bc[0]),
+        F=gains.k_b0,  # target(0)/N(0) collapses to k_b0 identically
+        residual=float(design.residual[0]),
+        target=Polynomial._exact(design.target[0]),
+        realized=Polynomial(design.realized[0]),
+        stable=bool(design.stable[0]),
         gains=gains,
     )
 
 
+def closed_loop_lanes(plant: DesignPlant, ac: np.ndarray, bc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """closed_loop_poly of each lane's rows of ac and bc (0.0 past their
+    degrees): the realized rows, 0.0 past their degrees, and those degrees.
+    Each product is trimmed before the sum, as poly_mul's are."""
+    left, right = (trim_lanes(mul_lanes(c, factor.coeffs))[0] for c, factor in ((ac, plant.Dp), (bc, plant.N)))
+    total = np.zeros((len(left), max(left.shape[1], right.shape[1])))
+    total[:, : left.shape[1]] = left
+    total[:, : right.shape[1]] += right  # Polynomial's sum, 0.0 past a degree
+    return trim_lanes(total)
+
+
 def closed_loop_poly(plant: DesignPlant, ac: Polynomial, bc: Polynomial) -> Polynomial:
     """Closed-loop characteristic polynomial Ac*Dp + Bc*N."""
-    return poly_mul(ac, plant.Dp) + poly_mul(bc, plant.N)
+    return Polynomial(closed_loop_lanes(plant, np.array([ac.coeffs]), np.array([bc.coeffs]))[0][0])
+
+
+def _degrees(coeffs: np.ndarray) -> np.ndarray:
+    """Each row's degree: the index of its last nonzero entry, 0 for none."""
+    return np.where(coeffs != 0.0, np.arange(coeffs.shape[1]), 0).max(axis=1, initial=0)
+
+
+def statespace_lanes(ac: np.ndarray, bc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """controller_to_statespace for each lane's rows of ac and bc (0.0 past
+    their degrees), which must share one order q = degree(Ac): A (lanes, q,
+    q), B and C (lanes, q) and D (lanes,). Raises ImproperController where
+    degree(Bc) > degree(Ac)."""
+    order, bc_order = _degrees(ac), _degrees(bc)
+    improper = np.flatnonzero(bc_order > order)
+    if improper.size:
+        i = improper[0]
+        raise ImproperController(f"degree(Bc)={bc_order[i]} > degree(Ac)={order[i]}")
+    if (order < 1).any():
+        raise ValueError("Ac must have degree >= 1")
+    if (order != order[:1]).any():
+        raise ValueError("the controllers must share one order")
+    q = int(order[0]) if len(order) else ac.shape[1] - 1
+    ac = ac[:, : q + 1]
+    bc = np.concatenate([bc, np.zeros((len(bc), q + 1 - bc.shape[1]))], axis=1) if bc.shape[1] <= q else bc[:, : q + 1]
+    lead = ac[:, q : q + 1]
+    d = bc[:, q : q + 1] / lead
+    a = np.zeros((len(ac), q, q))
+    a[:, :-1, 1:] = np.eye(q - 1)
+    a[:, q - 1] = -(ac[:, :q] / lead)  # the monic denominator, negated
+    b = np.zeros((len(ac), q))
+    b[:, q - 1] = 1.0
+    # remainder Bc - d*Ac has degree <= q-1
+    c = (bc[:, :q] - d * ac[:, :q]) / lead
+    return a, b, c, d[:, 0]
 
 
 def controller_to_statespace(ctrl: CdmController) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -169,20 +257,7 @@ def controller_to_statespace(ctrl: CdmController) -> tuple[np.ndarray, np.ndarra
     u = -v (regulation sign convention). The ratio may be biproper; the
     direct feedthrough is split off and the strictly proper remainder
     realized in companion form. Raises ImproperController when
-    degree(Bc) > degree(Ac).
+    degree(Bc) > degree(Ac). statespace_lanes on one lane.
     """
-    ac, bc = ctrl.Ac, ctrl.Bc
-    q = ac.degree
-    if bc.degree > q:
-        raise ImproperController(f"degree(Bc)={bc.degree} > degree(Ac)={q}")
-    if q < 1 or ac.coeff(q) == 0.0:
-        raise ValueError("Ac must have degree >= 1")
-    lead = ac.coeff(q)
-    d = bc.coeff(q) / lead
-    a = np.eye(q, k=1)
-    a[q - 1] = [-(ac.coeff(i) / lead) for i in range(q)]  # the monic denominator, negated
-    b = np.zeros(q)
-    b[q - 1] = 1.0
-    # remainder Bc - d*Ac has degree <= q-1
-    c = np.array([(bc.coeff(i) - d * ac.coeff(i)) / lead for i in range(q)])
-    return a, b, c, d
+    a, b, c, d = statespace_lanes(np.array([ctrl.Ac.coeffs]), np.array([ctrl.Bc.coeffs]))
+    return a[0], b[0], c[0], float(d[0])

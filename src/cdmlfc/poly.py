@@ -2,6 +2,11 @@
 
 Coefficients are stored in ascending powers of s: coeffs[i] multiplies s**i.
 All values are immutable; every function here is pure.
+
+The trim, the product, the target factors and the Routh test are written
+once, over a lanes axis: each lane a row of coefficients, 0.0 past its
+degree (the trim as a mask). Polynomial, poly_mul, target_poly and
+is_hurwitz are their one-lane calls.
 """
 
 from __future__ import annotations
@@ -10,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import InvalidGamma, ZeroCoefficient
 
 # Trailing coefficients below this fraction of the largest magnitude are
@@ -17,18 +24,32 @@ from .errors import InvalidGamma, ZeroCoefficient
 TRIM_RTOL = 1e-12
 
 
+def _first_max(a: np.ndarray) -> np.ndarray:
+    """Python's max over the last axis of a: NaN where the entries start with
+    NaN, else the largest entry that is not NaN (max keeps its first argument
+    until a later one compares greater, which NaN never does)."""
+    return np.where(np.isnan(a[..., 0]), np.nan, np.fmax.reduce(a, axis=-1))
+
+
+def trim_lanes(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Polynomial's trim of each row of coeffs (lanes, width) as a mask: the
+    rows with every trimmed coefficient set to 0.0, and each row's degree.
+    A row keeps its entries up to the last one above TRIM_RTOL times its
+    largest magnitude, and at least its constant; a row of zeros is 0.0."""
+    mag = np.abs(coeffs)
+    top = _first_max(mag)
+    keep = ~(mag <= (top * TRIM_RTOL)[:, None])
+    keep[:, 0] = True
+    degree = keep.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1)
+    kept = (np.arange(keep.shape[1]) <= degree[:, None]) & (top != 0.0)[:, None]
+    return np.where(kept, coeffs, 0.0), degree
+
+
 def _trim(coeffs: Sequence[float]) -> tuple[float, ...]:
-    vals = [float(c) for c in coeffs]
-    if not vals:
+    if not len(coeffs):
         return (0.0,)
-    top = max(abs(c) for c in vals)
-    if top == 0.0:
-        return (0.0,)
-    cut = top * TRIM_RTOL
-    last = len(vals) - 1
-    while last > 0 and abs(vals[last]) <= cut:
-        last -= 1
-    return tuple(vals[: last + 1])
+    row, (degree,) = trim_lanes(np.array([coeffs], dtype=float))
+    return tuple(row[0, : degree + 1].tolist())
 
 
 @dataclass(frozen=True)
@@ -92,15 +113,22 @@ class Polynomial:
         return " + ".join(parts) if parts else "0"
 
 
+def mul_lanes(a: np.ndarray, b: Sequence[float]) -> np.ndarray:
+    """The coefficient convolution of each row of a (lanes, width) with b,
+    untrimmed: entry k sums a_i * b_(k - i) onto 0.0 in ascending i, each
+    product rounded on its own, as poly_mul's loop does."""
+    b = np.asarray(b, dtype=float)
+    out = np.zeros((len(a), a.shape[1] + len(b) - 1))
+    for i in range(a.shape[1]):
+        out[:, i : i + len(b)] += a[:, i : i + 1] * b
+    return out
+
+
 def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
     """Product of two polynomials (coefficient convolution)."""
     if p.is_zero or q.is_zero:
         return Polynomial.zero()
-    out = [0.0] * (len(p.coeffs) + len(q.coeffs) - 1)
-    for i, a in enumerate(p.coeffs):
-        for j, b in enumerate(q.coeffs):
-            out[i + j] += a * b
-    return Polynomial(out)
+    return Polynomial(mul_lanes(np.array([p.coeffs]), q.coeffs)[0])
 
 
 def _require_nonzero_coeffs(p: Polynomial) -> None:
@@ -133,6 +161,30 @@ def stability_limits(p: Polynomial) -> list[float]:
     return [inverse[i] + inverse[i + 2] for i in range(len(gamma))]
 
 
+def target_factors(gammas: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """target_poly's factors for each row of gammas (lanes, n - 1), gamma_1
+    first, and taus (lanes,): (2, lanes, n + 1), tau^i and the gamma product
+    that divides a_i, so that a_i = (a0 * tau^i) / product. The powers are
+    Python float's **, once per row (numpy's power may round them
+    differently); both areas' targets share them. A product that underflows
+    to 0.0 raises ZeroDivisionError, as Python's division by it does."""
+    gammas = np.asarray(gammas, dtype=float)
+    n = gammas.shape[1] + 1
+    out = np.empty((2, len(gammas), n + 1))
+    for lane, (gamma, tau) in enumerate(zip(gammas.tolist(), np.asarray(taus, dtype=float).tolist())):
+        powers, denoms = [1.0, tau], [1.0, 1.0]
+        for i in range(2, n + 1):
+            denom = 1.0
+            for j in range(1, i):
+                denom *= gamma[i - j - 1] ** j  # gamma_{i-j}, list is 0-based
+            if denom == 0.0:
+                raise ZeroDivisionError("float division by zero")
+            powers.append(tau**i)
+            denoms.append(denom)
+        out[:, lane] = powers, denoms
+    return out
+
+
 def target_poly(gamma: Sequence[float], tau: float, a0: float) -> Polynomial:
     """Closed-loop target polynomial from (gamma, tau, a0).
 
@@ -149,58 +201,65 @@ def target_poly(gamma: Sequence[float], tau: float, a0: float) -> Polynomial:
         raise ValueError("tau must be > 0")
     if a0 <= 0.0:
         raise ValueError("a0 must be > 0")
-    n = len(gamma) + 1
-    coeffs = [a0, a0 * tau]
-    for i in range(2, n + 1):
-        denom = 1.0
-        for j in range(1, i):
-            denom *= gamma[i - j - 1] ** j  # gamma_{i-j}, list is 0-based
-        coeffs.append(a0 * tau**i / denom)
+    powers, denoms = target_factors([gamma], [tau])[:, 0]
     # The contract promises degree n even when high-order terms are tiny,
     # so skip the dust trim here.
-    return Polynomial._exact(coeffs)
+    return Polynomial._exact((a0 * powers) / denoms)
+
+
+def _routh(c: np.ndarray) -> np.ndarray:
+    """is_hurwitz on each row of c (lanes, n + 1), a degree-n polynomial with
+    n >= 1, each early return a mask."""
+    n = c.shape[1] - 1
+    c = np.where(c[:, -1:] < 0.0, -c, c)
+    # Necessary condition: every coefficient strictly positive.
+    ok = ~(c <= 0.0).any(axis=1)
+    if n == 1:
+        return ok
+
+    # First two rows hold descending even/odd coefficients.
+    row_hi = c[:, n::-2]
+    row_lo = np.zeros_like(row_hi)
+    odd = c[:, n - 1 :: -2]
+    row_lo[:, : odd.shape[1]] = odd
+
+    top_hi = _first_max(np.abs(row_hi))
+    for _ in range(n - 1):
+        top_lo = _first_max(np.abs(row_lo))
+        scale = np.where(top_lo > top_hi, top_lo, top_hi)  # Python's max(top_hi, top_lo)
+        pivot = row_lo[:, :1]
+        ok &= ~((scale == 0.0) | (np.abs(pivot[:, 0]) <= 1e-12 * scale) | (pivot[:, 0] < 0.0))
+        nxt = np.zeros_like(row_hi)
+        nxt[:, :-1] = (pivot * row_hi[:, 1:] - row_hi[:, :1] * row_lo[:, 1:]) / pivot
+        row_hi, row_lo, top_hi = row_lo, nxt, top_lo
+
+    # Last pivot is a_0 up to positive factors; sign decides stability.
+    return ok & (row_lo[:, 0] > 0.0)
+
+
+def hurwitz_lanes(coeffs: np.ndarray, degree: np.ndarray) -> np.ndarray:
+    """is_hurwitz of each row of coeffs (lanes, width) read as a polynomial of
+    that lane's degree (entries past it ignored), as a bool array: the Routh
+    test runs once per degree, over every lane of that degree."""
+    if (degree < 1).any():
+        raise ValueError("stability test needs degree >= 1")
+    out = np.zeros(len(coeffs), dtype=bool)
+    with np.errstate(all="ignore"):  # a lane past its early return may still divide by 0
+        for n in np.unique(degree).tolist():
+            at = degree == n
+            out[at] = _routh(coeffs[at, : n + 1])
+    return out
 
 
 def is_hurwitz(p: Polynomial) -> bool:
     """True iff all roots of p have strictly negative real part, by the exact
-    Routh-Hurwitz test.
+    Routh-Hurwitz test (hurwitz_lanes on one lane).
 
     Zero detection is relative: an entry below 1e-12 of its row's magnitude
     counts as zero. A degenerate table (zero leading entry or an identically
     zero row) is not Hurwitz.
     """
-    n = p.degree
-    if n < 1:
-        raise ValueError("stability test needs degree >= 1")
-    coeffs = list(p.coeffs)
-    if coeffs[-1] < 0.0:
-        coeffs = [-c for c in coeffs]
-    # Necessary condition: every coefficient strictly positive.
-    if any(c <= 0.0 for c in coeffs):
-        return False
-    if n == 1:
-        return True
-
-    # First two rows hold descending even/odd coefficients.
-    row_hi = coeffs[n::-2]
-    row_lo = coeffs[n - 1 :: -2]
-    width = len(row_hi)
-    row_lo += [0.0] * (width - len(row_lo))
-
-    for _ in range(n - 1):
-        scale = max(max(abs(v) for v in row_hi), max(abs(v) for v in row_lo))
-        if scale == 0.0 or abs(row_lo[0]) <= 1e-12 * scale:
-            return False
-        nxt = []
-        for k in range(width - 1):
-            nxt.append((row_lo[0] * row_hi[k + 1] - row_hi[0] * row_lo[k + 1]) / row_lo[0])
-        nxt.append(0.0)
-        if row_lo[0] < 0.0:
-            return False
-        row_hi, row_lo = row_lo, nxt
-
-    # Last pivot is a_0 up to positive factors; sign decides stability.
-    return row_lo[0] > 0.0
+    return bool(hurwitz_lanes(np.array([p.coeffs]), np.array([p.degree]))[0])
 
 
 def lipatov_sufficient(p: Polynomial) -> bool:

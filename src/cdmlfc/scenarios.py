@@ -18,10 +18,11 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 import numpy as np
 
 from . import defaults
-from .cdm import CdmGains, synthesize
+from .cdm import CdmGains, statespace_lanes, synthesize_lanes
 from .errors import ConfigError, NonFiniteState, SingularSystem
 from .plant import AreaParams, NonlinearityConfig, TieLine, derive_design_plant
-from .sim import BatchCdmSimulator, LoadShape, LoadTable, SystemModel, Trajectory, controller_rows, simulate
+from .poly import target_factors
+from .sim import BatchCdmSimulator, LoadShape, LoadTable, SystemModel, Trajectory, realization_rows, simulate, tustin_lanes
 
 if TYPE_CHECKING:
     from .affine import StepMaps
@@ -244,11 +245,12 @@ _CLOSED_FORM_LANES = 48
 class TuningObjective:
     """IAE objective over the 8-vector [gamma_1..5, tau, k_b0_1, k_b0_2].
 
-    Controllers are synthesized on the nominal design plants; the
-    evaluation model carries the 50% governor/turbine drift. A singular
-    synthesis (SingularSystem, the one error synthesize raises for positive
-    gains) or unstable design maps to a penalty of at least PENALTY_FLOOR;
-    any other exception is a bug and propagates.
+    Controllers are synthesized on the nominal design plants, a whole
+    batch at once (_design_screen); the evaluation model carries the 50%
+    governor/turbine drift. A singular synthesis (SingularSystem, the one
+    error synthesize raises for positive gains) or unstable design maps to
+    a penalty of at least PENALTY_FLOOR; any other exception is a bug and
+    propagates.
 
     A design-stable candidate is screened on its closed loop in the
     evaluation model: affine.spectral_radius estimates the spectral radius
@@ -293,64 +295,65 @@ class TuningObjective:
 
     def batch(self, xs: np.ndarray) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        costs, outcomes, pairs = self._design_screen(xs)
-        if pairs:
-            rows, maps, rho = self._loop_screen(pairs)
+        outcomes, penalties, live, rows = self._design_screen(xs)
+        costs = penalties.copy()
+        if live.any():
+            maps, rho = self._loop_screen(rows)
             stable = np.flatnonzero(rho < 1.0)
-            iae = np.full(len(pairs), math.nan)
+            iae = np.full(len(rho), math.nan)
             simulated = "run_iae" if stable.size > _CLOSED_FORM_LANES else "closed_form"
             if simulated == "run_iae":
-                iae[stable] = self._sim.run_iae([pairs[j] for j in stable])
+                iae[stable] = self._sim._iae(rows[:, stable])
             elif stable.size:
                 iae[stable], exact = self._sim.closed_form_iae(rows[:, stable], maps.take(stable))
                 self.counts["fallback_blocks"] += exact
-            live = [i for i, outcome in enumerate(outcomes) if outcome is None]
-            for j, i in enumerate(live):
-                if not rho[j] < 1.0:
-                    costs[i], outcomes[i] = PENALTY_FLOOR * (1.0 - 0.5 / float(rho[j])), "loop_unstable"
-                elif math.isfinite(iae[j]):
-                    costs[i], outcomes[i] = float(iae[j]), simulated
-                else:
-                    costs[i], outcomes[i] = PENALTY_FLOOR + pairs[j][0].residual + pairs[j][1].residual, "divergent"
-        for outcome in outcomes:
-            self.counts[outcome] += 1
+            finite = np.isfinite(iae)
+            cost = np.where(finite, iae, penalties[live])
+            outcome = np.where(finite, OUTCOMES.index(simulated), OUTCOMES.index("divergent"))
+            proxied = ~(rho < 1.0)
+            cost[proxied] = PENALTY_FLOOR * (1.0 - 0.5 / rho[proxied])
+            outcome[proxied] = OUTCOMES.index("loop_unstable")
+            costs[live], outcomes[live] = cost, outcome
+        for i, outcome in enumerate(OUTCOMES):
+            self.counts[outcome] += int(np.count_nonzero(outcomes == i))
         return costs
 
-    def _design_screen(self, xs: np.ndarray) -> tuple[np.ndarray, list, list]:
-        """Each row of xs synthesized on the design plants: the costs of the
-        penalized rows (NaN elsewhere), each row's outcome (None where both
-        designs are stable), and the design-stable rows' controller pairs."""
-        costs = np.full(len(xs), math.nan)
-        outcomes = [None] * len(xs)
-        pairs = []
-        for i, x in enumerate(xs):
-            try:
-                g1, g2 = self.decode(x)
-                c1 = synthesize(self._plants[0], g1)
-                c2 = synthesize(self._plants[1], g2)
-            except SingularSystem:
-                costs[i], outcomes[i] = PENALTY_FLOOR, "synthesis_error"
-                continue
-            if not (c1.stable and c2.stable):
-                costs[i], outcomes[i] = PENALTY_FLOOR + c1.residual + c2.residual, "design_unstable"
-                continue
-            pairs.append((c1, c2))
-        return costs, outcomes, pairs
+    def _design_screen(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each row of xs synthesized on the design plants, over the lanes axis
+        (synthesize_lanes), with no per-row synthesize call: each row's outcome
+        (its index in OUTCOMES, -1 where both designs are stable), each row's
+        penalty (PENALTY_FLOOR for a synthesis error, else PENALTY_FLOOR plus
+        both residuals), the mask of the design-stable rows, and their
+        controller rows (controller_rows' layout)."""
+        bad = (xs[:, :6] <= 0.0).any(axis=1) | (xs[:, 6:8] <= 0.0).any(axis=1)
+        if bad.any():
+            self.decode(xs[np.argmax(bad)])  # raises the ValueError CdmGains gives
+        lanes = len(xs)
+        factors = target_factors(xs[:, :5], xs[:, 5])
+        try:
+            designs = [synthesize_lanes(plant, factors, xs[:, 6 + i]) for i, plant in enumerate(self._plants)]
+        except SingularSystem:  # every row fails alike on the plant
+            return np.zeros(lanes, dtype=int), np.full(lanes, PENALTY_FLOOR), np.zeros(lanes, dtype=bool), np.empty((2, 0, 3, 3))
+        singular = designs[0].singular | designs[1].singular
+        live = ~singular & designs[0].stable & designs[1].stable
+        outcomes = np.where(singular, OUTCOMES.index("synthesis_error"), np.where(live, -1, OUTCOMES.index("design_unstable")))
+        penalties = np.where(singular, PENALTY_FLOOR, PENALTY_FLOOR + designs[0].residual + designs[1].residual)
+        rows = np.array([realization_rows(*tustin_lanes(*statespace_lanes(d.ac[live], d.bc[live]), self.dt)) for d in designs])
+        return outcomes, penalties, live, rows
 
-    def _loop_screen(self, pairs: list) -> tuple[np.ndarray, StepMaps, np.ndarray]:
-        """The controller rows (controller_rows) of pairs, their clamp-free
-        step maps on the evaluation model, and each lane's spectral radius
+    def _loop_screen(self, rows: np.ndarray) -> tuple[StepMaps, np.ndarray]:
+        """The clamp-free step maps of the controller rows (2, lanes, n + 1,
+        n + 1) on the evaluation model, and each lane's spectral radius
         estimate (affine.spectral_radius)."""
         from .affine import spectral_radius, step_maps  # only here, so that importing the CLI leaves it out
 
-        rows = controller_rows(pairs, self.dt)
         maps = step_maps(self.eval_areas, self.tie, self.nonlin, rows[0], rows[1], self.dt)
-        return rows, maps, spectral_radius(maps.f)
+        return maps, spectral_radius(maps.f)
 
     def loop_radius(self, x: Sequence[float]) -> Optional[float]:
         """The spectral radius estimate batch screens x on, None where x is penalized before the screen."""
-        _, _, pairs = self._design_screen(np.atleast_2d(np.asarray(x, dtype=float)))
-        return float(self._loop_screen(pairs)[2][0]) if pairs else None
+        _, _, live, rows = self._design_screen(np.atleast_2d(np.asarray(x, dtype=float)))
+        return float(self._loop_screen(rows)[1][0]) if live[0] else None
 
 
 # ---------------------------------------------------------------------------

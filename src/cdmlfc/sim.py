@@ -26,7 +26,8 @@ realization rows S = [[Cd, Dd], [Ad, Bd]] applied to [x; y], each product
 rounded on its own, each row summed left to right, no BLAS call and no
 fused multiply-add per step. So the per-step arithmetic does not depend on
 the CPU kernel numpy's BLAS picks; the Tustin coefficients come from LAPACK
-solves, once per controller, and may. Trapezoidal rather than
+solves, once per controller (tustin_lanes, stacked over the lanes), and
+may. Trapezoidal rather than
 step-invariant: the synthesized CDM controllers carry a derivative-filter
 pole two decades above the sample rate, and a ZOH hold turns that into a
 grossly over-weighted discrete derivative that destabilizes the loop, while
@@ -126,16 +127,39 @@ def _continuous_realization(spec: ControllerSpec) -> tuple[np.ndarray, np.ndarra
     raise TypeError(f"unknown controller spec {type(spec).__name__}")
 
 
+def tustin_lanes(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray, dt: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Bilinear (trapezoidal) discretization at step dt of each lane of (A, B,
+    C, D), stacked on a leading lanes axis: three linear solves (Ad, Bd, Cd)
+    and one dot product (Dd) per lane. numpy's stacked solve and matmul give
+    each lane the bits of its own tustin_discretize call."""
+    eye = np.eye(a.shape[-1])
+    ima = eye - 0.5 * dt * a
+    ad = np.linalg.solve(ima, eye + 0.5 * dt * a)
+    bd = np.linalg.solve(ima, (dt * b)[..., None])[..., 0]
+    cd = np.linalg.solve(ima.swapaxes(-1, -2), c[..., None])[..., 0]
+    return ad, bd, cd, d + 0.5 * np.matmul(c[..., None, :], bd[..., None])[..., 0, 0]
+
+
 def tustin_discretize(
     a: np.ndarray, b: np.ndarray, c: np.ndarray, d: float, dt: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Bilinear (trapezoidal) discretization of (A, B, C, D) at step dt: three linear solves (Ad, Bd, Cd) and one dot product (Dd)."""
-    eye = np.eye(a.shape[0])
-    ima = eye - 0.5 * dt * a
-    ad = np.linalg.solve(ima, eye + 0.5 * dt * a)
-    bd = np.linalg.solve(ima, dt * b)
-    cd = np.linalg.solve(ima.T, c)
-    return ad, bd, cd, d + 0.5 * float(c @ bd)
+    """Bilinear (trapezoidal) discretization of (A, B, C, D) at step dt: tustin_lanes on one lane."""
+    ad, bd, cd, dd = tustin_lanes(np.asarray(a)[None], np.asarray(b)[None], np.asarray(c)[None], np.array([d]), dt)
+    return ad[0], bd[0], cd[0], float(dd[0])
+
+
+def realization_rows(ad: np.ndarray, bd: np.ndarray, cd: np.ndarray, dd) -> np.ndarray:
+    """The realization rows S = [[Cd, Dd], [Ad, Bd]] of a discretization
+    (tustin_discretize's, or tustin_lanes' with the lanes axis leading)."""
+    n = ad.shape[-1]
+    rows = np.empty((*np.shape(dd), n + 1, n + 1))
+    rows[..., 0, :n] = cd
+    rows[..., 0, n] = dd
+    rows[..., 1:, :n] = ad
+    rows[..., 1:, n] = bd
+    return rows
 
 
 class DiscreteController:
@@ -151,8 +175,7 @@ class DiscreteController:
     """
 
     def __init__(self, spec: ControllerSpec, dt: float):
-        ad, bd, cd, dd = tustin_discretize(*_continuous_realization(spec), dt)
-        self.rows = np.block([[cd, dd], [ad, bd[:, None]]]).tolist()
+        self.rows = realization_rows(*tustin_discretize(*_continuous_realization(spec), dt)).tolist()
         self.step = controller_step(self.rows)
 
 
@@ -673,9 +696,14 @@ def simulate(
 
 def controller_rows(controller_pairs: Sequence[tuple[ControllerSpec, ControllerSpec]], dt: float) -> np.ndarray:
     """Both areas' DiscreteController rows for each (area 1, area 2) pair,
-    stacked as (2, lanes, n + 1, n + 1), area first: the pairs must share one
-    state-space order. run_iae's bank and affine.step_maps take them so."""
-    return np.array([[DiscreteController(pair[side], dt).rows for pair in controller_pairs] for side in (0, 1)])
+    stacked as (2, lanes, n + 1, n + 1), area first, by one tustin_lanes call
+    per area: the pairs must share one state-space order. run_iae's bank and
+    affine.step_maps take them so."""
+    sides = []
+    for side in (0, 1):
+        realizations = [_continuous_realization(pair[side]) for pair in controller_pairs]
+        sides.append(realization_rows(*tustin_lanes(*(np.array(part, dtype=float) for part in zip(*realizations)), dt)))
+    return np.array(sides)
 
 
 class BatchCdmSimulator:
@@ -798,11 +826,15 @@ class BatchCdmSimulator:
         All controllers of a call share one state-space order, as synthesize's
         default degrees give, so that both areas stack into one bank.
         """
-        dt, n_steps = self.dt, self.n_steps
-        lanes = len(controller_pairs)
-        if lanes == 0:
+        if not len(controller_pairs):
             return np.empty(0)
-        state, _, run = self._lanes(controller_rows(controller_pairs, dt))
+        return self._iae(controller_rows(controller_pairs, self.dt))
+
+    def _iae(self, rows: np.ndarray) -> np.ndarray:
+        """run_iae for the controller rows (2, lanes, n + 1, n + 1) (controller_rows)."""
+        dt, n_steps = self.dt, self.n_steps
+        lanes = rows.shape[1]
+        state, _, run = self._lanes(rows)
         df = state[0:2]
 
         # |df| history, folded block by block into the peak and the IAE

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdmlfc.cdm import (
     CdmController,
@@ -7,10 +9,13 @@ from cdmlfc.cdm import (
     closed_loop_poly,
     controller_to_statespace,
     synthesize,
+    synthesize_lanes,
 )
-from cdmlfc.errors import ImproperController
+from cdmlfc.errors import ImproperController, SingularSystem
 from cdmlfc.plant import AreaParams, TieLine, DesignPlant, derive_design_plant
-from cdmlfc.poly import Polynomial, is_hurwitz
+from cdmlfc.poly import Polynomial, is_hurwitz, target_factors
+from cdmlfc.scenarios import OUTCOMES, TuningObjective
+from cdmlfc.sim import DiscreteController, tustin_discretize
 
 AREA1 = AreaParams(D=0.015, M=0.1667, R=3.0, Tg=0.08, Tt=0.4)
 AREA2 = AreaParams(D=0.016, M=0.2017, R=2.73, Tg=0.06, Tt=0.44)
@@ -182,3 +187,96 @@ class TestStateSpace:
         a, b, c, d = controller_to_statespace(ctrl)
         assert a.shape == (2, 2) and b.shape == c.shape == (2,)
         assert d == pytest.approx(ctrl.Bc.coeff(2) / ctrl.Ac.coeff(2))
+
+
+# The design screen's lane kinds, each an 8-vector [gamma_1..5, tau, k_b0_1, k_b0_2] from u in [0, 1]^8.
+# stable: near the reference vector (design-stable); box: uniform in the tuning box (mostly
+# design-unstable, most of them with a realized polynomial trimmed below degree 6); trimmed: every
+# gamma in [20, 100] (realized trimmed, most design-stable); singular: tau near 1e51, where a0 * tau^6
+# overflows and synthesize raises SingularSystem.
+OBJECTIVE = TuningObjective()
+
+
+def lane(kind: str, u: np.ndarray) -> np.ndarray:
+    low, high = np.array(OBJECTIVE.bounds).T
+    if kind == "stable":
+        return OBJECTIVE.reference_vector() * np.exp(0.2 * (u - 0.5))
+    x = low + u * (high - low)
+    if kind == "trimmed":
+        x[:5] = 20.0 + 80.0 * u[:5]
+    elif kind == "singular":
+        x[5], x[6:] = 10.0 ** (51.2 + 0.1 * u[5]), 50.0 + 50.0 * u[6:]
+    return x
+
+
+KINDS = ("stable", "box", "trimmed", "singular")
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSynthesisLanes:
+    """synthesize_lanes and the tuning objective's design screen on a lanes axis."""
+
+    def test_the_kinds_reach_their_outcomes(self):
+        objective = OBJECTIVE
+        rng = np.random.default_rng(3)
+        xs = np.array([lane(kind, u) for kind in KINDS for u in rng.random((20, 8))])
+        outcomes, _, live, _ = objective._design_screen(xs)
+        by_kind = dict(zip(KINDS, outcomes.reshape(len(KINDS), 20)))
+        assert (by_kind["stable"] == -1).all()
+        assert (by_kind["singular"] == OUTCOMES.index("synthesis_error")).all()
+        assert (by_kind["box"] == OUTCOMES.index("design_unstable")).any()
+        realized = synthesize_lanes(objective._plants[0], target_factors(xs[:, :5], xs[:, 5]), xs[:, 6]).realized
+        trimmed = (realized[:, -1] == 0.0).reshape(len(KINDS), 20)
+        assert trimmed[2].all() and (by_kind["trimmed"] == -1).any()
+        assert (live & trimmed.ravel()).any()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        draws=st.lists(
+            st.tuples(st.sampled_from(KINDS), st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8)),
+            min_size=1,
+            max_size=12,
+        ),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_a_lane_keeps_its_bits_alone_and_in_any_batch(self, draws, order):
+        objective = OBJECTIVE
+        xs = np.array([lane(kind, np.array(u)) for kind, u in draws])
+        permutation = list(range(len(xs)))
+        order.shuffle(permutation)
+        whole = objective._design_screen(xs)
+        shuffled = objective._design_screen(xs[permutation])
+        factors = target_factors(xs[:, :5], xs[:, 5])
+        designs = [synthesize_lanes(plant, factors, xs[:, 6 + i]) for i, plant in enumerate(objective._plants)]
+        live_index = np.cumsum(whole[2]) - 1
+        for i, x in enumerate(xs):
+            alone = objective._design_screen(x[None])
+            moved = permutation.index(i)
+            for got, at in ((alone, 0), (shuffled, moved)):
+                assert got[0][at] == whole[0][i] and got[2][at] == whole[2][i]
+                assert same_bits(got[1][at], whole[1][i])
+                if whole[2][i]:
+                    assert same_bits(got[3][:, np.cumsum(got[2])[at] - 1], whole[3][:, live_index[i]])
+            # the one-lane calls agree with the lanes
+            for area, (plant, design) in enumerate(zip(objective._plants, designs)):
+                gains = objective.decode(x)[area]
+                if design.singular[i]:
+                    with pytest.raises(SingularSystem):
+                        synthesize(plant, gains)
+                    continue
+                ctrl = synthesize(plant, gains)
+                for name, row in (("Ac", design.ac), ("Bc", design.bc), ("realized", design.realized)):
+                    coeffs = getattr(ctrl, name).coeffs
+                    assert same_bits(coeffs, row[i, : len(coeffs)]) and not row[i, len(coeffs) :].any()
+                assert same_bits(ctrl.target.coeffs, design.target[i])
+                assert same_bits(ctrl.residual, design.residual[i])
+                assert ctrl.stable == design.stable[i] == is_hurwitz(ctrl.realized)
+                if whole[2][i]:
+                    ad, bd, cd, dd = tustin_discretize(*controller_to_statespace(ctrl), objective.dt)
+                    rows = whole[3][area, live_index[i]]
+                    assert same_bits(rows, np.block([[cd, dd], [ad, bd[:, None]]]))
+                    assert same_bits(rows, DiscreteController(ctrl, objective.dt).rows)

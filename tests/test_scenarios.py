@@ -311,11 +311,11 @@ class TestTuningObjective:
 
     def test_synthesis_bug_propagates(self, monkeypatch):
         # only a singular synthesis (SingularSystem) becomes a penalty
-        def broken(plant, gains):
+        def broken(plant, factors, k_b0):
             raise TypeError("bug in synthesis")
 
         obj = TuningObjective()
-        monkeypatch.setattr(scenarios, "synthesize", broken)
+        monkeypatch.setattr(scenarios, "synthesize_lanes", broken)
         with pytest.raises(TypeError):
             obj.batch(obj.reference_vector())[0]
 
@@ -324,14 +324,14 @@ class TestTuningObjective:
         obj = TuningObjective()
 
         def raising(error):
-            def broken(plant, gains):
+            def broken(plant, factors, k_b0):
                 raise error("synthesis failed")
 
             return broken
 
-        monkeypatch.setattr(scenarios, "synthesize", raising(SingularSystem))
+        monkeypatch.setattr(scenarios, "synthesize_lanes", raising(SingularSystem))
         assert obj.batch(obj.reference_vector()).tolist() == [1e6]
-        monkeypatch.setattr(scenarios, "synthesize", raising(ValueError))
+        monkeypatch.setattr(scenarios, "synthesize_lanes", raising(ValueError))
         with pytest.raises(ValueError):
             obj.batch(obj.reference_vector())
 
