@@ -23,10 +23,12 @@ CHANGE / PARENT with their quartiles, and how many pairs CHANGE won.
   `TuningObjective.batch` at 1, 18 and 50 lanes. A side simulates a
   design-stable lane unless it proxies it: a side whose objective has
   `loop_radius` proxies the lanes where that reads 1 or more. The script
-  prints how many lanes of the design-stable set each side proxied and how
-  many lanes of either set got costs that differ in any bit between the
-  sides, and exits non-zero unless the design-stable lanes both sides
-  simulate get costs within rel 1e-12 of each other.
+  prints, per row, the blocks each side's closed form stepped exactly in
+  one untimed call (`counts["fallback_blocks"]`) and, for the design-stable
+  set, how many lanes each side proxied; then how many lanes of either set
+  got costs that differ in any bit between the sides, and exits non-zero
+  unless the design-stable lanes both sides simulate get costs within rel
+  1e-12 of each other.
 - cases: `run_case` for cases 2-5 with cdm_opt, cdm, pid and pi (S is the
   cases seed), one row per case and one for the four together. It also
   prints the largest difference between the two sides' trajectory
@@ -110,6 +112,13 @@ def simulated(objective, xs: np.ndarray) -> np.ndarray:
     return np.array([objective.loop_radius(x) < 1.0 for x in xs])
 
 
+def fallback_blocks(objective, xs: np.ndarray) -> int:
+    """The blocks the closed form steps exactly in one untimed batch(xs) call: its counts["fallback_blocks"]."""
+    before = objective.counts["fallback_blocks"]
+    objective.batch(xs)
+    return objective.counts["fallback_blocks"] - before
+
+
 def timed(fn, *args):
     """(CPU seconds, result) of fn(*args)."""
     start = time.process_time()
@@ -147,7 +156,7 @@ def objective_mode(sides: dict, pairs: int, seed: int) -> int:
     candidates = np.stack(kinds, axis=1).reshape(-1, kinds[0].shape[1])  # alternating, loop-stable first
     draws = uniform(objectives["parent"], rng, max(LANES))
     both = simulated(objectives["parent"], candidates) & simulated(objectives["change"], candidates)
-    print(f"{'lanes':>6} {'parent_s':>9} {'change_s':>9} {'ratio':>7} {'q1':>7} {'q3':>7} {'won':>6}  proxied by parent/change")
+    print(f"{'lanes':>6} {'parent_s':>9} {'change_s':>9} {'ratio':>7} {'q1':>7} {'q3':>7} {'won':>6}  fallback blocks parent/change; proxied by parent/change")
     worst, differ, scored = 0.0, 0, 0
     for label, xs_all in (("s", candidates), ("u", draws)):
         for lanes in LANES:
@@ -156,14 +165,15 @@ def objective_mode(sides: dict, pairs: int, seed: int) -> int:
             seconds, costs = interleave(runs, pairs)
             differ += int(np.count_nonzero(costs["change"].view(np.int64) != costs["parent"].view(np.int64)))
             scored += lanes
+            blocks = "/".join(str(fallback_blocks(objectives[side], xs)) for side in ("parent", "change"))
             if label == "u":
-                print(row(f"u{lanes}", seconds))
+                print(f"{row(f'u{lanes}', seconds)}  {blocks}")
                 continue
             live = both[:lanes]
             error = np.abs(costs["change"][live] / costs["parent"][live] - 1.0)
             worst = max(worst, float(error.max(initial=0.0))) if np.isfinite(error).all() else math.inf
             proxied = "/".join(str(int(lanes - simulated(objectives[side], xs).sum())) for side in ("parent", "change"))
-            print(f"{row(f's{lanes}', seconds)}  {proxied}")
+            print(f"{row(f's{lanes}', seconds)}  {blocks}; {proxied}")
     print(f"largest relative cost difference over {int(both.sum())} lanes both sides simulate: {worst:.3g}")
     print(f"lanes whose costs differ in any bit: {differ} of {scored}")
     return 0 if worst <= COST_TOLERANCE else 1

@@ -20,12 +20,13 @@ then the rest of the load, constant over a stretch.
 step_maps builds F and G, the ACE and control rows and the affine
 arguments of the clamp and the dead zone at each of the four RK4 stages,
 for a leading axis of lanes (controller pairs on one plant). block_table
-turns them into the coefficients of chosen affine rows after 0..B steps
-under one load row, z_j = F^j z_0 + sum_{i<j} F^i G w, built by doubling,
-and sum_rows adds their products up; sine_maps appends each sine's two
-exosystem states to F and G. Every matrix product is elementwise, each
-product rounded on its own and summed in a fixed order: no BLAS or LAPACK
-call, so no result depends on the CPU kernel. block_predictor
+turns them into the coefficients of chosen affine rows after 0..B-1
+steps under one load row, z_j = F^j z_0 + sum_{i<j} F^i G w, built by
+doubling on the powers step_squares gives, and sum_rows adds their
+products up; sine_maps appends each sine's two exosystem states to F and
+G. Every matrix product is elementwise, each product rounded on its own
+and summed in a fixed order: no BLAS or LAPACK call, so no result depends
+on the CPU kernel. block_predictor
 predicts a block of simulate's steps from them and checks the prediction;
 simulate (closed_form=True) steps exactly wherever the check fails.
 step_powers gives the state after a whole block, for
@@ -181,41 +182,53 @@ def step_maps(
     return StepMaps(f, g, ace, u, close(modes), limits)
 
 
-def block_table(maps: StepMaps, observe: np.ndarray, length: int) -> np.ndarray:
-    """The coefficients of the affine rows observe (lanes, R, n + 6) over
-    [z; w] after 0..length steps under one load row w: entry [l, c, j, r] is
-    row r's coefficient of [z_0; w]'s entry c after j steps, in lane l, so
-    that row r after j steps is the sum over c of table[l, c, j, r] [z_0; w]_c.
-
-    Built by doubling on the step map of [z; w], S = [[F, G], [0, I]]: the
-    rows after m + j steps are the rows after j steps times S^m."""
-    lanes, n = maps.f.shape[:2]
-    power = np.zeros((lanes, n + 6, n + 6))  # S^m
-    power[:, :n, :n], power[:, :n, n:], power[:, n:, n:] = maps.f, maps.g, np.eye(6)
-    table = np.empty((lanes, length + 1, observe.shape[1], n + 6))
-    table[:, 0] = observe
-    table[:, 1] = _matmul(observe, power)
-    m = 1
-    while m < length:
-        j = min(m, length - m)
-        table[:, m + 1 : m + j + 1] = _matmul(table[:, 1 : j + 1], power[:, None])
-        m += j
-        if m < length:
-            power = _matmul(power, power)
-    return np.ascontiguousarray(table.transpose(0, 3, 1, 2))
-
-
-def step_powers(maps: StepMaps, lengths) -> dict[int, np.ndarray]:
-    """The state rows of S^j for each j in lengths (all >= 1), S = [[F, G],
-    [0, I]] the step map of [z; w]: entry j (lanes, n, n + 6) maps [z_0; w]
-    to the state after j steps under one load row. Built by squaring, with
-    S^j the product of the powers S^(2^i) over j's bits, lowest first."""
+def step_squares(maps: StepMaps, count: int) -> list[np.ndarray]:
+    """S^(2^i) for i = 0..count-1, S = [[F, G], [0, I]] the step map of [z;
+    w], each (lanes, n + 6, n + 6): S, then each the square of the last."""
     lanes, n = maps.f.shape[:2]
     power = np.zeros((lanes, n + 6, n + 6))
     power[:, :n, :n], power[:, :n, n:], power[:, n:, n:] = maps.f, maps.g, np.eye(6)
     squares = [power]
-    while 2 ** len(squares) <= max(lengths):
+    while len(squares) < count:
         squares.append(_matmul(squares[-1], squares[-1]))
+    return squares
+
+
+def block_table(maps: StepMaps, observe: np.ndarray, rows: int, squares: Optional[list] = None) -> np.ndarray:
+    """The coefficients of the affine rows observe (lanes, R, n + 6) over
+    [z; w] after 0..rows-1 steps under one load row w: entry [c, l, j, r] is
+    row r's coefficient of [z_0; w]'s entry c after j steps, in lane l, so
+    that row r after j steps is the sum over c of table[c, l, j, r] [z_0; w]_c.
+
+    Built by doubling on the step map of [z; w], S: the rows after m + j
+    steps are the rows after j steps times S^m, for m = 1, 2, 4, ..., so a
+    table's first k rows are the table of k rows, bit for bit. squares holds
+    at least the powers S^(2^i) it uses (step_squares); they are built here
+    when not given."""
+    lanes, n = maps.f.shape[:2]
+    if squares is None:
+        squares = step_squares(maps, max(1, (rows - 2).bit_length()))
+    table = np.empty((lanes, rows, observe.shape[1], n + 6))
+    table[:, 0] = observe
+    if rows > 1:
+        table[:, 1] = _matmul(observe, squares[0])
+    m = 1
+    for power in squares:
+        if m + 1 >= rows:
+            break
+        j = min(m, rows - 1 - m)
+        table[:, m + 1 : m + j + 1] = _matmul(table[:, 1 : j + 1], power[:, None])
+        m += j
+    return np.ascontiguousarray(table.transpose(3, 0, 1, 2))
+
+
+def step_powers(maps: StepMaps, lengths, squares: list) -> dict[int, np.ndarray]:
+    """The state rows of S^j for each j in lengths (all >= 1), S = [[F, G],
+    [0, I]] the step map of [z; w]: entry j (lanes, n, n + 6) maps [z_0; w]
+    to the state after j steps under one load row. S^j is the product of
+    the powers S^(2^i) over j's bits, lowest first, from squares, which
+    holds at least max(lengths).bit_length() of them (step_squares)."""
+    n = maps.f.shape[1]
     out = {}
     for j in lengths:
         bits = [square for i, square in enumerate(squares) if j >> i & 1]
@@ -314,7 +327,7 @@ def block_predictor(model, rows1: list, rows2: list, dt: float, cap: float, sine
     observe[n : n + 2, :m] = maps.ace
     observe[n + 2 : n + 4, :m] = maps.u[0]
     observe[n + 4 :] = maps.modes[0]
-    table = block_table(maps, observe[None], _BLOCK)[0]
+    table = block_table(maps, observe[None], _BLOCK + 1)[:, 0]
     on_x, on_w = table[:m], table[m:]
     prod = np.empty_like(on_x)
     x = np.zeros(m)

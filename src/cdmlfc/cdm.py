@@ -94,7 +94,15 @@ class Designs:
     realized: np.ndarray  # (lanes, n + 1), Ac*Dp + Bc*N
     residual: np.ndarray  # (lanes,)
     stable: np.ndarray  # (lanes,) bool, False on a singular lane
-    singular: np.ndarray  # (lanes,) bool: the lanes synthesize raises SingularSystem on
+    # (lanes,) bool: the lanes synthesize raises SingularSystem on, a failed solve or a residual not
+    # finite in floats (a target coefficient or a norm that overflows)
+    singular: np.ndarray
+
+    def realizable(self) -> np.ndarray:
+        """The lanes statespace_lanes realizes at order q: Ac of its full
+        degree q, Bc of no higher degree."""
+        q = self.ac.shape[1] - 1
+        return (self.ac[:, q] != 0.0) & ~self.bc[:, q + 1 :].any(axis=1)
 
 
 def synthesize_lanes(
@@ -165,6 +173,7 @@ def synthesize_lanes(
         err = realized - t
         # np.linalg.norm's x.dot(x), stacked
         residual = np.sqrt(np.matmul(err[:, None], err[..., None])[:, 0, 0]) / np.sqrt(np.matmul(t[:, None], t[..., None])[:, 0, 0])
+    singular |= ~np.isfinite(residual)
     stable = np.zeros(len(k0), dtype=bool)
     stable[~singular] = hurwitz_lanes(realized[~singular], degree[~singular])
     return Designs(ac, bc, t, realized, residual, stable, singular)
@@ -186,7 +195,7 @@ def synthesize(
     factors = target_factors([gains.gamma], [gains.tau])
     design = synthesize_lanes(plant, factors, np.array([gains.k_b0]), ac_degree, bc_degree)
     if design.singular[0]:
-        raise SingularSystem("selected synthesis rows are numerically singular")
+        raise SingularSystem("selected synthesis rows are numerically singular, or the target overflows")
     return CdmController(
         Ac=Polynomial(design.ac[0]),
         Bc=Polynomial(design.bc[0]),

@@ -14,7 +14,7 @@ class InvalidGamma(CdmlfcError):
 
 
 class SingularSystem(CdmlfcError):
-    """The Sylvester synthesis system is rank-deficient."""
+    """The Sylvester synthesis system is rank-deficient, or its target overflows floats."""
 
 
 class UnstableDesign(CdmlfcError):

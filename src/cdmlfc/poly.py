@@ -161,13 +161,22 @@ def stability_limits(p: Polynomial) -> list[float]:
     return [inverse[i] + inverse[i + 2] for i in range(len(gamma))]
 
 
+def _power(x: float, j: int) -> float:
+    """Python float's x ** j, inf where it overflows."""
+    try:
+        return x**j
+    except OverflowError:
+        return math.inf
+
+
 def target_factors(gammas: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """target_poly's factors for each row of gammas (lanes, n - 1), gamma_1
     first, and taus (lanes,): (2, lanes, n + 1), tau^i and the gamma product
     that divides a_i, so that a_i = (a0 * tau^i) / product. The powers are
     Python float's **, once per row (numpy's power may round them
-    differently); both areas' targets share them. A product that underflows
-    to 0.0 raises ZeroDivisionError, as Python's division by it does."""
+    differently); both areas' targets share them. Every row gets its
+    factors: a power that overflows is inf (where ** raises OverflowError),
+    and a product may underflow to 0.0, so that a_i is not finite."""
     gammas = np.asarray(gammas, dtype=float)
     n = gammas.shape[1] + 1
     out = np.empty((2, len(gammas), n + 1))
@@ -176,10 +185,8 @@ def target_factors(gammas: np.ndarray, taus: np.ndarray) -> np.ndarray:
         for i in range(2, n + 1):
             denom = 1.0
             for j in range(1, i):
-                denom *= gamma[i - j - 1] ** j  # gamma_{i-j}, list is 0-based
-            if denom == 0.0:
-                raise ZeroDivisionError("float division by zero")
-            powers.append(tau**i)
+                denom *= _power(gamma[i - j - 1], j)  # gamma_{i-j}, list is 0-based
+            powers.append(_power(tau, i))
             denoms.append(denom)
         out[:, lane] = powers, denoms
     return out
@@ -202,6 +209,8 @@ def target_poly(gamma: Sequence[float], tau: float, a0: float) -> Polynomial:
     if a0 <= 0.0:
         raise ValueError("a0 must be > 0")
     powers, denoms = target_factors([gamma], [tau])[:, 0]
+    if (denoms == 0.0).any():
+        raise ZeroDivisionError("float division by zero")  # a gamma product underflowed
     # The contract promises degree n even when high-order terms are tiny,
     # so skip the dust trim here.
     return Polynomial._exact((a0 * powers) / denoms)

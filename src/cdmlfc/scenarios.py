@@ -248,9 +248,12 @@ class TuningObjective:
     Controllers are synthesized on the nominal design plants, a whole
     batch at once (_design_screen); the evaluation model carries the 50%
     governor/turbine drift. A singular synthesis (SingularSystem, the one
-    error synthesize raises for positive gains) or unstable design maps to
-    a penalty of at least PENALTY_FLOOR; any other exception is a bug and
-    propagates.
+    error synthesize raises for positive gains, also where the target
+    polynomial or its norm overflows) or unstable design maps to a penalty
+    of at least PENALTY_FLOOR, and so does a design-stable pair whose Ac
+    trims below its full degree (no controller rows of the batch's order
+    realize it); any other exception is a bug and propagates. So every
+    positive gain vector gets a finite cost.
 
     A design-stable candidate is screened on its closed loop in the
     evaluation model: affine.spectral_radius estimates the spectral radius
@@ -334,8 +337,10 @@ class TuningObjective:
             designs = [synthesize_lanes(plant, factors, xs[:, 6 + i]) for i, plant in enumerate(self._plants)]
         except SingularSystem:  # every row fails alike on the plant
             return np.zeros(lanes, dtype=int), np.full(lanes, PENALTY_FLOOR), np.zeros(lanes, dtype=bool), np.empty((2, 0, 3, 3))
-        singular = designs[0].singular | designs[1].singular
-        live = ~singular & designs[0].stable & designs[1].stable
+        # a synthesis error: a singular solve, or a design-stable pair statespace_lanes cannot realize at one order
+        stable = designs[0].stable & designs[1].stable
+        singular = designs[0].singular | designs[1].singular | (stable & ~(designs[0].realizable() & designs[1].realizable()))
+        live = ~singular & stable
         outcomes = np.where(singular, OUTCOMES.index("synthesis_error"), np.where(live, -1, OUTCOMES.index("design_unstable")))
         penalties = np.where(singular, PENALTY_FLOOR, PENALTY_FLOOR + designs[0].residual + designs[1].residual)
         rows = np.array([realization_rows(*tustin_lanes(*statespace_lanes(d.ac[live], d.bc[live]), self.dt)) for d in designs])

@@ -5,8 +5,8 @@ RK4; the generation-rate clamp is applied inside every stage evaluation.
 Both simulators hold the state in one order, df1 df2 dpm1 dpm2 dpg1 dpg2
 dptie: a 7-tuple for one lane, the rows of a (7, lanes) array for many.
 The plant is written once per driver: plant_rhs and rk4_step step one lane
-(simulate, and affine._rk4_maps, which reads the closed form's matrices off
-that step), and lanes_step steps the stacked array in place with the same
+(simulate, closed_form_iae's fallback blocks, and affine._rk4_maps, which
+reads the closed form's matrices off that step), and lanes_step steps the stacked array in place with the same
 operations per lane (BatchCdmSimulator), binding its views, buffers and
 RK4 stages once per run.
 The scalar step works on named floats: plant_rhs binds the area parameters
@@ -774,12 +774,12 @@ class BatchCdmSimulator:
         self.samples = load_samples(loads, dt, self.n_steps)
         self.load_changes = load_row_changes(self.samples)
 
-    def _lanes(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, Callable]:
+    def _lanes(self, rows: np.ndarray) -> tuple[np.ndarray, Callable]:
         """run_iae's lanes for the controller rows (2, lanes, n + 1, n + 1)
-        (controller_rows): the plant state (7, lanes) and the controller states
-        x (n, 2, lanes), both zero, and run(k0, k1, records), which steps them
-        in place from step k0 to k1, copying df into records[i] before step
-        k0 + i, so that a run can start from any state at any step."""
+        (controller_rows): the plant state (7, lanes), zero, and run(k0, k1,
+        records), which steps the lanes in place from step k0 to k1, copying
+        df into records[i] before step k0 + i. Each call goes on from the
+        last one's k1, the first from step 0."""
         dt, lanes = self.dt, rows.shape[1]
 
         # the trapezoidal controllers as one bank: column j of every area's and
@@ -799,11 +799,10 @@ class BatchCdmSimulator:
         bias = np.broadcast_to(self.bias, (2, lanes)).copy()
         loads = np.empty((3, 2, lanes))
         stage_loads = tuple(loads)
-        table, changes = self.samples[..., None], set(self.load_changes.tolist())
+        table, changes = self.samples[..., None], set(self.load_changes.tolist())  # step 0 is a change
         step = lanes_step(*self.plant, state, dt)
 
         def run(k0: int, k1: int, records: Sequence[np.ndarray]) -> None:
-            np.copyto(loads, table[k0])
             for k, record in zip(range(k0, k1), records):
                 np.copyto(record, df)
                 if k in changes:
@@ -818,7 +817,7 @@ class BatchCdmSimulator:
                 np.copyto(x, new_x)
                 step(stage_loads, u)
 
-        return state, x, run
+        return state, run
 
     def run_iae(self, controller_pairs: Sequence[tuple[CdmController, CdmController]]) -> np.ndarray:
         """The IAE of each (area 1, area 2) controller pair, NaN where it diverges.
@@ -834,7 +833,7 @@ class BatchCdmSimulator:
         """run_iae for the controller rows (2, lanes, n + 1, n + 1) (controller_rows)."""
         dt, n_steps = self.dt, self.n_steps
         lanes = rows.shape[1]
-        state, _, run = self._lanes(rows)
+        state, run = self._lanes(rows)
         df = state[0:2]
 
         # |df| history, folded block by block into the peak and the IAE
@@ -881,16 +880,17 @@ class BatchCdmSimulator:
         radius below 1: their clamp is idle through nearly every block. The
         lanes go in chunks of _CHUNK, so that the tables' memory does not grow
         with the batch: each chunk's affine.block_table observes only df1, df2
-        and the clamp (and dead-zone) arguments after 0.._BLOCK steps, and
-        affine.step_powers gives the end state of each block length. The run
-        goes in blocks of at most _BLOCK steps inside each stretch of one
-        load_samples row. A block stands for a lane if its clamp arguments lie
-        within their limits and its |df| within the divergence cap at every
-        step, and its end state is finite; else the lane steps the block
-        exactly, with the chunk's other lanes that failed it, on run_iae's
-        lanes engine from the block's start state, and the closed form resumes
-        from the block's end. The IAE is run_iae's running trapezoid over the
-        blocks' |df| rows, so a lane's value depends on neither its batch nor
+        and the clamp (and dead-zone) arguments, one row per step of the
+        longest block, and affine.step_powers gives the end state of each
+        block length, both from one chain of squarings (affine.step_squares).
+        The run goes in blocks of at most _BLOCK steps inside each stretch of
+        one load_samples row. A block stands for a lane if its clamp
+        arguments lie within their limits and its |df| within the divergence
+        cap at every step, and its end state is finite; else the lane steps
+        the block exactly (_exact_block), and the closed form resumes from the
+        block's end. Each lane's |df1| + |df2| before every step, and at the
+        end, fills one row, which one np.add.accumulate folds into run_iae's
+        running trapezoid, so a lane's value depends on neither its batch nor
         its chunk, and lies within rounding of run_iae's (rel 1e-12 in the
         tests); a lane whose exact steps break simulate's divergence rule is
         NaN.
@@ -905,25 +905,28 @@ class BatchCdmSimulator:
 
     def _closed_form_chunk(self, rows: np.ndarray, maps: StepMaps) -> tuple[np.ndarray, int]:
         """closed_form_iae for one chunk of lanes."""
-        from .affine import _BLOCK, block_table, step_powers, sum_rows  # only here: see simulate
+        from .affine import _BLOCK, block_table, step_powers, step_squares, sum_rows  # only here: see simulate
 
         dt, n_steps, lanes, order = self.dt, self.n_steps, rows.shape[1], rows.shape[-1] - 1
         n = 7 + 2 * order
         starts = self.load_changes.tolist()
         stretches = list(zip(starts, starts[1:] + [n_steps]))
         lengths = {min(_BLOCK, b - k0) for a, b in stretches for k0 in range(a, b, _BLOCK)}
+        longest = max(lengths)
 
         observe = np.concatenate([np.broadcast_to(np.eye(2, n + 6), (lanes, 2, n + 6)), maps.modes], axis=1)
         bound = np.concatenate([[_DIVERGENCE_CAP] * 2, maps.limits])
+        squares = step_squares(maps, longest.bit_length())
         # the table over (coefficient, lane, step, row): the state's part and the load's
-        table = block_table(maps, observe, max(lengths)).transpose(1, 0, 2, 3)
+        table = block_table(maps, observe, longest, squares)
         on_z, on_w = table[:n], table[n:]
-        ends = {j: power.transpose(2, 0, 1) for j, power in step_powers(maps, lengths).items()}
-        prod = np.empty(on_z.shape)
+        # each block length's end-state rows over (coefficient, lane, state)
+        ends = {j: np.ascontiguousarray(power.transpose(2, 0, 1)) for j, power in step_powers(maps, lengths, squares).items()}
+        prod, end_prod = np.empty(on_z.shape), np.empty((n + 6, lanes, n))
         zw = np.zeros((n + 6, lanes))  # each lane's [z; w] at the next block's start, z in step_maps' order
         z = zw[:n]
         alive = np.ones(lanes, bool)
-        iae = np.zeros(lanes)
+        mag = np.empty((lanes, n_steps + 1))  # |df1| + |df2| before each step, then at the end
         exact = 0
         with np.errstate(over="ignore", invalid="ignore"):
             for a, b in stretches:
@@ -935,37 +938,49 @@ class BatchCdmSimulator:
                     np.multiply(on_z[:, :, :steps], z[:, :, None, None], out=y)
                     y = sum_rows(y)
                     y += load_part[:, :steps]
-                    end = sum_rows(ends[steps] * zw[:, :, None])
+                    np.multiply(ends[steps], zw[:, :, None], out=end_prod)
+                    end = sum_rows(end_prod)
                     np.abs(y, out=y)
-                    sums = y[..., 0] + y[..., 1]
+                    sums = mag[:, k0 : k0 + steps]
+                    np.add(y[..., 0], y[..., 1], out=sums)
                     ok = (y <= bound).all(axis=(1, 2)) & np.isfinite(end).all(axis=1)
                     failed = np.flatnonzero(alive & ~ok)
                     if failed.size:
                         exact += failed.size
                         sums[failed], end[failed], alive[failed] = self._exact_block(rows[:, failed], z[:, failed], k0, steps)
                     z[:] = end.T
-                    # run_iae's running trapezoid: dt / 2 at the first step, dt inside
-                    sums[:, 0] *= 0.5 * dt if k0 == 0 else dt
-                    sums[:, 1:] *= dt
-                    sums[:, 0] += iae
-                    np.add.accumulate(sums, axis=1, out=sums)
-                    iae = sums[:, -1].copy()
-            iae += (np.abs(z[0]) + np.abs(z[1])) * (0.5 * dt)  # the final state
+            np.add(np.abs(z[0]), np.abs(z[1]), out=mag[:, -1])  # the final state
+            # run_iae's running trapezoid: dt / 2 at the two ends, dt inside, summed in step order
+            mag[:, 1:-1] *= dt
+            mag[:, 0] *= 0.5 * dt
+            mag[:, -1] *= 0.5 * dt
+            np.add.accumulate(mag, axis=1, out=mag)
+        iae = mag[:, -1].copy()
         iae[~(alive & (np.abs(z[:2]) <= _DIVERGENCE_CAP).all(axis=0))] = np.nan
         return iae, exact
 
     def _exact_block(self, rows: np.ndarray, z: np.ndarray, k0: int, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Steps k0..k0+steps-1 of the lanes of rows exactly, on run_iae's
-        lanes engine, from the states z (n, lanes) in step_maps' order: each
-        lane's |df1| + |df2| before every step (lanes, steps), its end state
-        (lanes, n), and whether it kept within simulate's divergence rule."""
-        order, lanes = rows.shape[-1] - 1, rows.shape[1]
-        state, x, run = self._lanes(rows)
-        state[:] = z[:7]
-        x[:] = z[7:].reshape(2, order, lanes).transpose(1, 0, 2)
-        history = np.empty((2, steps, lanes))
-        run(k0, k0 + steps, [history[:, i] for i in range(steps)])
-        end = np.concatenate([state, x.transpose(1, 0, 2).reshape(2 * order, lanes)])
-        np.abs(history, out=history)
-        kept = (history <= _DIVERGENCE_CAP).all(axis=(0, 1)) & np.isfinite(end).all(axis=0)
-        return (history[0] + history[1]).T, end.T, kept
+        """Steps k0..k0+steps-1 of the lanes of rows exactly, one lane at a
+        time on simulate's step (rk4_step of plant_rhs, controller_step), from
+        the states z (n, lanes) in step_maps' order: each lane's |df1| + |df2|
+        before every step (lanes, steps), its end state (lanes, n), and whether
+        it kept within the divergence rule of run_iae's lanes engine: |df1| and
+        |df2| within the cap before every step, and a finite end state."""
+        dt, order = self.dt, rows.shape[-1] - 1
+        rhs = plant_rhs(*self.plant)
+        (b1,), (b2,) = self.bias.tolist()
+        loads = self.samples[k0 : k0 + steps].tolist()
+        mags, ends = [], []
+        for (rows1, rows2), start in zip(rows.transpose(1, 0, 2, 3).tolist(), z.T.tolist()):
+            step1, step2 = controller_step(rows1, x=start[7 : 7 + order]), controller_step(rows2, x=start[7 + order :])
+            state = tuple(start[:7])
+            record = array("d")
+            for row in loads:
+                df1, df2, _, _, _, _, dptie = state
+                record.extend((abs(df1), abs(df2)))
+                state = rk4_step(rhs, state, row, (step1(b1 * df1 + dptie), step2(b2 * df2 - dptie)), dt)
+            mags.append(np.frombuffer(record).reshape(steps, 2))
+            ends.append(list(state) + step1.state() + step2.state())
+        mags, ends = np.array(mags), np.array(ends)
+        kept = (mags <= _DIVERGENCE_CAP).all(axis=(1, 2)) & np.isfinite(ends).all(axis=1)
+        return mags[..., 0] + mags[..., 1], ends, kept

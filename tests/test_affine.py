@@ -214,7 +214,7 @@ class TestStepMaps:
         f, g = maps.f[0], maps.g[0]
         n = len(f)
         observe = np.vstack([np.eye(n, n + 6), maps.modes[0]])
-        table = block_table(maps, observe[None], length)[0]
+        table = block_table(maps, observe[None], length + 1)[:, 0]  # rows after 0..length steps
         assert table.shape == (n + 6, length + 1, len(observe))
         rng = np.random.default_rng(length)
         z, w = rng.uniform(-0.01, 0.01, n), rng.uniform(-0.01, 0.01, 6)
@@ -224,6 +224,21 @@ class TestStepMaps:
             got = np.einsum("cr,c->r", table[:, j], zw)
             assert got == pytest.approx(want, rel=1e-11, abs=1e-14)
             z = f @ z + g @ w
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 17, 33, 50])
+    def test_a_short_table_is_a_long_tables_first_rows(self, rows):
+        # doubling builds row r from the same products whatever the table's
+        # length, so a table of k rows is the first k rows of a longer one bit
+        # for bit, and squares passed in give the bits of squares built inside
+        maps = step_maps(CFG.areas, CFG.tie, CFG.cases_nonlin, *stacked_rows(CFG.controller_pair("cdm_opt"), 0.01), 0.01)
+        n = maps.f.shape[1]
+        observe = np.vstack([np.eye(2, n + 6), maps.modes[0]])[None]
+        longer = block_table(maps, observe, affine._BLOCK + 1)
+        short = block_table(maps, observe, rows)
+        assert short.shape[2] == rows
+        assert short.tobytes() == np.ascontiguousarray(longer[:, :, :rows]).tobytes()
+        squares = affine.step_squares(maps, rows.bit_length())
+        assert block_table(maps, observe, rows, squares).tobytes() == short.tobytes()
 
 
 class TestClosedForm:

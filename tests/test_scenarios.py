@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdmlfc import scenarios
+from cdmlfc.cdm import synthesize
 from cdmlfc.config import RunConfig, build_config
 from cdmlfc.errors import ConfigError, NonFiniteState, SingularSystem, UnstableDesign
+from cdmlfc.plant import derive_design_plant
 from cdmlfc.scenarios import (
+    PENALTY_FLOOR,
     Composite,
     TuningObjective,
     Metrics,
@@ -278,6 +281,9 @@ class TestTransientMeasures:
         assert t_s == pytest.approx(3.0, abs=0.02)
 
 
+OBJECTIVE = TuningObjective()
+
+
 class TestTuningObjective:
     def test_reference_gains_finite_and_stable(self):
         obj = TuningObjective()
@@ -334,6 +340,33 @@ class TestTuningObjective:
         monkeypatch.setattr(scenarios, "synthesize_lanes", raising(ValueError))
         with pytest.raises(ValueError):
             obj.batch(obj.reference_vector())
+
+    def test_gains_the_bounds_admit_outside_the_box_are_synthesis_errors(self):
+        # optimizer.bounds admits any 0 < low < high. All gammas at 1e-65
+        # underflow a gamma product to 0.0, gamma_1 at 1e-58 overflows the
+        # target's norm, and the third vector (a log-uniform draw over [1e-6,
+        # 1e6]) is design-stable with Ac trimmed to degree 1 below a degree-2
+        # Bc, which no controller row of order 2 realizes.
+        obj = TuningObjective()
+        tiny, overflow = obj.reference_vector(), obj.reference_vector()
+        tiny[:5] = 1e-65
+        overflow[0] = 1e-58
+        improper = [
+            0.05503320331275688, 5622.003669418531, 3940.700338494531, 185.39751861994736,
+            312280.01120286016, 1483.843572859953, 0.00314899518160517, 0.00042769646187430804,
+        ]
+        assert obj.batch(np.array([tiny, overflow, improper])).tolist() == [PENALTY_FLOOR] * 3
+        assert obj.counts["synthesis_error"] == 3
+        plant = derive_design_plant(obj.areas[0], obj.tie)
+        for x in (tiny, overflow):
+            with pytest.raises(SingularSystem):
+                synthesize(plant, obj.decode(x)[0])
+
+    @settings(max_examples=25, deadline=None)
+    @given(logs=st.lists(st.lists(st.floats(math.log(1e-70), math.log(1e6)), min_size=8, max_size=8), min_size=1, max_size=16))
+    def test_every_cost_is_finite_and_nonnegative(self, logs):
+        # log-uniform gains over [1e-70, 1e6], which optimizer.bounds admits
+        assert all(math.isfinite(c) and c >= 0.0 for c in OBJECTIVE.batch(np.exp(logs)).tolist())
 
     def test_batch_matches_pointwise(self):
         obj = TuningObjective()

@@ -673,6 +673,60 @@ class TestClosedFormIae:
         for i in range(len(pairs)):
             assert sim.closed_form_iae(rows[:, [i]], maps.take([i]))[0][0] == iae[i]
 
+    @pytest.mark.parametrize("n", [1, 2, 49, 50, 51, 120])
+    def test_short_horizons(self, n):
+        # the longest block may be a single step (a horizon of one dt), and a
+        # stretch may end inside a block; the case-1 step enters at step 49
+        objective = TuningObjective()
+        pairs = [objective_pair(objective)] + loop_stable_pairs(np.random.default_rng(5), 1)
+        sim = BatchCdmSimulator(objective.eval_areas, objective.tie, objective.nonlin, objective.eval_loads, objective.dt, n * objective.dt)
+        rows = controller_rows(pairs, sim.dt)
+        iae, _ = sim.closed_form_iae(rows, step_maps(*sim.plant, rows[0], rows[1], sim.dt))
+        np.testing.assert_allclose(iae, sim.run_iae(pairs), rtol=1e-12, atol=0.0)
+
+
+class TestExactBlock:
+    """closed_form_iae steps a failing block on simulate's scalar step, one
+    lane at a time, with the bits and the divergence rule of run_iae's lanes
+    engine."""
+
+    @pytest.mark.parametrize(
+        "nonlin",
+        [defaults.NONLIN_OBJECTIVE, replace(defaults.NONLIN_OBJECTIVE, gdb_width=0.05), LINEAR],
+        ids=["objective", "dead_zone", "linear"],
+    )
+    def test_the_scalar_block_equals_the_lanes_engine(self, nonlin):
+        # From the state both engines reach at step k0, the block's |df| sums,
+        # end state and kept flag are the lanes engine's bit for bit. Index 37
+        # of the reference candidates (rho 2.09) is held by the rate clamp on
+        # the objective's model, with or without a dead zone; on the linear
+        # model it crosses the divergence cap at step 81, inside the block,
+        # and stays finite.
+        objective = TuningObjective()
+        pairs = [objective_pair(objective), candidate_pair(objective, REFERENCE["objective"]["candidates"][37])]
+        sim = BatchCdmSimulator(objective.eval_areas, objective.tie, nonlin, objective.eval_loads, objective.dt, objective.horizon)
+        rows = controller_rows(pairs, sim.dt)
+        k0, steps, lanes = 60, 50, len(pairs)
+        state, run = sim._lanes(rows)
+        history = np.empty((k0 + steps, 2, lanes))
+        with np.errstate(over="ignore", invalid="ignore"):
+            run(0, k0, history[:k0])
+            at_k0 = state.copy()
+            run(k0, k0 + steps, history[k0:])
+        mags = np.abs(history)
+        engine_sums = (mags[:, 0] + mags[:, 1]).T
+        engine_kept = (mags[k0:] <= 1e6).all(axis=(0, 1)) & np.isfinite(state).all(axis=0)
+        zero = np.zeros((7 + 2 * (rows.shape[-1] - 1), lanes))
+        head, mid, _ = sim._exact_block(rows, zero, 0, k0)
+        sums, end, kept = sim._exact_block(rows, mid.T, k0, steps)
+        assert head.tobytes() == engine_sums[:, :k0].tobytes() and mid[:, :7].tobytes() == at_k0.T.tobytes()
+        assert sums.tobytes() == engine_sums[:, k0:].tobytes() and end[:, :7].tobytes() == state.T.tobytes()
+        assert kept.tolist() == engine_kept.tolist() == [True, nonlin is not LINEAR]
+        assert np.isfinite(end).all()
+        # the controller states carry across a split: one call over both gives the same bits
+        whole, whole_end, _ = sim._exact_block(rows, zero, 0, k0 + steps)
+        assert whole.tobytes() == np.concatenate([head, sums], axis=1).tobytes() and whole_end.tobytes() == end.tobytes()
+
 
 class TestIaeFold:
     """run_iae records |df| into a block of _FOLD_ROWS history rows and folds
